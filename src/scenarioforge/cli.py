@@ -97,7 +97,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _config(args)
     with open(args.aggregate, encoding="utf-8") as fh:
         aggregate = json.load(fh)
     print(aggregate.get("diversity_table", ""))
@@ -112,12 +111,8 @@ def cmd_netgen(args) -> int:
         provider = MockProvider()
         desc = interpret(ir.TextRequest(args.text), kb, provider)
         net = netgen.compile_network(desc.road, kb, provider)
-        xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
-        with open(args.out_prefix + ".nod.xml", "w", encoding="utf-8") as fh:
-            fh.write(xml_nodes)
-        with open(args.out_prefix + ".edg.xml", "w", encoding="utf-8") as fh:
-            fh.write(xml_edges)
-        print(f"wrote {args.out_prefix}.nod.xml / .edg.xml")
+        nod_path, edg_path = netgen.write_sumo_xml(net, args.out_prefix)
+        print(f"wrote {nod_path} / {edg_path}")
         return 0
     if args.net_cmd == "validate":
         with open(args.nodes, encoding="utf-8") as fh:
@@ -152,12 +147,8 @@ def cmd_netgen(args) -> int:
         else:
             source = netgen.fetch_osm_extract(bbox, args.cache_dir)
         net = netgen.ingest_osm(bbox, source)
-        xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
-        with open(args.out_prefix + ".nod.xml", "w", encoding="utf-8") as fh:
-            fh.write(xml_nodes)
-        with open(args.out_prefix + ".edg.xml", "w", encoding="utf-8") as fh:
-            fh.write(xml_edges)
-        print(f"{len(net.edges)} edges -> {args.out_prefix}.nod.xml/.edg.xml")
+        nod_path, edg_path = netgen.write_sumo_xml(net, args.out_prefix)
+        print(f"{len(net.edges)} edges -> {nod_path}/{edg_path}")
         return 0
     raise pipeline.ConfigError(f"unknown netgen command {args.net_cmd}")
 
@@ -203,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("eval", help="reprint a stored aggregate report")
-    _add_common(p)
     p.add_argument("aggregate")
     p.set_defaults(fn=cmd_eval)
 

@@ -1,9 +1,11 @@
 """Agent and object generators: seeded placement at the critical moment.
 
-Placement is deterministic constraint satisfaction over lane geometry: agents
-keep a minimum center gap, except one intent-encoded conflict pair which is
-tightened into [min_gap/2, min_gap] to seed criticality. The RandomTrip-style
-baseline places uniformly with no gap guarantee.
+Placement is deterministic constraint satisfaction over lane geometry: a
+seeded random search keeps agents a minimum center gap apart, except one
+intent-encoded conflict pair which is tightened into [min_gap/2, min_gap] to
+seed criticality. When the search fails, an even-spacing fallback guarantees
+only min_gap/2. The RandomTrip-style baseline places uniformly with no gap
+guarantee.
 """
 from __future__ import annotations
 
@@ -69,7 +71,6 @@ class PlacedObject:
 class PlacementConstraints:
     min_gap: float = 4.0
     max_agents: int = 32
-    keep_av_route_free: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -127,13 +128,16 @@ def _conflict_pair(desc: ScenarioDescription) -> Optional[tuple[int, int]]:
 
 
 def generate_agents(desc: ScenarioDescription, net: netgen.RoadNetwork,
-                    constraints: PlacementConstraints, kb=None, provider=None
-                    ) -> list[AgentState]:
+                    constraints: PlacementConstraints) -> list[AgentState]:
     """Place one AgentState per described agent onto the network.
 
-    Pairwise center distances stay >= min_gap, except the intent-encoded
-    conflict pair, which is drawn from [min_gap/2, min_gap]. Raises
-    PlacementInfeasible when the network cannot host the agents at these gaps.
+    A seeded random search keeps pairwise center distances >= min_gap, except
+    the intent-encoded conflict pair, which is drawn from [min_gap/2,
+    min_gap]. If the search fails, the deterministic even-spacing fallback
+    runs instead; it guarantees only min_gap/2 for every pair, because agents
+    at the same arc length on adjacent lanes sit one lane width apart. Raises
+    PlacementInfeasible when the network cannot host the agents even at
+    min_gap/2.
     """
     if not desc.agents:
         raise PlacementInfeasible("description has no agents")
@@ -207,8 +211,13 @@ def generate_agents(desc: ScenarioDescription, net: netgen.RoadNetwork,
             states.append(placed)
         if ok:
             return states
+    return _even_spacing(net, agents, inv, gap)
 
-    # deterministic fallback: even spacing along concatenated lane arc length
+
+def _even_spacing(net, agents, inv, gap) -> list[AgentState]:
+    """Deterministic fallback: even spacing along concatenated lane arc
+    length. Pairs on adjacent lanes may sit closer than gap; every pair keeps
+    at least gap/2, or PlacementInfeasible is raised."""
     states = []
     spacing = gap * 1.25
     cursor = gap / 2.0
@@ -228,8 +237,7 @@ def generate_agents(desc: ScenarioDescription, net: netgen.RoadNetwork,
 
 
 def generate_objects(desc: ScenarioDescription, net: netgen.RoadNetwork,
-                     constraints: PlacementConstraints, kb=None, provider=None
-                     ) -> list[PlacedObject]:
+                     constraints: PlacementConstraints) -> list[PlacedObject]:
     """Place static objects; cone taper hints produce an equally spaced,
     monotone-lateral-offset line closing one lane."""
     inv = _lane_inventory(net)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import compgen, netgen, simcore
+from .compgen import _mean_std
 from .ir import (AgentDescription, ObjectDescription, RoadDescription,
                  RoadSegment, ScenarioBundle, ScenarioDescription,
                  serialize_description)
@@ -26,7 +27,6 @@ TABLE5_ROWS = ("Route completion", "Driving score", "Total score",
                "Use Time", "Success rate", "Collision rate")
 SIMILARITY_SECTIONS = ("Overall scene", "Net", "Road User", "Static object",
                        "Vehicle behavior")
-HINT_TAGS = ("DecelerateEarlier", "SaferLane")
 
 
 class ZeroVector(ValueError):
@@ -72,31 +72,6 @@ class HashingEmbedder:
         if norm > 0:
             counts = [c / norm for c in counts]
         return EmbeddingVector(tuple(counts), self.dimension)
-
-
-class RemoteEmbedder:
-    """HTTP embedding client: POST {model, input} -> {"embedding": [...]}."""
-
-    def __init__(self, endpoint: str, model: str = "text-embedding",
-                 api_key: Optional[str] = None, dimension: int = 1536,
-                 timeout: float = 60.0):
-        self.endpoint = endpoint
-        self.model = model
-        self.api_key = api_key
-        self.dimension = dimension
-        self.timeout = timeout
-
-    def embed(self, text: str) -> EmbeddingVector:
-        import requests
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        resp = requests.post(self.endpoint,
-                             json={"model": self.model, "input": text},
-                             headers=headers, timeout=self.timeout)
-        resp.raise_for_status()
-        comps = tuple(resp.json()["embedding"])
-        return EmbeddingVector(comps, len(comps))
 
 
 def cosine_similarity(u: EmbeddingVector, v: EmbeddingVector) -> float:
@@ -266,10 +241,6 @@ def conformity(pairs, outcomes=None) -> ConformityReport:
 
 # ---------------------------------------------------------------------------
 # diversity
-
-def _mean_std(values) -> tuple[float, float]:
-    return compgen._mean_std(values)
-
 
 def format_pm(mean: float, std: float) -> str:
     return f"{mean:.2f} ± {std:.2f}"

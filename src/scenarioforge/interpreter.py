@@ -47,18 +47,6 @@ class NonPositiveDepth(ValueError):
 
 
 @dataclass(frozen=True)
-class ProviderRequest:
-    template_name: str
-    rendered_prompt: str
-    expected_schema: tuple[str, ...] = ("road", "objects", "agents", "weather")
-    max_retries: int = DEFAULT_MAX_RETRIES
-
-    def __post_init__(self):
-        if not self.rendered_prompt:
-            raise ValueError("rendered_prompt must be non-empty")
-
-
-@dataclass(frozen=True)
 class ProviderResponse:
     raw_text: str
     parsed: Optional[ScenarioDescription]
@@ -147,7 +135,6 @@ def _render(kb: PromptKnowledgeBase, name: str, payload: str, seed: int) -> str:
 
 
 def render_net_prompt(kb: PromptKnowledgeBase, road, seed: int = 0) -> str:
-    from .netgen import RoadNetwork  # noqa: F401  (type lives next door)
     payload = json.dumps({
         "layout": road.layout,
         "junction_notes": road.junction_notes,
@@ -517,9 +504,9 @@ def _run_task(task: str, payload: str, kb: PromptKnowledgeBase, provider,
               seed: int = 0,
               max_retries: int = DEFAULT_MAX_RETRIES,
               postcheck=None) -> ProviderResponse:
-    prompt = _render(kb, task, payload, seed)
-    request = ProviderRequest(template_name=task, rendered_prompt=prompt,
-                              max_retries=max_retries)
+    prompt = rendered = _render(kb, task, payload, seed)
+    if not rendered:
+        raise ValueError("rendered prompt must be non-empty")
     last_error: Exception = UnparseableAfterRetries("no attempts")
     raw = ""
     for attempt in range(1, max_retries + 2):
@@ -532,8 +519,7 @@ def _run_task(task: str, payload: str, kb: PromptKnowledgeBase, provider,
                                     attempt_count=attempt)
         except (DescriptionError, ValueError) as exc:
             last_error = exc
-            prompt = request.rendered_prompt + \
-                f"\n### PREVIOUS ERROR:\n{exc}\n"
+            prompt = rendered + f"\n### PREVIOUS ERROR:\n{exc}\n"
     raise UnparseableAfterRetries(last_error)
 
 

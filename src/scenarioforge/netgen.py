@@ -370,20 +370,34 @@ def _parse_shape(text: str):
 # ---------------------------------------------------------------------------
 # XML serialization
 
+# '&' goes first so later references are not escaped again; whitespace other
+# than a space must be a character reference, or parsers normalize it to a
+# space inside attribute values
+_ATTR_ESCAPES = (("&", "&amp;"), ("<", "&lt;"), ('"', "&quot;"),
+                 ("\t", "&#9;"), ("\n", "&#10;"), ("\r", "&#13;"))
+
+
+def _attr(value: str) -> str:
+    for char, ref in _ATTR_ESCAPES:
+        value = value.replace(char, ref)
+    return value
+
+
 def serialize_sumo_xml(net: RoadNetwork) -> tuple[str, str]:
     """(nodes document, edges document) in SUMO plain XML."""
     nodes_lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<nodes>"]
     for n in net.nodes:
         nodes_lines.append(
-            f'    <node id="{n.id}" x="{_fmt(n.x)}" y="{_fmt(n.y)}" '
-            f'type="{n.node_type}"/>')
+            f'    <node id="{_attr(n.id)}" x="{_fmt(n.x)}" y="{_fmt(n.y)}" '
+            f'type="{_attr(n.node_type)}"/>')
     nodes_lines.append("</nodes>")
 
     edges_lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<edges>"]
     for e in net.edges:
-        head = (f'    <edge id="{e.id}" from="{e.from_node}" to="{e.to_node}" '
+        head = (f'    <edge id="{_attr(e.id)}" from="{_attr(e.from_node)}" '
+                f'to="{_attr(e.to_node)}" '
                 f'numLanes="{e.num_lanes}" speed="{_fmt(e.speed)}" '
-                f'spreadType="{e.spread_type}"')
+                f'spreadType="{_attr(e.spread_type)}"')
         if not e.lanes:
             edges_lines.append(head + "/>")
         else:
@@ -395,6 +409,15 @@ def serialize_sumo_xml(net: RoadNetwork) -> tuple[str, str]:
             edges_lines.append("    </edge>")
     edges_lines.append("</edges>")
     return "\n".join(nodes_lines) + "\n", "\n".join(edges_lines) + "\n"
+
+
+def write_sumo_xml(net: RoadNetwork, prefix: str) -> tuple[str, str]:
+    """Write <prefix>.nod.xml and <prefix>.edg.xml; return their paths."""
+    paths = (prefix + ".nod.xml", prefix + ".edg.xml")
+    for path, doc in zip(paths, serialize_sumo_xml(net)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(doc)
+    return paths
 
 
 def parse_sumo_xml(xml_nodes: str, xml_edges: str) -> RoadNetwork:

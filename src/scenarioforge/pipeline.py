@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import time
+import uuid
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -76,7 +77,7 @@ def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
     return cfg
 
 
-def make_provider(cfg: PipelineConfig, seed: int = 0):
+def make_provider(cfg: PipelineConfig):
     if cfg.provider_kind == "mock":
         return MockProvider(seed=0, fault=cfg.provider_fault)
     if cfg.provider_kind == "http":
@@ -93,6 +94,8 @@ class RunManifest:
     artifacts: dict = field(default_factory=dict)  # name -> path
     timing: dict = field(default_factory=dict)     # stage -> seconds
     failure: Optional[str] = None                  # taxonomy kind
+    # the in-memory bundle, set once compgen succeeds; not serialized
+    bundle: Optional[ir.ScenarioBundle] = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -135,6 +138,18 @@ def _bundle_to_dict(bundle: ir.ScenarioBundle) -> dict:
     }
 
 
+def _score_av(bundle: ir.ScenarioBundle, trace: simcore.SimulationTrace,
+              cfg: PipelineConfig) -> evalkit.PerformanceReport:
+    """AV performance of one simulated bundle along its planned route."""
+    net = bundle.network
+    av = next(a for a in bundle.agents if a.role == "AV")
+    route = simcore.plan_route(net, av.edge_id)
+    return evalkit.performance(
+        trace, simcore.route_length(net, route),
+        max(e.speed for e in net.edges), av_id=av.id,
+        weights=cfg.score_weights, ttc_ref=cfg.ttc_ref, jerk_ref=cfg.jerk_ref)
+
+
 def _write(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -152,11 +167,13 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
     """One end-to-end run. Artifacts land in <output_dir>/runs/<run_id>-<seed>."""
     seed = cfg.global_seed if seed is None else seed
     if run_id is None:
-        run_id = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
+        # the random suffix keeps runs started in the same second apart
+        run_id = (time.strftime("%Y%m%dT%H%M%S", time.gmtime())
+                  + f"-{uuid.uuid4().hex[:8]}")
     run_dir = os.path.join(cfg.output_dir, "runs", f"{run_id}-{seed}")
     os.makedirs(run_dir, exist_ok=True)
     kb = kb or default_knowledge_base()
-    provider = provider or make_provider(cfg, seed)
+    provider = provider or make_provider(cfg)
     provider = LoggingProvider(provider, os.path.join(run_dir, "prompts"))
 
     manifest = RunManifest(run_id=run_id, seed=seed)
@@ -203,11 +220,8 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
         net = timed("netgen", build_net)
     except Exception as exc:
         return fail("netgen", exc)
-    xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
-    nod_path = os.path.join(run_dir, "network.nod.xml")
-    edg_path = os.path.join(run_dir, "network.edg.xml")
-    _write(nod_path, xml_nodes)
-    _write(edg_path, xml_edges)
+    nod_path, edg_path = netgen.write_sumo_xml(
+        net, os.path.join(run_dir, "network"))
     manifest.artifacts["network_nodes"] = nod_path
     manifest.artifacts["network_edges"] = edg_path
 
@@ -216,10 +230,8 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
         def place():
             constraints = compgen.PlacementConstraints(
                 min_gap=cfg.min_gap, max_agents=cfg.max_agents, seed=seed)
-            agents = compgen.generate_agents(desc, net, constraints, kb,
-                                             provider)
-            objects = compgen.generate_objects(desc, net, constraints, kb,
-                                               provider)
+            agents = compgen.generate_agents(desc, net, constraints)
+            objects = compgen.generate_objects(desc, net, constraints)
             return ir.ScenarioBundle(description=desc, network=net,
                                      agents=tuple(agents),
                                      objects=tuple(objects),
@@ -227,6 +239,7 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
         bundle = timed("compgen", place)
     except Exception as exc:
         return fail("compgen", exc)
+    manifest.bundle = bundle
     bundle_path = os.path.join(run_dir, "bundle.json")
     _write_json(bundle_path, _bundle_to_dict(bundle))
     manifest.artifacts["bundle"] = bundle_path
@@ -244,15 +257,7 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
     # evaluation
     try:
         def evaluate():
-            av = next(a for a in bundle.agents if a.role == "AV")
-            route = simcore.plan_route(net, av.edge_id)
-            route_len = simcore.route_length(net, route)
-            speed_limit = max(e.speed for e in net.edges)
-            perf = evalkit.performance(trace, route_len, speed_limit,
-                                       av_id=av.id,
-                                       weights=cfg.score_weights,
-                                       ttc_ref=cfg.ttc_ref,
-                                       jerk_ref=cfg.jerk_ref)
+            perf = _score_av(bundle, trace, cfg)
             embedder = evalkit.HashingEmbedder()
             dist = evalkit.objective_distance(desc, bundle, embedder)
             return {
@@ -274,31 +279,6 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
     return manifest
 
 
-def _load_bundle_pair(manifest: RunManifest):
-    with open(manifest.artifacts["description"], encoding="utf-8") as fh:
-        desc = ir.parse_description(fh.read())
-    with open(manifest.artifacts["bundle"], encoding="utf-8") as fh:
-        data = json.load(fh)
-    net = netgen.RoadNetwork(
-        nodes=tuple(netgen.Node(**n) for n in data["network"]["nodes"]),
-        edges=tuple(netgen.Edge(
-            id=e["id"], from_node=e["from_node"], to_node=e["to_node"],
-            num_lanes=e["num_lanes"], speed=e["speed"],
-            spread_type=e["spread_type"],
-            lanes=tuple(netgen.Lane(index=l["index"],
-                                    shape=tuple(map(tuple, l["shape"])))
-                        for l in e["lanes"]))
-            for e in data["network"]["edges"]))
-    agents = tuple(compgen.AgentState(**a) for a in data["agents"])
-    objects = tuple(compgen.PlacedObject(
-        kind=o["kind"], x=o["x"], y=o["y"], yaw=o["yaw"],
-        footprint=tuple(o["footprint"])) for o in data["objects"])
-    bundle = ir.ScenarioBundle(description=desc, network=net, agents=agents,
-                               objects=objects, weather=desc.weather,
-                               seed=data["seed"])
-    return desc, bundle
-
-
 def run_batch(inputs, cfg: PipelineConfig,
               kb: Optional[ir.PromptKnowledgeBase] = None) -> dict:
     """Diversify each input into cfg.variations seeded runs and aggregate
@@ -315,12 +295,8 @@ def run_batch(inputs, cfg: PipelineConfig,
                                           run_id=run_id, kb=kb))
 
     outcomes = [{"ok": m.ok, "failure": m.failure} for m in manifests]
-    pairs, bundles = [], []
-    for m in manifests:
-        if "bundle" in m.artifacts:
-            desc, bundle = _load_bundle_pair(m)
-            pairs.append((desc, bundle))
-            bundles.append(bundle)
+    bundles = [m.bundle for m in manifests if m.bundle is not None]
+    pairs = [(b.description, b) for b in bundles]
 
     conf = evalkit.conformity(pairs, outcomes)
     aggregate = {
@@ -402,30 +378,20 @@ def run_comparison(cfg: PipelineConfig, n_networks: int = 5,
         text = _COMPARISON_FIXTURES[ni % len(_COMPARISON_FIXTURES)]
         desc = interpret(ir.TextRequest(text), kb, provider, seed=ni)
         net = netgen.compile_network(desc.road, kb, provider, seed=ni)
-        speed_limit = max(e.speed for e in net.edges)
         for vi in range(n_inits):
             seed = cfg.global_seed + ni * 100 + vi
             constraints = compgen.PlacementConstraints(
                 min_gap=cfg.min_gap, max_agents=cfg.max_agents, seed=seed)
-            placements = {
-                "ours": compgen.generate_agents(desc, net, constraints),
-                "baseline": compgen.random_trip_placement(
-                    net, len(desc.agents), seed=seed),
-            }
-            for arm, agents in placements.items():
+            objects = tuple(compgen.generate_objects(desc, net, constraints))
+            for runs, agents in (
+                    (ours, compgen.generate_agents(desc, net, constraints)),
+                    (baseline, compgen.random_trip_placement(
+                        net, len(desc.agents), seed=seed))):
                 bundle = ir.ScenarioBundle(
                     description=desc, network=net, agents=tuple(agents),
-                    objects=tuple(compgen.generate_objects(desc, net,
-                                                           constraints)),
-                    weather=desc.weather, seed=seed)
+                    objects=objects, weather=desc.weather, seed=seed)
                 trace = simcore.run(bundle, cfg.duration, cfg.dt)
-                av = next(a for a in bundle.agents if a.role == "AV")
-                route = simcore.plan_route(net, av.edge_id)
-                perf = evalkit.performance(
-                    trace, simcore.route_length(net, route), speed_limit,
-                    av_id=av.id, weights=cfg.score_weights,
-                    ttc_ref=cfg.ttc_ref, jerk_ref=cfg.jerk_ref)
-                (ours if arm == "ours" else baseline).append(perf)
+                runs.append(_score_av(bundle, trace, cfg))
     report = evalkit.compare_pipelines(ours, baseline)
     out = {"rows": report["rows"],
            "ours": {k: list(v) if v[1] is not None else [v[0]]

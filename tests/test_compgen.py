@@ -64,6 +64,41 @@ def test_generate_agents_without_conflict_keeps_min_gap():
         assert min(pairwise_distances(states)) >= 4.0 - 1e-9
 
 
+def test_fallback_guarantees_only_half_the_gap():
+    # a 4.5 m road leaves the random search a 2.25 m window, too short for
+    # two cars min_gap apart on one lane or on adjacent lanes (3.2 m apart),
+    # so every seed ends in the even-spacing fallback
+    net = make_net(length=4.5, fwd=2)
+    agents = (ir.AgentDescription("Car", "AV", intent="cruise"),
+              ir.AgentDescription("Car", "BV", intent="follow"))
+    states = compgen.generate_agents(make_desc(agents), net,
+                                     compgen.PlacementConstraints(min_gap=4.0))
+    assert 2.0 - 1e-9 <= min(pairwise_distances(states)) < 4.0
+
+
+def test_even_spacing_fallback_keeps_half_gap_floor():
+    below_gap = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        gap = rng.uniform(1.0, 8.0)
+        net = make_net(length=rng.uniform(4.0, 60.0), fwd=rng.randint(1, 4))
+        inv = compgen._lane_inventory(net)
+        n = rng.randint(2, 16)
+        if sum(L for *_, L in inv) < n * gap:
+            continue  # generate_agents rejects it before any placement
+        agents = [ir.AgentDescription("Car", "AV" if i == 0 else "BV")
+                  for i in range(n)]
+        try:
+            states = compgen._even_spacing(net, agents, inv, gap)
+        except compgen.PlacementInfeasible:
+            continue
+        assert len(states) == n
+        shortest = min(pairwise_distances(states))
+        assert shortest >= gap / 2.0 - 1e-9
+        below_gap += shortest < gap
+    assert below_gap > 0
+
+
 def test_generate_agents_deterministic():
     net = make_net()
     cons = compgen.PlacementConstraints(seed=7)

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scenarioforge import ir, netgen
 from scenarioforge.interpreter import MockProvider, default_knowledge_base
@@ -210,6 +211,26 @@ def test_round_trip_random_networks():
         assert parsed == net
         # serialize again: byte identical
         assert netgen.serialize_sumo_xml(parsed) == (xml_nodes, xml_edges)
+
+
+# ids mixing XML-special characters (attribute delimiters, entity and tag
+# starts, whitespace that parsers normalize) with plain ones; '#' stays out
+# because the validator rejects it as a malformed keyword
+XML_SPECIAL_IDS = st.text(alphabet="&<>\"'\t\n\r ;n1", min_size=1,
+                          max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(XML_SPECIAL_IDS, min_size=3, max_size=3, unique=True))
+def test_round_trip_xml_special_ids(ids):
+    a, b, edge_id = ids
+    nodes = (netgen.Node(a, 0, 0), netgen.Node(b, 50, 0))
+    edges = (netgen.Edge(edge_id, a, b, num_lanes=2),
+             netgen.Edge(edge_id + "r", b, a))
+    net = netgen.RoadNetwork(nodes, edges,
+                             netgen.derive_connections(nodes, edges))
+    xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
+    assert netgen.parse_sumo_xml(xml_nodes, xml_edges) == net
 
 
 def test_lane_shapes_survive_round_trip():

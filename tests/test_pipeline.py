@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from scenarioforge import ir, netgen, pipeline
+from scenarioforge import compgen, ir, netgen, pipeline
 
 from test_netgen import OSM_FIXTURE
 
@@ -35,6 +35,66 @@ def test_run_pipeline_happy_path(tmp_path):
     assert 0.0 <= report["objective_distance"] <= 2.0
 
 
+def load_bundle(manifest):
+    """The bundle as read back from description.json and bundle.json."""
+    with open(manifest.artifacts["description"], encoding="utf-8") as fh:
+        desc = ir.parse_description(fh.read())
+    with open(manifest.artifacts["bundle"], encoding="utf-8") as fh:
+        data = json.load(fh)
+    assert ir.parse_description(json.dumps(data["description"])) == desc
+    nodes = tuple(netgen.Node(**n) for n in data["network"]["nodes"])
+    edges = tuple(netgen.Edge(
+        id=e["id"], from_node=e["from_node"], to_node=e["to_node"],
+        num_lanes=e["num_lanes"], speed=e["speed"],
+        spread_type=e["spread_type"],
+        lanes=tuple(netgen.Lane(index=l["index"],
+                                shape=tuple(map(tuple, l["shape"])))
+                    for l in e["lanes"]))
+        for e in data["network"]["edges"])
+    # bundle.json leaves out the connections, which derive from the rest
+    net = netgen.RoadNetwork(nodes, edges,
+                             netgen.derive_connections(nodes, edges))
+    agents = tuple(compgen.AgentState(**a) for a in data["agents"])
+    objects = tuple(compgen.PlacedObject(
+        kind=o["kind"], x=o["x"], y=o["y"], yaw=o["yaw"],
+        footprint=tuple(o["footprint"])) for o in data["objects"])
+    return ir.ScenarioBundle(description=desc, network=net, agents=agents,
+                             objects=objects, weather=desc.weather,
+                             seed=data["seed"])
+
+
+@pytest.mark.parametrize("text", [
+    "a car cuts in front of the ego vehicle",
+    "construction zone lane closure with cones and two cars",
+    "busy intersection left turn conflict with three vehicles",
+])
+def test_bundle_artifacts_round_trip_to_manifest_bundle(tmp_path, text):
+    m = pipeline.run_pipeline(ir.TextRequest(text), make_cfg(tmp_path),
+                              seed=3, run_id="rt")
+    assert m.ok
+    assert m.bundle is not None
+    assert "bundle" not in m.to_dict()
+    assert load_bundle(m) == m.bundle
+
+
+def test_default_run_ids_do_not_collide(tmp_path):
+    cfg = make_cfg(tmp_path)
+    source = ir.TextRequest("a car cuts in front of the ego vehicle")
+    manifests = [pipeline.run_pipeline(source, cfg) for _ in range(2)]
+    runs_dir = tmp_path / "out" / "runs"
+    assert len(list(runs_dir.iterdir())) == 2
+    assert manifests[0].run_id != manifests[1].run_id
+    for m in manifests:
+        run_dir = runs_dir / f"{m.run_id}-{m.seed}"
+        on_disk = json.loads((run_dir / "manifest.json").read_text())
+        assert on_disk == m.to_dict()
+        files = {p.name for p in run_dir.iterdir() if p.is_file()}
+        assert files == {"manifest.json"} | {
+            os.path.basename(path) for path in m.artifacts.values()}
+        for path in m.artifacts.values():
+            assert os.path.dirname(path) == str(run_dir)
+
+
 def test_run_pipeline_netgen_fault(tmp_path):
     cfg = make_cfg(tmp_path, provider_fault="hash_ids")
     m = pipeline.run_pipeline(ir.TextRequest("a car on a road"), cfg,
@@ -45,6 +105,7 @@ def test_run_pipeline_netgen_fault(tmp_path):
     assert m.stages["compgen"] == "skipped"
     assert m.stages["simulate"] == "skipped"
     assert m.failure == "MalformedKeyword"
+    assert m.bundle is None
     # the manifest still lands on disk for failed runs
     assert (tmp_path / "out" / "runs" / "t1-0" / "manifest.json").exists()
 
