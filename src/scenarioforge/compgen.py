@@ -83,28 +83,14 @@ def _wrap_heading(deg: float) -> float:
     return 180.0 if deg == -180.0 else deg
 
 
-def _lane_inventory(net: netgen.RoadNetwork):
-    inv = []
-    for e in net.edges:
-        for li in range(e.num_lanes):
-            line = netgen.lane_centerline(net, e, li)
-            inv.append((e, li, line, netgen._polyline_length(line)))
-    return inv
-
-
-def _pose(net, edge, lane_index, s):
-    line = netgen.lane_centerline(net, edge, lane_index)
-    x, y, heading = netgen.point_along(line, s)
-    return x, y, _wrap_heading(heading)
-
-
-def _make_state(net, agent_id, desc_agent, edge, lane_index, s) -> AgentState:
-    x, y, heading = _pose(net, edge, lane_index, s)
+def _make_state(agent_id, desc_agent, edge, lane_index,
+                path: netgen.LanePath, s: float) -> AgentState:
+    x, y, heading = path.point_at(s)
     length, width = VEHICLE_DIMS[desc_agent.kind]
     speed = min(desc_agent.approx_speed, 1.5 * edge.speed)
     return AgentState(id=agent_id, kind=desc_agent.kind, role=desc_agent.role,
                       edge_id=edge.id, lane_index=lane_index, s=s,
-                      speed=speed, heading=heading, x=x, y=y,
+                      speed=speed, heading=_wrap_heading(heading), x=x, y=y,
                       length=length, width=width, color=desc_agent.color)
 
 
@@ -154,10 +140,11 @@ def generate_agents(desc: ScenarioDescription, net: netgen.RoadNetwork,
         raise PlacementInfeasible(
             f"{len(agents)} agents exceeds max_agents={constraints.max_agents}")
 
-    inv = _lane_inventory(net)
+    graph = net.lane_graph
+    inv = graph.inventory
     if not inv:
         raise PlacementInfeasible("network has no lanes")
-    total_len = sum(L for *_, L in inv)
+    total_len = sum(path.length for *_, path in inv)
     if total_len < len(agents) * constraints.min_gap:
         raise PlacementInfeasible(
             f"capacity {total_len:.1f} m < {len(agents)} agents "
@@ -181,14 +168,13 @@ def generate_agents(desc: ScenarioDescription, net: netgen.RoadNetwork,
             placed = None
             if idx in partner_of and partner_of[idx] < len(states):
                 anchor = states[partner_of[idx]]
-                edge = net.edge(anchor.edge_id)
-                line = netgen.lane_centerline(net, edge, anchor.lane_index)
-                L = netgen._polyline_length(line)
+                edge = graph.edges[anchor.edge_id]
+                path = graph.lanes[(anchor.edge_id, anchor.lane_index)]
                 g = rng.uniform(gap / 2.0, gap)
                 for s in (anchor.s + g, anchor.s - g):
-                    if 0.0 <= s <= L:
-                        cand = _make_state(net, f"agent{idx}", agent, edge,
-                                           anchor.lane_index, s)
+                    if 0.0 <= s <= path.length:
+                        cand = _make_state(f"agent{idx}", agent, edge,
+                                           anchor.lane_index, path, s)
                         d = [math.dist((cand.x, cand.y), (st.x, st.y))
                              for st in states]
                         if all(v >= gap for j, v in enumerate(d)
@@ -197,10 +183,11 @@ def generate_agents(desc: ScenarioDescription, net: netgen.RoadNetwork,
                             break
             else:
                 for _try in range(40):
-                    edge, li, line, L = inv[rng.randrange(len(inv))]
-                    margin = min(2.0, L / 4.0)
-                    s = rng.uniform(margin, L - margin)
-                    cand = _make_state(net, f"agent{idx}", agent, edge, li, s)
+                    edge, li, path = inv[rng.randrange(len(inv))]
+                    margin = min(2.0, path.length / 4.0)
+                    s = rng.uniform(margin, path.length - margin)
+                    cand = _make_state(f"agent{idx}", agent, edge, li, path,
+                                       s)
                     if all(math.dist((cand.x, cand.y), (st.x, st.y)) >= gap
                            for st in states):
                         placed = cand
@@ -211,10 +198,10 @@ def generate_agents(desc: ScenarioDescription, net: netgen.RoadNetwork,
             states.append(placed)
         if ok:
             return states
-    return _even_spacing(net, agents, inv, gap)
+    return _even_spacing(agents, inv, gap)
 
 
-def _even_spacing(net, agents, inv, gap) -> list[AgentState]:
+def _even_spacing(agents, inv, gap) -> list[AgentState]:
     """Deterministic fallback: even spacing along concatenated lane arc
     length. Pairs on adjacent lanes may sit closer than gap; every pair keeps
     at least gap/2, or PlacementInfeasible is raised."""
@@ -223,13 +210,15 @@ def _even_spacing(net, agents, inv, gap) -> list[AgentState]:
     cursor = gap / 2.0
     lane_iter = 0
     for idx, agent in enumerate(agents):
-        while lane_iter < len(inv) and cursor > inv[lane_iter][3] - 1.0:
+        while lane_iter < len(inv) and \
+                cursor > inv[lane_iter][2].length - 1.0:
             cursor = gap / 2.0
             lane_iter += 1
         if lane_iter >= len(inv):
             raise PlacementInfeasible("could not satisfy gap constraints")
-        edge, li, line, L = inv[lane_iter]
-        states.append(_make_state(net, f"agent{idx}", agent, edge, li, cursor))
+        edge, li, path = inv[lane_iter]
+        states.append(_make_state(f"agent{idx}", agent, edge, li, path,
+                                  cursor))
         cursor += spacing
     if _min_pair_dist(states) < gap / 2.0:
         raise PlacementInfeasible("fallback violated the hard gap floor")
@@ -240,7 +229,7 @@ def generate_objects(desc: ScenarioDescription, net: netgen.RoadNetwork,
                      constraints: PlacementConstraints) -> list[PlacedObject]:
     """Place static objects; cone taper hints produce an equally spaced,
     monotone-lateral-offset line closing one lane."""
-    inv = _lane_inventory(net)
+    inv = net.lane_graph.inventory
     if not inv:
         raise PlacementInfeasible("network has no lanes")
     rng = random.Random(constraints.seed ^ 0x5EED)
@@ -252,14 +241,15 @@ def generate_objects(desc: ScenarioDescription, net: netgen.RoadNetwork,
     for obj in desc.objects:
         if obj.kind == "Cone" and any(k in obj.placement_hint.lower()
                                       for k in ("taper", "closure")):
-            edge, li, line, L = inv_sorted[0]
+            edge, li, path = inv_sorted[0]
+            L = path.length
             s0 = max(4.0, 0.3 * L)
             room = max(L - s0 - 2.0, 2.0)
             spacing = min(8.0, room / max(obj.count - 1, 1))
             lane_w = netgen.DEFAULT_LANE_WIDTH
             for i in range(obj.count):
                 s = s0 + i * spacing
-                x, y, hd = netgen.point_along(line, min(s, L))
+                x, y, hd = path.point_at(min(s, L))
                 rad = math.radians(hd)
                 # monotone lateral slide from shoulder to lane center
                 frac = i / max(obj.count - 1, 1)
@@ -269,27 +259,28 @@ def generate_objects(desc: ScenarioDescription, net: netgen.RoadNetwork,
                 out.append(PlacedObject(kind="Cone", x=x, y=y,
                                         yaw=_wrap_heading(hd),
                                         footprint=(0.4, 0.4)))
-            taper_anchor = (line, s0)
+            taper_anchor = (path, s0)
         elif obj.kind == "WarningSign":
             if taper_anchor is not None:
-                line, s0 = taper_anchor
+                path, s0 = taper_anchor
             else:
-                edge, li, line, L = inv_sorted[0]
-                s0 = max(4.0, 0.3 * netgen._polyline_length(line))
+                edge, li, path = inv_sorted[0]
+                s0 = max(4.0, 0.3 * path.length)
             s = max(0.0, s0 - 15.0)
-            x, y, hd = netgen.point_along(line, s)
+            x, y, hd = path.point_at(s)
             for _ in range(obj.count):
                 out.append(PlacedObject(kind="WarningSign", x=x, y=y,
                                         yaw=_wrap_heading(hd),
                                         footprint=(0.5, 0.5)))
         else:
-            edge, li, line, L = inv_sorted[rng.randrange(len(inv_sorted))]
+            edge, li, path = inv_sorted[rng.randrange(len(inv_sorted))]
+            L = path.length
             base = rng.uniform(0.1 * L, 0.6 * L)
             step = min(5.0, max(L - base, 1.0) / max(obj.count, 1))
             fp = {"Cone": (0.4, 0.4), "Barrier": (2.0, 0.5),
                   "Fence": (2.0, 0.2), "LaneMarking": (3.0, 0.15)}[obj.kind]
             for i in range(obj.count):
-                x, y, hd = netgen.point_along(line, min(base + i * step, L))
+                x, y, hd = path.point_at(min(base + i * step, L))
                 out.append(PlacedObject(kind=obj.kind, x=x, y=y,
                                         yaw=_wrap_heading(hd), footprint=fp))
     return out
@@ -299,15 +290,15 @@ def random_trip_placement(net: netgen.RoadNetwork, n_agents: int,
                           seed: int = 0) -> list[AgentState]:
     """RandomTrip-style baseline: uniform lane + longitudinal position,
     no gap constraint, deterministic per seed."""
-    inv = _lane_inventory(net)
+    inv = net.lane_graph.inventory
     if not inv:
         raise PlacementInfeasible("network has no lanes")
     rng = random.Random(seed)
     out = []
     for i in range(n_agents):
-        edge, li, line, L = inv[rng.randrange(len(inv))]
-        s = rng.uniform(0.0, L)
-        x, y, heading = netgen.point_along(line, s)
+        edge, li, path = inv[rng.randrange(len(inv))]
+        s = rng.uniform(0.0, path.length)
+        x, y, heading = path.point_at(s)
         length, width = VEHICLE_DIMS["Car"]
         out.append(AgentState(
             id=f"rt{i}", kind="Car", role="AV" if i == 0 else "BV",

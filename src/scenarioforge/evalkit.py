@@ -104,7 +104,7 @@ def classify_bundle(bundle: ScenarioBundle) -> str:
 def describe_bundle(bundle: ScenarioBundle) -> ScenarioDescription:
     """Re-derive a scenario description from a generated bundle."""
     net = bundle.network
-    stats = netgen.network_stats(net)
+    stats = net.stats
     scene = classify_bundle(bundle)
     layout_map = {"ConstructionZone": "Straight",
                   "Intersection": "CrossIntersection", "General": "Straight"}
@@ -274,7 +274,7 @@ def diversity(scenarios) -> dict:
 def diversity_from_bundles(bundles) -> dict:
     rows = []
     for b in bundles:
-        stats = netgen.network_stats(b.network)
+        stats = b.network.stats
         rows.append({"lanes": stats.total_lanes, "edges": stats.total_edges,
                      "route_length": stats.route_length,
                      "agents": list(b.agents), "objects": len(b.objects)})

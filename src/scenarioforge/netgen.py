@@ -6,9 +6,11 @@ lane children carrying index/shape).
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import networkx as nx
@@ -132,6 +134,16 @@ class RoadNetwork:
                 return e
         raise KeyError(edge_id)
 
+    @functools.cached_property
+    def lane_graph(self) -> LaneGraph:
+        """The compiled lane geometry, built on first use and kept."""
+        return LaneGraph(self)
+
+    @functools.cached_property
+    def stats(self) -> NetworkStats:
+        """network_stats of this network, computed on first use and kept."""
+        return network_stats(self)
+
 
 @dataclass(frozen=True)
 class NetworkStats:
@@ -151,9 +163,14 @@ def _polyline_length(points) -> float:
 
 def edge_polyline(net: RoadNetwork, edge: Edge) -> tuple[tuple[float, float], ...]:
     """Edge axis geometry: lane-0 shape when present, else node-to-node."""
+    return _edge_axis(edge, net.node)
+
+
+def _edge_axis(edge: Edge, node) -> tuple[tuple[float, float], ...]:
+    """edge_polyline with node(node_id) -> Node as the node lookup."""
     if edge.lanes and len(edge.lanes[0].shape) >= 2:
         return edge.lanes[0].shape
-    a, b = net.node(edge.from_node), net.node(edge.to_node)
+    a, b = node(edge.from_node), node(edge.to_node)
     return ((a.x, a.y), (b.x, b.y))
 
 
@@ -168,7 +185,11 @@ def lane_centerline(net: RoadNetwork, edge: Edge, lane_index: int,
     spreadType "right" puts lanes on the right of the axis (lane 0 nearest),
     "center"/"roadCenter" center the lane band on the axis.
     """
-    axis = edge_polyline(net, edge)
+    return _offset_axis(edge_polyline(net, edge), edge, lane_index,
+                        lane_width)
+
+
+def _offset_axis(axis, edge: Edge, lane_index: int, lane_width: float):
     if edge.spread_type == "right":
         off = (lane_index + 0.5) * lane_width
     else:
@@ -187,33 +208,98 @@ def lane_centerline(net: RoadNetwork, edge: Edge, lane_index: int,
 
 def point_along(polyline, s: float):
     """(x, y, heading_deg) at arc length s along a polyline, clamped to ends."""
-    total = _polyline_length(polyline)
-    s = min(max(s, 0.0), total)
-    acc = 0.0
-    for i in range(len(polyline) - 1):
-        seg = math.dist(polyline[i], polyline[i + 1])
-        if acc + seg >= s or i == len(polyline) - 2:
-            t = 0.0 if seg == 0 else (s - acc) / seg
-            x = polyline[i][0] + t * (polyline[i + 1][0] - polyline[i][0])
-            y = polyline[i][1] + t * (polyline[i + 1][1] - polyline[i][1])
-            heading = math.degrees(math.atan2(
-                polyline[i + 1][1] - polyline[i][1],
-                polyline[i + 1][0] - polyline[i][0]))
-            if heading <= -180.0:
-                heading += 360.0
-            return x, y, heading
-        acc += seg
-    raise AssertionError("unreachable")
+    return LanePath.measure(polyline).point_at(s)
+
+
+@dataclass(frozen=True, slots=True)
+class LanePath:
+    """A polyline measured once, for repeated point lookups."""
+    points: tuple
+    cum: tuple      # arc length at each vertex, summed left to right
+    length: float   # _polyline_length(points)
+
+    @classmethod
+    def measure(cls, points) -> LanePath:
+        points = tuple(points)
+        cum = [0.0]
+        for i in range(len(points) - 1):
+            cum.append(cum[-1] + math.dist(points[i], points[i + 1]))
+        return cls(points, tuple(cum), _polyline_length(points))
+
+    def point_at(self, s: float):
+        """(x, y, heading_deg) at arc length s, clamped to the ends.
+
+        The segment is the first whose end lies at or beyond s (the last one
+        otherwise), found by bisection over the vertex arc lengths.
+        """
+        p = self.points
+        s = min(max(s, 0.0), self.length)
+        i = bisect.bisect_left(self.cum, s, 1, len(p) - 1) - 1
+        (x0, y0), (x1, y1) = p[i], p[i + 1]
+        seg = math.dist(p[i], p[i + 1])
+        t = 0.0 if seg == 0 else (s - self.cum[i]) / seg
+        heading = math.degrees(math.atan2(y1 - y0, x1 - x0))
+        if heading <= -180.0:
+            heading += 360.0
+        return x0 + t * (x1 - x0), y0 + t * (y1 - y0), heading
+
+
+class LaneGraph:
+    """Lane geometry and topology of one RoadNetwork, compiled once.
+
+    Read it as ``net.lane_graph``. Lookups by id follow RoadNetwork.edge()
+    and RoadNetwork.node(): the first element with an id wins.
+    """
+
+    def __init__(self, net: RoadNetwork):
+        self.nodes: dict[str, Node] = {}
+        self.edges: dict[str, Edge] = {}
+        for n in net.nodes:
+            self.nodes.setdefault(n.id, n)
+        for e in net.edges:
+            self.edges.setdefault(e.id, e)
+        # (edge, lane index, path) for every lane, in network order
+        inventory = []
+        self.lanes: dict[tuple[str, int], LanePath] = {}
+        self.edge_length: dict[str, float] = {}
+        for e in net.edges:
+            axis = _edge_axis(e, self.nodes.__getitem__)
+            self.edge_length.setdefault(e.id, _polyline_length(axis))
+            for li in range(e.num_lanes):
+                path = LanePath.measure(
+                    _offset_axis(axis, e, li, DEFAULT_LANE_WIDTH))
+                inventory.append((e, li, path))
+                self.lanes.setdefault((e.id, li), path)
+        self.inventory = tuple(inventory)
+
+        # successors: the connected edges, else every edge leaving the end
+        # node that does not lead straight back
+        connected: dict[str, set] = {}
+        for c in net.connections:
+            connected.setdefault(c.from_edge, set()).add(c.to_edge)
+        leaving: dict[str, list] = {}
+        for e in net.edges:
+            leaving.setdefault(e.from_node, []).append(e)
+        self.successors: dict[str, tuple[str, ...]] = {}
+        for eid, e in self.edges.items():
+            out = sorted(connected.get(eid, ()))
+            if not out:
+                out = sorted(o.id for o in leaving.get(e.to_node, ())
+                             if o.to_node != e.from_node)
+            self.successors[eid] = tuple(out)
 
 
 def derive_connections(nodes, edges) -> tuple[Connection, ...]:
     """Canonical lane-to-lane connections: at every shared node, connect each
     incoming edge to each outgoing edge (excluding direct U-turns), pairing
     lanes by index up to the smaller lane count."""
+    leaving: dict[str, list] = {}
+    for e in edges:
+        leaving.setdefault(e.from_node, []).append(e)
     out = []
     for e_in in edges:
-        for e_out in edges:
-            if e_in.id == e_out.id or e_in.to_node != e_out.from_node:
+        for e_out in leaving.get(e_in.to_node, ()):
+            if e_in.id == e_out.id:
                 continue
             if e_out.to_node == e_in.from_node and e_in.from_node != e_in.to_node:
                 continue  # skip U-turn back along the same corridor

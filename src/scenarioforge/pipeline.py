@@ -134,6 +134,8 @@ def _bundle_to_dict(bundle: ir.ScenarioBundle) -> dict:
         "network": {
             "nodes": [dataclasses.asdict(n) for n in bundle.network.nodes],
             "edges": [dataclasses.asdict(e) for e in bundle.network.edges],
+            "connections": [[c.from_edge, c.to_edge, c.from_lane, c.to_lane]
+                            for c in bundle.network.connections],
         },
     }
 
@@ -157,7 +159,11 @@ def _write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, data) -> None:
-    _write(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
+    # streamed, so the indented text of a large bundle is never held whole
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,

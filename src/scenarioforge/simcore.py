@@ -4,9 +4,16 @@ Background vehicles follow an IDM car-following law with a threshold-based
 lane-change rule; the vehicle under test runs a rule policy with a TTC-based
 braking onset that hint tags can move earlier. Collisions are oriented
 bounding-box overlaps (separating axis test) recorded per step.
+
+Lane geometry comes from the network's compiled LaneGraph. Each step indexes
+the active vehicles by lane, sorted by arc length, so leader and follower
+lookups bisect one lane instead of scanning every vehicle, and a broad phase
+on the boxes' axis-aligned extents runs before the exact overlap test. Both
+return exactly what the full scans return, ties included.
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -126,23 +133,49 @@ def obb_overlap(corners_a, corners_b) -> float:
     return min_overlap
 
 
+# Boxes whose axis-aligned extents are further apart than this are separated
+# along one of their own edge normals by at least BROAD_PHASE_MARGIN / sqrt(2)
+# (the normals of two rectangles are at most 90 degrees apart), which is far
+# above the rounding of the exact test at map coordinates, so skipping them
+# drops no event the exact test would report.
+BROAD_PHASE_MARGIN = 1e-3   # m
+
+
 def detect_collisions(states, dimensions=None, step: int = 0
                       ) -> list[CollisionEvent]:
-    """Pairwise OBB overlap events among the given agent states.
+    """Pairwise OBB overlap events among the given agent states, in (i, j)
+    order.
 
-    dimensions optionally overrides (length, width) per agent id.
+    dimensions optionally overrides (length, width) per agent id. A
+    sort-and-sweep over the boxes' x-extents, then a y-extent check, picks
+    the pairs that get the exact separating axis test.
     """
-    events = []
-    boxes = []
+    boxes, extents = [], []
     for a in states:
         length, width = (dimensions or {}).get(a.id, (a.length, a.width))
-        boxes.append(obb_corners(a.x, a.y, a.heading, length, width))
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            pen = obb_overlap(boxes[i], boxes[j])
-            if pen > 0:
-                events.append(CollisionEvent(step, states[i].id, states[j].id,
-                                             pen))
+        box = obb_corners(a.x, a.y, a.heading, length, width)
+        xs = [p[0] for p in box]
+        ys = [p[1] for p in box]
+        boxes.append(box)
+        extents.append((min(xs), max(xs), min(ys), max(ys)))
+    by_x = sorted(range(len(states)), key=lambda i: extents[i][0])
+    pairs = []
+    for k, i in enumerate(by_x):
+        _, x_hi, y_lo, y_hi = extents[i]
+        for j in by_x[k + 1:]:
+            o_x_lo, _, o_y_lo, o_y_hi = extents[j]
+            if o_x_lo > x_hi + BROAD_PHASE_MARGIN:
+                break
+            if o_y_lo > y_hi + BROAD_PHASE_MARGIN or \
+                    y_lo > o_y_hi + BROAD_PHASE_MARGIN:
+                continue
+            pairs.append((i, j) if i < j else (j, i))
+    events = []
+    for i, j in sorted(pairs):
+        pen = obb_overlap(boxes[i], boxes[j])
+        if pen > 0:
+            events.append(CollisionEvent(step, states[i].id, states[j].id,
+                                         pen))
     return events
 
 
@@ -172,104 +205,149 @@ class World:
         return [v.state for v in self.vehicles.values()]
 
 
-def _successors(net: netgen.RoadNetwork, edge_id: str) -> list[str]:
-    edge = net.edge(edge_id)
-    out = sorted({c.to_edge for c in net.connections if c.from_edge == edge_id})
-    if out:
-        return out
-    return sorted(e.id for e in net.edges
-                  if e.from_node == edge.to_node and e.to_node != edge.from_node)
+class _LaneIndex:
+    """Active vehicles bucketed by (edge_id, lane_index) and sorted by s, and
+    the obstacles bucketed alike.
 
+    Built at the start of a step from the vehicle states, so it stays valid
+    for the whole control phase, which changes no state.
+    """
 
-def _next_edge(world: World, veh: _Vehicle) -> Optional[str]:
-    if veh.route:
-        cur = veh.state.edge_id
-        if cur in veh.route:
-            i = veh.route.index(cur)
-            if i + 1 < len(veh.route):
-                return veh.route[i + 1]
+    def __init__(self, world: World):
+        buckets: dict = {}
+        self.longest = 0.0
+        for order, veh in enumerate(world.vehicles.values()):
+            if veh.active:
+                st = veh.state
+                buckets.setdefault((st.edge_id, st.lane_index), []).append(
+                    (st.s, order, veh))
+                self.longest = max(self.longest, st.length)
+        # (s values, (s, world order, vehicle) entries) per lane
+        self.vehicles = {}
+        for key, bucket in buckets.items():
+            bucket.sort(key=lambda entry: entry[:2])
+            self.vehicles[key] = ([entry[0] for entry in bucket], bucket)
+        self.obstacles: dict = {}
+        for eid, li, obj_s, obj in world.obstacles:
+            self.obstacles.setdefault((eid, li), []).append(
+                (obj_s, max(obj.footprint)))
+
+    def nearest_vehicle(self, me: AgentState, key, after: float,
+                        offset: float) -> tuple[float, float]:
+        """(bumper gap, speed) of the vehicle with the smallest gap among
+        those on lane key with s > after, at center distance s + offset.
+        Ties go to the first vehicle in world order.
+
+        IEEE subtraction is addition of the negated operand, so an offset of
+        -s_me gives exactly the center distance s - s_me.
+        """
+        best_gap, best_speed, best_order = math.inf, 0.0, -1
+        if key not in self.vehicles:
+            return best_gap, best_speed
+        s_values, bucket = self.vehicles[key]
+        # a vehicle at center distance c has a gap of at least c - reach, and
+        # c only grows along the bucket: once c - reach exceeds the best gap,
+        # no later vehicle can win or tie
+        reach = (me.length + self.longest) / 2.0
+        for k in range(bisect.bisect_right(s_values, after), len(bucket)):
+            s, order, other = bucket[k]
+            center = s + offset
+            if center - reach > best_gap:
+                break
+            st = other.state
+            if st.id == me.id:
+                continue
+            gap = center - (me.length + st.length) / 2.0
+            if gap < best_gap or (gap == best_gap and order < best_order):
+                best_gap, best_speed, best_order = gap, st.speed, order
+        return best_gap, best_speed
+
+    def nearest_obstacle(self, me: AgentState, key, after: float,
+                         offset: float) -> float:
+        """nearest_vehicle for the obstacles, which have speed 0."""
+        best_gap = math.inf
+        for obj_s, size in self.obstacles.get(key, ()):
+            if obj_s > after:
+                gap = (obj_s + offset) - (me.length + size) / 2.0
+                if gap < best_gap:
+                    best_gap = gap
+        return best_gap
+
+    def follower(self, me_id: str, key, s: float) -> Optional[_Vehicle]:
+        """The vehicle with the largest s <= s on lane key, first in world
+        order on ties."""
+        if key not in self.vehicles:
             return None
-    succ = _successors(world.net, veh.state.edge_id)
+        s_values, bucket = self.vehicles[key]
+        best = None
+        for k in range(bisect.bisect_right(s_values, s) - 1, -1, -1):
+            other_s, _, other = bucket[k]
+            if other.state.id == me_id:
+                continue
+            if best is not None and other_s != best_s:
+                break
+            best, best_s = other, other_s
+        return best
+
+
+def _next_edge(graph: netgen.LaneGraph, route: tuple[str, ...],
+               edge_id: str) -> Optional[str]:
+    if route and edge_id in route:
+        i = route.index(edge_id)
+        return route[i + 1] if i + 1 < len(route) else None
+    succ = graph.successors[edge_id]
     return succ[0] if succ else None
 
 
 def _project_objects(net: netgen.RoadNetwork, objects) -> list:
     """Snap blocking objects (cones, barriers) onto the nearest lane point."""
-    inv = []
-    for e in net.edges:
-        for li in range(e.num_lanes):
-            line = netgen.lane_centerline(net, e, li)
-            inv.append((e.id, li, line, netgen._polyline_length(line)))
     out = []
     for obj in objects:
         if obj.kind not in ("Cone", "Barrier"):
             continue
         best = None
-        for eid, li, line, L in inv:
+        for e, li, path in net.lane_graph.inventory:
+            L = path.length
             n_samples = max(2, int(L / 2.0))
             for k in range(n_samples + 1):
                 s = L * k / n_samples
-                x, y, _ = netgen.point_along(line, s)
+                x, y, _ = path.point_at(s)
                 d = math.dist((x, y), (obj.x, obj.y))
                 if best is None or d < best[0]:
-                    best = (d, eid, li, s)
+                    best = (d, e.id, li, s)
         if best is not None and best[0] <= 2.5:
             out.append((best[1], best[2], best[3], obj))
     return out
 
 
-def _leader_gap(world: World, veh: _Vehicle, edge_id: str, lane_index: int,
-                s: float) -> tuple[float, float]:
-    """(bumper gap, leader speed) ahead on the given lane, one edge lookahead."""
+def _leader_gap(world: World, lanes: _LaneIndex, veh: _Vehicle,
+                edge_id: str, lane_index: int, s: float
+                ) -> tuple[float, float]:
+    """(bumper gap, leader speed) ahead on the given lane, one edge lookahead.
+
+    The smallest gap wins. Ties go to the first candidate in this order:
+    vehicles in world order, then obstacles, on this edge, then the same on
+    the next edge.
+    """
     me = veh.state
-    best_gap, best_speed = math.inf, 0.0
+    graph = world.net.lane_graph
+    best_gap, best_speed = lanes.nearest_vehicle(me, (edge_id, lane_index),
+                                                 s, -s)
+    obj_gap = lanes.nearest_obstacle(me, (edge_id, lane_index), s, -s)
+    if obj_gap < best_gap:
+        best_gap, best_speed = obj_gap, 0.0
 
-    def consider(center_dist, other_len, other_speed):
-        nonlocal best_gap, best_speed
-        gap = center_dist - (me.length + other_len) / 2.0
-        if gap < best_gap:
-            best_gap, best_speed = gap, other_speed
-
-    for other in world.vehicles.values():
-        if other.state.id == me.id or not other.active:
-            continue
-        st = other.state
-        if st.edge_id == edge_id and st.lane_index == lane_index and st.s > s:
-            consider(st.s - s, st.length, st.speed)
-    for eid, li, obj_s, obj in world.obstacles:
-        if eid == edge_id and li == lane_index and obj_s > s:
-            consider(obj_s - s, max(obj.footprint), 0.0)
-
-    edge = world.net.edge(edge_id)
-    line = netgen.lane_centerline(world.net, edge, lane_index)
-    remaining = netgen._polyline_length(line) - s
-    nxt = _next_edge(world, veh)
+    remaining = graph.lanes[(edge_id, lane_index)].length - s
+    nxt = _next_edge(graph, veh.route, me.edge_id)
     if nxt is not None and remaining < LOOKAHEAD_HORIZON:
-        nxt_edge = world.net.edge(nxt)
-        li2 = min(lane_index, nxt_edge.num_lanes - 1)
-        for other in world.vehicles.values():
-            if other.state.id == me.id or not other.active:
-                continue
-            st = other.state
-            if st.edge_id == nxt and st.lane_index == li2:
-                consider(remaining + st.s, st.length, st.speed)
-        for eid, li, obj_s, obj in world.obstacles:
-            if eid == nxt and li == li2:
-                consider(remaining + obj_s, max(obj.footprint), 0.0)
+        key = (nxt, min(lane_index, graph.edges[nxt].num_lanes - 1))
+        gap, speed = lanes.nearest_vehicle(me, key, -math.inf, remaining)
+        if gap < best_gap:
+            best_gap, best_speed = gap, speed
+        obj_gap = lanes.nearest_obstacle(me, key, -math.inf, remaining)
+        if obj_gap < best_gap:
+            best_gap, best_speed = obj_gap, 0.0
     return best_gap, best_speed
-
-
-def _follower(world: World, me_id: str, edge_id: str, lane_index: int,
-              s: float):
-    best = None
-    for other in world.vehicles.values():
-        st = other.state
-        if st.id == me_id or not other.active:
-            continue
-        if st.edge_id == edge_id and st.lane_index == lane_index and st.s <= s:
-            if best is None or st.s > best.state.s:
-                best = other
-    return best
 
 
 def av_policy(observation: dict, hints: tuple[str, ...] = ()
@@ -313,16 +391,17 @@ def av_policy(observation: dict, hints: tuple[str, ...] = ()
     return max(-b, min(a_max, accel)), lane_change
 
 
-def _lane_options(world: World, veh: _Vehicle) -> list[dict]:
+def _lane_options(world: World, lanes: _LaneIndex, veh: _Vehicle
+                  ) -> list[dict]:
     me = veh.state
-    edge = world.net.edge(me.edge_id)
+    edge = world.net.lane_graph.edges[me.edge_id]
     options = []
     for direction in (-1, 1):
         li = me.lane_index + direction
         if not (0 <= li < edge.num_lanes):
             continue
-        gap, lead_v = _leader_gap(world, veh, me.edge_id, li, me.s)
-        follower = _follower(world, me.id, me.edge_id, li, me.s)
+        gap, lead_v = _leader_gap(world, lanes, veh, me.edge_id, li, me.s)
+        follower = lanes.follower(me.id, (me.edge_id, li), me.s)
         if follower is None:
             rear_gap = math.inf
         else:
@@ -334,14 +413,16 @@ def _lane_options(world: World, veh: _Vehicle) -> list[dict]:
     return options
 
 
-def _bv_control(world: World, veh: _Vehicle) -> tuple[float, int]:
+def _bv_control(world: World, lanes: _LaneIndex, veh: _Vehicle
+                ) -> tuple[float, int]:
     me = veh.state
-    gap, lead_v = _leader_gap(world, veh, me.edge_id, me.lane_index, me.s)
+    gap, lead_v = _leader_gap(world, lanes, veh, me.edge_id, me.lane_index,
+                              me.s)
     accel_here = idm_accel(veh.params, me.speed, gap, me.speed - lead_v)
 
     lane_change = 0
     if veh.lane_change_cooldown <= 0:
-        for opt in _lane_options(world, veh):
+        for opt in _lane_options(world, lanes, veh):
             accel_there = idm_accel(veh.params, me.speed, opt["gap"],
                                     me.speed - opt["leader_speed"])
             if accel_there - accel_here < veh.params.lane_change_threshold:
@@ -363,36 +444,32 @@ def _bv_control(world: World, veh: _Vehicle) -> tuple[float, int]:
 
 def _advance_vehicle(world: World, veh: _Vehicle, accel: float,
                      lane_change: int, dt: float) -> None:
+    graph = world.net.lane_graph
     me = veh.state
     if lane_change != 0:
         li = me.lane_index + lane_change
-        edge = world.net.edge(me.edge_id)
-        if 0 <= li < edge.num_lanes:
+        if 0 <= li < graph.edges[me.edge_id].num_lanes:
             me = replace(me, lane_index=li)
             veh.lane_change_cooldown = 2.0
     accel = max(-8.0, min(accel, veh.params.max_accel))
     v_new = max(0.0, me.speed + accel * dt)
     s_new = me.s + v_new * dt
 
-    edge = world.net.edge(me.edge_id)
-    line = netgen.lane_centerline(world.net, edge, me.lane_index)
-    L = netgen._polyline_length(line)
     edge_id = me.edge_id
     lane_index = me.lane_index
-    while s_new > L:
-        nxt = _next_edge(world, replace(veh, state=replace(me, edge_id=edge_id)))
+    path = graph.lanes[(edge_id, lane_index)]
+    while s_new > path.length:
+        nxt = _next_edge(graph, veh.route, edge_id)
         if nxt is None:
             veh.active = False
-            s_new = L
+            s_new = path.length
             v_new = 0.0
             break
-        s_new -= L
+        s_new -= path.length
         edge_id = nxt
-        edge = world.net.edge(edge_id)
-        lane_index = min(lane_index, edge.num_lanes - 1)
-        line = netgen.lane_centerline(world.net, edge, lane_index)
-        L = netgen._polyline_length(line)
-    x, y, heading = netgen.point_along(line, s_new)
+        lane_index = min(lane_index, graph.edges[edge_id].num_lanes - 1)
+        path = graph.lanes[(edge_id, lane_index)]
+    x, y, heading = path.point_at(s_new)
     veh.lane_change_cooldown = max(0.0, veh.lane_change_cooldown - dt)
     veh.state = replace(me, edge_id=edge_id, lane_index=lane_index, s=s_new,
                         speed=v_new, x=x, y=y, heading=heading)
@@ -410,6 +487,7 @@ def step(world: World, dt: float) -> World:
     integration (velocity first, then position). Mutates and returns world."""
     if not (0 < dt <= 0.5):
         raise ValueError("dt must be in (0, 0.5]")
+    lanes = _LaneIndex(world)
     controls = {}
     for vid, veh in world.vehicles.items():
         if not veh.active:
@@ -418,17 +496,17 @@ def step(world: World, dt: float) -> World:
         if me.kind in ("Pedestrian", "Cyclist"):
             controls[vid] = None
         elif me.role == "AV":
-            gap, lead_v = _leader_gap(world, veh, me.edge_id, me.lane_index,
-                                      me.s)
+            gap, lead_v = _leader_gap(world, lanes, veh, me.edge_id,
+                                      me.lane_index, me.s)
             obs = {"speed": me.speed, "desired_speed": veh.params.desired_speed,
                    "gap": gap, "leader_speed": lead_v,
                    "max_accel": veh.params.max_accel,
                    "comfortable_decel": veh.params.comfortable_decel,
                    "min_gap": veh.params.min_gap,
-                   "lane_options": _lane_options(world, veh)}
+                   "lane_options": _lane_options(world, lanes, veh)}
             controls[vid] = av_policy(obs, veh.hints)
         else:
-            controls[vid] = _bv_control(world, veh)
+            controls[vid] = _bv_control(world, lanes, veh)
 
     for vid, veh in world.vehicles.items():
         if not veh.active:
@@ -465,7 +543,7 @@ def build_world(bundle: ScenarioBundle,
     net = bundle.network
     vehicles = {}
     for a in bundle.agents:
-        edge = net.edge(a.edge_id)
+        edge = net.lane_graph.edges[a.edge_id]
         params = (params_overrides or {}).get(a.id) or \
             _default_params(a.kind, edge.speed)
         route = ()
@@ -479,19 +557,20 @@ def build_world(bundle: ScenarioBundle,
 
 def plan_route(net: netgen.RoadNetwork, start_edge: str) -> tuple[str, ...]:
     """Greedy depth route from start_edge, longest continuation first."""
+    graph = net.lane_graph
     route = [start_edge]
     seen = {start_edge}
     while True:
-        succ = [e for e in _successors(net, route[-1]) if e not in seen]
+        succ = [e for e in graph.successors[route[-1]] if e not in seen]
         if not succ:
             return tuple(route)
-        succ.sort(key=lambda eid: -netgen.edge_length(net, net.edge(eid)))
+        succ.sort(key=lambda eid: -graph.edge_length[eid])
         route.append(succ[0])
         seen.add(succ[0])
 
 
 def route_length(net: netgen.RoadNetwork, route) -> float:
-    return sum(netgen.edge_length(net, net.edge(eid)) for eid in route)
+    return sum(net.lane_graph.edge_length[eid] for eid in route)
 
 
 def run(bundle: ScenarioBundle, duration: float, dt: float = DEFAULT_DT,

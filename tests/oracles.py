@@ -129,3 +129,159 @@ def stats_oracle(net):
                  for i, a in enumerate(junctions) for b in junctions[i + 1:]]
         pjd = sum(pairs) / len(pairs)
     return total_lanes, total_edges, route, pjd
+
+
+def point_along_scan(polyline, s):
+    """(x, y, heading_deg) at arc length s by a linear scan over segments,
+    clamped to the ends: the lookup the compiled lane geometry replaces."""
+    total = sum(math.dist(polyline[i], polyline[i + 1])
+                for i in range(len(polyline) - 1))
+    s = min(max(s, 0.0), total)
+    acc = 0.0
+    for i in range(len(polyline) - 1):
+        seg = math.dist(polyline[i], polyline[i + 1])
+        if acc + seg >= s or i == len(polyline) - 2:
+            t = 0.0 if seg == 0 else (s - acc) / seg
+            x = polyline[i][0] + t * (polyline[i + 1][0] - polyline[i][0])
+            y = polyline[i][1] + t * (polyline[i + 1][1] - polyline[i][1])
+            heading = math.degrees(math.atan2(
+                polyline[i + 1][1] - polyline[i][1],
+                polyline[i + 1][0] - polyline[i][0]))
+            if heading <= -180.0:
+                heading += 360.0
+            return x, y, heading
+        acc += seg
+    raise AssertionError("unreachable")
+
+
+def connections_brute_force(edges):
+    """(from_edge, to_edge, from_lane, to_lane) for every ordered edge pair
+    meeting at a node, U-turns excluded, lanes paired by index."""
+    out = []
+    for e_in in edges:
+        for e_out in edges:
+            if e_in.id == e_out.id or e_in.to_node != e_out.from_node:
+                continue
+            if e_out.to_node == e_in.from_node and \
+                    e_in.from_node != e_in.to_node:
+                continue
+            for li in range(min(e_in.num_lanes, e_out.num_lanes)):
+                out.append((e_in.id, e_out.id, li, li))
+    return out
+
+
+def successors_scan(net, edge_id):
+    """Edges a vehicle may take after edge_id: the connected ones, else every
+    edge leaving its end node that does not lead straight back."""
+    edge = next(e for e in net.edges if e.id == edge_id)
+    out = sorted({c.to_edge for c in net.connections
+                  if c.from_edge == edge_id})
+    if out:
+        return out
+    return sorted(e.id for e in net.edges
+                  if e.from_node == edge.to_node and
+                  e.to_node != edge.from_node)
+
+
+# The collision reference checks only the broad phase in front of the exact
+# pair test, so it calls the package's exact test, which has its own oracle.
+
+def all_pairs_collisions(states, dimensions=None, step=0):
+    """(step, id_a, id_b, penetration) from the exact test on every pair."""
+    from scenarioforge import simcore
+    boxes = []
+    for a in states:
+        length, width = (dimensions or {}).get(a.id, (a.length, a.width))
+        boxes.append(simcore.obb_corners(a.x, a.y, a.heading, length, width))
+    out = []
+    for i in range(len(states)):
+        for j in range(i + 1, len(states)):
+            pen = simcore.obb_overlap(boxes[i], boxes[j])
+            if pen > 0:
+                out.append((step, states[i].id, states[j].id, pen))
+    return out
+
+
+def leader_gap_scan(world, veh, edge_id, lane_index, s):
+    """(bumper gap, leader speed) by scanning every vehicle and obstacle on
+    the lane, then on the vehicle's next edge; the first candidate wins
+    ties."""
+    me = veh.state
+    next_edge = None
+    if veh.route and me.edge_id in veh.route:
+        i = veh.route.index(me.edge_id)
+        if i + 1 < len(veh.route):
+            next_edge = veh.route[i + 1]
+    else:
+        succ = successors_scan(world.net, me.edge_id)
+        next_edge = succ[0] if succ else None
+    best_gap, best_speed = math.inf, 0.0
+
+    def consider(center_dist, other_len, other_speed):
+        nonlocal best_gap, best_speed
+        gap = center_dist - (me.length + other_len) / 2.0
+        if gap < best_gap:
+            best_gap, best_speed = gap, other_speed
+
+    for other in world.vehicles.values():
+        st = other.state
+        if st.id != me.id and other.active and st.edge_id == edge_id \
+                and st.lane_index == lane_index and st.s > s:
+            consider(st.s - s, st.length, st.speed)
+    for eid, li, obj_s, obj in world.obstacles:
+        if eid == edge_id and li == lane_index and obj_s > s:
+            consider(obj_s - s, max(obj.footprint), 0.0)
+
+    by_id = {}
+    for e in world.net.edges:
+        by_id.setdefault(e.id, e)
+    edge = by_id[edge_id]
+    lane = _lane_line(world.net, edge, lane_index)
+    remaining = sum(math.dist(lane[i], lane[i + 1])
+                    for i in range(len(lane) - 1)) - s
+    if next_edge is not None and remaining < 150.0:
+        li2 = min(lane_index, by_id[next_edge].num_lanes - 1)
+        for other in world.vehicles.values():
+            st = other.state
+            if st.id != me.id and other.active and \
+                    st.edge_id == next_edge and st.lane_index == li2:
+                consider(remaining + st.s, st.length, st.speed)
+        for eid, li, obj_s, obj in world.obstacles:
+            if eid == next_edge and li == li2:
+                consider(remaining + obj_s, max(obj.footprint), 0.0)
+    return best_gap, best_speed
+
+
+def follower_scan(world, me_id, edge_id, lane_index, s):
+    """The active vehicle with the largest s <= s on the lane, first in world
+    order on ties."""
+    best = None
+    for other in world.vehicles.values():
+        st = other.state
+        if st.id == me_id or not other.active:
+            continue
+        if st.edge_id == edge_id and st.lane_index == lane_index and \
+                st.s <= s and (best is None or st.s > best.state.s):
+            best = other
+    return best
+
+
+def _lane_line(net, edge, lane_index, lane_width=3.2):
+    if edge.lanes and len(edge.lanes[0].shape) >= 2:
+        axis = edge.lanes[0].shape
+    else:
+        by_id = {n.id: n for n in net.nodes}
+        a, b = by_id[edge.from_node], by_id[edge.to_node]
+        axis = ((a.x, a.y), (b.x, b.y))
+    if edge.spread_type == "right":
+        off = (lane_index + 0.5) * lane_width
+    else:
+        off = (lane_index - (edge.num_lanes - 1) / 2.0) * lane_width
+    out = []
+    for i, (x, y) in enumerate(axis):
+        j = min(i, len(axis) - 2)
+        dx = axis[j + 1][0] - axis[j][0]
+        dy = axis[j + 1][1] - axis[j][1]
+        norm = math.hypot(dx, dy) or 1.0
+        out.append((x + dy / norm * off, y - dx / norm * off))
+    return out

@@ -82,14 +82,14 @@ def test_even_spacing_fallback_keeps_half_gap_floor():
         rng = random.Random(seed)
         gap = rng.uniform(1.0, 8.0)
         net = make_net(length=rng.uniform(4.0, 60.0), fwd=rng.randint(1, 4))
-        inv = compgen._lane_inventory(net)
+        inv = net.lane_graph.inventory
         n = rng.randint(2, 16)
-        if sum(L for *_, L in inv) < n * gap:
+        if sum(path.length for *_, path in inv) < n * gap:
             continue  # generate_agents rejects it before any placement
         agents = [ir.AgentDescription("Car", "AV" if i == 0 else "BV")
                   for i in range(n)]
         try:
-            states = compgen._even_spacing(net, agents, inv, gap)
+            states = compgen._even_spacing(agents, inv, gap)
         except compgen.PlacementInfeasible:
             continue
         assert len(states) == n

@@ -8,7 +8,8 @@ from scenarioforge import ir, netgen
 from scenarioforge.interpreter import MockProvider, default_knowledge_base
 
 from conftest import random_network
-from oracles import stats_oracle
+from oracles import (connections_brute_force, point_along_scan,
+                     stats_oracle, successors_scan)
 from validator_cases import CASES, GOOD_EDGES, GOOD_NODES
 
 
@@ -109,6 +110,52 @@ def test_connections_skip_uturns():
     assert ("e1b", "e1f") not in conns
 
 
+def grid_network(size=6):
+    """An OSM-style street grid: rows one-way with 3 lanes, columns two-way
+    with 2 lanes, so every crossing joins 3 to 4 edges."""
+    nodes = tuple(netgen.Node(f"g{r}_{c}", 100.0 * c, 100.0 * r)
+                  for r in range(size) for c in range(size))
+    edges = []
+    for r in range(size):
+        for c in range(size - 1):
+            edges.append(netgen.Edge(f"r{r}_{c}", f"g{r}_{c}", f"g{r}_{c + 1}",
+                                     num_lanes=3))
+    for c in range(size):
+        for r in range(size - 1):
+            a, b = f"g{r}_{c}", f"g{r + 1}_{c}"
+            edges.append(netgen.Edge(f"c{c}_{r}", a, b, num_lanes=2))
+            edges.append(netgen.Edge(f"c{c}_{r}r", b, a, num_lanes=2))
+    edges = tuple(edges)
+    return netgen.RoadNetwork(nodes, edges,
+                              netgen.derive_connections(nodes, edges))
+
+
+def test_derive_connections_matches_brute_force(rng):
+    nets = [random_network(rng) for _ in range(60)] + [grid_network()]
+    for net in nets:
+        got = [(c.from_edge, c.to_edge, c.from_lane, c.to_lane)
+               for c in netgen.derive_connections(net.nodes, net.edges)]
+        assert got == connections_brute_force(net.edges)
+    assert len(nets[-1].connections) > 200
+
+
+def test_lane_graph_matches_per_call_geometry(rng):
+    for net in [random_network(rng) for _ in range(30)] + [grid_network()]:
+        graph = net.lane_graph
+        assert net.lane_graph is graph  # compiled once per network
+        assert [(e, li) for e, li, _ in graph.inventory] == \
+            [(e, li) for e in net.edges for li in range(e.num_lanes)]
+        for e, li, path in graph.inventory:
+            line = netgen.lane_centerline(net, e, li)
+            assert path.points == line
+            assert path.length == netgen._polyline_length(line)
+            assert graph.lanes[(e.id, li)] is path
+        for e in net.edges:
+            assert graph.edges[e.id] is e
+            assert graph.edge_length[e.id] == netgen.edge_length(net, e)
+            assert list(graph.successors[e.id]) == successors_scan(net, e.id)
+
+
 # ---------------------------------------------------------------------------
 # geometry
 
@@ -134,6 +181,24 @@ def test_heading_range_open_at_minus_180():
     _, _, heading = netgen.point_along(poly, 1.0)
     assert heading == 180.0
     assert -180.0 < heading <= 180.0
+
+
+COORD = st.one_of(st.sampled_from([0.0, 1.0, -3.5]),
+                  st.floats(-1e4, 1e4, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(COORD, COORD), min_size=2, max_size=6),
+       data=st.data())
+def test_lane_path_lookup_matches_linear_scan(points, data):
+    path = netgen.LanePath.measure(points)
+    # exact vertex arc lengths, the ends and beyond, and anywhere between
+    s = data.draw(st.one_of(st.sampled_from(path.cum),
+                            st.sampled_from([-1.0, path.length,
+                                             path.length + 1.0]),
+                            st.floats(0.0, max(path.length, 1.0))))
+    assert path.point_at(s) == point_along_scan(points, s)
+    assert netgen.point_along(points, s) == point_along_scan(points, s)
 
 
 def test_lane_centerline_right_spread_offsets():

@@ -51,9 +51,9 @@ def load_bundle(manifest):
                                 shape=tuple(map(tuple, l["shape"])))
                     for l in e["lanes"]))
         for e in data["network"]["edges"])
-    # bundle.json leaves out the connections, which derive from the rest
-    net = netgen.RoadNetwork(nodes, edges,
-                             netgen.derive_connections(nodes, edges))
+    connections = tuple(netgen.Connection(*c)
+                        for c in data["network"]["connections"])
+    net = netgen.RoadNetwork(nodes, edges, connections)
     agents = tuple(compgen.AgentState(**a) for a in data["agents"])
     objects = tuple(compgen.PlacedObject(
         kind=o["kind"], x=o["x"], y=o["y"], yaw=o["yaw"],
@@ -183,12 +183,19 @@ def test_make_provider_kinds(tmp_path):
         pipeline.make_provider(cfg)
 
 
-def test_run_batch_aggregates(tmp_path):
+def test_run_batch_aggregates(tmp_path, monkeypatch):
+    stats_calls = []
+    network_stats = netgen.network_stats
+    monkeypatch.setattr(netgen, "network_stats",
+                        lambda net: stats_calls.append(net) or
+                        network_stats(net))
     cfg = make_cfg(tmp_path, variations=2)
     inputs = [ir.TextRequest("a car cuts in on the highway"),
               ir.TextRequest("construction zone with cones")]
     agg = pipeline.run_batch(inputs, cfg)
     assert agg["runs"] == 4
+    # evaluate and the aggregate share one computation per network
+    assert len(stats_calls) == 4
     assert agg["ok"] == 4
     assert agg["conformity"]["success_rate"] == pytest.approx(1.0)
     assert agg["conformity"]["scene_type_acc"] == pytest.approx(1.0)

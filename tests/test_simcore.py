@@ -1,11 +1,18 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from scenarioforge import compgen, ir, netgen, simcore
+import scenarioforge
+from scenarioforge import compgen, ir, netgen, pipeline, simcore
 
-from oracles import quads_overlap_oracle
+from oracles import (all_pairs_collisions, follower_scan, leader_gap_scan,
+                     quads_overlap_oracle)
 
 
 def straight_net(length=2000.0, fwd=1, speed=13.89):
@@ -139,6 +146,55 @@ def test_detect_collisions_reports_pair():
     assert events[0].step == 7
     assert {events[0].agent_a, events[0].agent_b} == {"a", "b"}
     assert events[0].penetration > 0
+
+
+def box_state(i, x, y, heading, length, width):
+    return compgen.AgentState(
+        id=f"a{i}", kind="Car", role="BV", edge_id="e", lane_index=0, s=0.0,
+        speed=0.0, heading=heading, x=x, y=y, length=length, width=width)
+
+
+# multiples of a half car length put boxes exactly edge to edge, or a hair
+# apart or into each other
+BOX_COORD = st.one_of(
+    st.tuples(st.integers(-8, 8), st.sampled_from([-1e-9, 0.0, 1e-9]))
+    .map(lambda t: t[0] * 2.25 + t[1]),
+    st.floats(-20.0, 20.0))
+BOX = st.tuples(
+    BOX_COORD, BOX_COORD,
+    st.one_of(st.sampled_from([0.0, 90.0, 180.0, -90.0, 45.0]),
+              st.floats(-179.99, 180.0)),
+    st.one_of(st.sampled_from([4.5, 8.0, 11.0]), st.floats(0.3, 12.0)),
+    st.one_of(st.sampled_from([1.8, 2.5]), st.floats(0.3, 3.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes=st.lists(BOX, max_size=24),
+       copies=st.lists(st.integers(0, 23), max_size=4),
+       swap_dims=st.booleans())
+def test_detect_collisions_matches_all_pairs(boxes, copies, swap_dims):
+    boxes = boxes + [boxes[i] for i in copies if i < len(boxes)]  # coincident
+    states = [box_state(i, *b) for i, b in enumerate(boxes)]
+    dims = ({a.id: (a.width, a.length) for a in states[::2]}
+            if swap_dims else None)
+    got = [(e.step, e.agent_a, e.agent_b, e.penetration)
+           for e in simcore.detect_collisions(states, dims, step=3)]
+    assert got == all_pairs_collisions(states, dims, step=3)
+
+
+def test_detect_collisions_keeps_touching_and_coincident_boxes():
+    states = [box_state(0, 0.0, 0.0, 0.0, 4.5, 1.8),
+              box_state(1, 4.5, 0.0, 0.0, 4.5, 1.8),     # edge to edge
+              box_state(2, 0.0, 0.0, 0.0, 4.5, 1.8),     # coincident with 0
+              box_state(3, 4.5005, 0.0, 90.0, 4.5, 1.8),
+              box_state(4, -4.5 + 1e-7, 0.0, 0.0, 4.5, 1.8)]  # 0.1 um deep
+    got = [(e.agent_a, e.agent_b, e.penetration)
+           for e in simcore.detect_collisions(states)]
+    assert got == [(a, b, pen)
+                   for _, a, b, pen in all_pairs_collisions(states)]
+    assert ("a0", "a2", 1.8) in got
+    assert [(a, b) for a, b, pen in got if pen < 1e-6] == \
+        [("a0", "a4"), ("a2", "a4")]
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +375,123 @@ def test_export_trace_format():
     assert len(lines) == 2 * 10
     rec = json.loads(lines[0])
     assert set(rec) == {"step", "id", "x", "y", "speed", "heading", "accel"}
+
+
+# ---------------------------------------------------------------------------
+# per-step lane index and simulator invariants
+
+# s on a quarter-metre grid puts vehicles level with each other or with an
+# obstacle, so equal gaps occur; the 4.5 m obstacle ties with a car
+LANE_S = st.one_of(st.integers(0, 240).map(lambda k: k * 0.25),
+                   st.floats(0.0, 60.0))
+VEHICLE = st.tuples(st.integers(0, 1), st.integers(0, 2), LANE_S,
+                    st.sampled_from(sorted(compgen.VEHICLE_DIMS)),
+                    st.booleans(), st.booleans())
+OBSTACLE = st.tuples(st.integers(0, 1), st.integers(0, 2), LANE_S,
+                     st.sampled_from([0.4, 2.0, 4.5]))
+
+
+@settings(max_examples=200, deadline=None)
+@example(lanes=(1, 1), obstacles=[],  # a truck and a car at equal gaps
+         vehicles=[(0, 0, 0.0, "Car", True, False),
+                   (0, 0, 11.75, "Truck", True, False),
+                   (0, 0, 10.0, "Car", True, False)])
+@example(lanes=(1, 1), obstacles=[(0, 0, 10.0, 4.5)],  # car ties obstacle
+         vehicles=[(0, 0, 0.0, "Car", True, False),
+                   (0, 0, 10.0, "Car", True, False)])
+@example(lanes=(2, 1), obstacles=[],  # two followers level with each other
+         vehicles=[(0, 1, 10.0, "Car", True, False),
+                   (0, 0, 5.0, "Car", True, False),
+                   (0, 0, 5.0, "Car", True, False)])
+@given(lanes=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       vehicles=st.lists(VEHICLE, min_size=1, max_size=14),
+       obstacles=st.lists(OBSTACLE, max_size=4))
+def test_indexed_leader_and_follower_match_linear_scans(lanes, vehicles,
+                                                        obstacles):
+    road = ir.RoadDescription(
+        layout="Straight",
+        segments=(ir.RoadSegment(60.0, lanes[0], 0, 13.89),
+                  ir.RoadSegment(60.0, lanes[1], 0, 13.89)))
+    net = netgen.build_network_blueprint(road)
+    edge_ids = ("e0f", "e1f")
+    world = simcore.World(net=net, vehicles={}, obstacles=[])
+    for i, (ei, li, s, kind, active, routed) in enumerate(vehicles):
+        li = min(li, lanes[ei] - 1)
+        state = place(net, edge_ids[ei], li, s, f"v{i}", kind=kind,
+                      speed=float(i))
+        world.vehicles[state.id] = simcore._Vehicle(
+            state=state, params=simcore.BehaviorParams(), active=active,
+            route=simcore.plan_route(net, edge_ids[ei]) if routed else ())
+    for ei, li, s, size in obstacles:
+        world.obstacles.append((edge_ids[ei], min(li, lanes[ei] - 1), s,
+                                compgen.PlacedObject("Cone", 0.0, 0.0, 0.0,
+                                                     (size, 0.4))))
+    index = simcore._LaneIndex(world)
+    for veh in world.vehicles.values():
+        me = veh.state
+        for li in range(lanes[edge_ids.index(me.edge_id)]):
+            assert simcore._leader_gap(world, index, veh, me.edge_id, li,
+                                       me.s) == \
+                leader_gap_scan(world, veh, me.edge_id, li, me.s)
+            assert index.follower(me.id, (me.edge_id, li), me.s) is \
+                follower_scan(world, me.id, me.edge_id, li, me.s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout=st.sampled_from(ir.ROAD_LAYOUTS),
+       lengths=st.lists(st.floats(20.0, 150.0), min_size=1, max_size=3),
+       n_agents=st.integers(1, 12), seed=st.integers(0, 10_000),
+       dt=st.sampled_from([0.1, 0.25, 0.5]))
+def test_simulation_invariants(layout, lengths, n_agents, seed, dt):
+    road = ir.RoadDescription(
+        layout=layout,
+        segments=tuple(ir.RoadSegment(length, 2, 1, 13.89)
+                       for length in lengths))
+    net = netgen.build_network_blueprint(road)
+    agents = compgen.random_trip_placement(net, n_agents, seed=seed)
+    trace = simcore.run(make_bundle(net, agents), duration=5.0, dt=dt)
+    lanes = net.lane_graph.lanes
+    for states in trace.steps:
+        for a in states:
+            assert all(math.isfinite(v)
+                       for v in (a.x, a.y, a.s, a.speed, a.heading))
+            assert a.speed >= 0.0
+            assert 0.0 <= a.s <= lanes[(a.edge_id, a.lane_index)].length
+    for series in (*trace.accel_series.values(),
+                   *trace.jerk_series.values(), trace.odometry.values()):
+        assert all(map(math.isfinite, series))
+
+
+TRACE_HASH_SCRIPT = """
+import json, sys
+from scenarioforge import ir, pipeline
+cfg = pipeline.PipelineConfig(output_dir=sys.argv[1], duration=10.0)
+m = pipeline.run_pipeline(
+    ir.TextRequest("busy intersection left turn conflict with three vehicles"),
+    cfg, seed=4, run_id="h")
+with open(m.artifacts["report"], encoding="utf-8") as fh:
+    print(json.load(fh)["trace_hash"])
+"""
+
+
+def test_trace_hash_is_stable_across_hash_seeds(tmp_path):
+    src = os.path.dirname(os.path.dirname(scenarioforge.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    hashes = []
+    for hash_seed in ("0", "1", "4242"):
+        out = tmp_path / hash_seed
+        proc = subprocess.run(
+            [sys.executable, "-c", TRACE_HASH_SCRIPT, str(out)],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.strip())
+    cfg = pipeline.PipelineConfig(output_dir=str(tmp_path / "here"),
+                                  duration=10.0)
+    m = pipeline.run_pipeline(ir.TextRequest(
+        "busy intersection left turn conflict with three vehicles"),
+        cfg, seed=4, run_id="h")
+    with open(m.artifacts["report"], encoding="utf-8") as fh:
+        here = json.load(fh)["trace_hash"]
+    assert hashes == [here] * 3
