@@ -5,6 +5,7 @@ Exit codes: 0 ok, 1 stage failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -130,12 +131,7 @@ def cmd_netgen(args) -> int:
         with open(args.edges, encoding="utf-8") as fh:
             xml_edges = fh.read()
         net = netgen.parse_sumo_xml(xml_nodes, xml_edges)
-        stats = netgen.network_stats(net)
-        print(json.dumps({"total_lanes": stats.total_lanes,
-                          "total_edges": stats.total_edges,
-                          "route_length": stats.route_length,
-                          "pairwise_junction_distance":
-                              stats.pairwise_junction_distance},
+        print(json.dumps(dataclasses.asdict(netgen.network_stats(net)),
                          indent=2, sort_keys=True))
         return 0
     if args.net_cmd == "osm":

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import heapq
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Optional
-
-import networkx as nx
 
 from .ir import GpsBoundingBox, RoadDescription
 
@@ -122,18 +121,6 @@ class RoadNetwork:
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "connections", tuple(self.connections))
 
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
-    def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
-
     @functools.cached_property
     def lane_graph(self) -> LaneGraph:
         """The compiled lane geometry, built on first use and kept."""
@@ -163,19 +150,15 @@ def _polyline_length(points) -> float:
 
 def edge_polyline(net: RoadNetwork, edge: Edge) -> tuple[tuple[float, float], ...]:
     """Edge axis geometry: lane-0 shape when present, else node-to-node."""
-    return _edge_axis(edge, net.node)
+    return _edge_axis(edge, net.lane_graph.nodes)
 
 
-def _edge_axis(edge: Edge, node) -> tuple[tuple[float, float], ...]:
-    """edge_polyline with node(node_id) -> Node as the node lookup."""
+def _edge_axis(edge: Edge, nodes: dict) -> tuple[tuple[float, float], ...]:
+    """edge_polyline with nodes (id -> Node) as the node lookup."""
     if edge.lanes and len(edge.lanes[0].shape) >= 2:
         return edge.lanes[0].shape
-    a, b = node(edge.from_node), node(edge.to_node)
+    a, b = nodes[edge.from_node], nodes[edge.to_node]
     return ((a.x, a.y), (b.x, b.y))
-
-
-def edge_length(net: RoadNetwork, edge: Edge) -> float:
-    return _polyline_length(edge_polyline(net, edge))
 
 
 def lane_centerline(net: RoadNetwork, edge: Edge, lane_index: int,
@@ -247,8 +230,8 @@ class LanePath:
 class LaneGraph:
     """Lane geometry and topology of one RoadNetwork, compiled once.
 
-    Read it as ``net.lane_graph``. Lookups by id follow RoadNetwork.edge()
-    and RoadNetwork.node(): the first element with an id wins.
+    Read it as ``net.lane_graph``. In every dict keyed by a node id, an edge
+    id or a lane, the first element of the network with that key wins.
     """
 
     def __init__(self, net: RoadNetwork):
@@ -263,7 +246,7 @@ class LaneGraph:
         self.lanes: dict[tuple[str, int], LanePath] = {}
         self.edge_length: dict[str, float] = {}
         for e in net.edges:
-            axis = _edge_axis(e, self.nodes.__getitem__)
+            axis = _edge_axis(e, self.nodes)
             self.edge_length.setdefault(e.id, _polyline_length(axis))
             for li in range(e.num_lanes):
                 path = LanePath.measure(
@@ -538,51 +521,66 @@ def parse_sumo_xml(xml_nodes: str, xml_edges: str) -> RoadNetwork:
 # ---------------------------------------------------------------------------
 # statistics
 
-def _largest_component_nodes(net: RoadNetwork) -> set[str]:
-    g = nx.Graph()
-    g.add_nodes_from(n.id for n in net.nodes)
-    g.add_edges_from((e.from_node, e.to_node) for e in net.edges)
-    return max(nx.connected_components(g), key=len) if g.number_of_nodes() else set()
-
-
 def network_stats(net: RoadNetwork) -> NetworkStats:
     """Lane/edge totals, longest shortest-path route length, and the mean
     pairwise Euclidean distance between junction nodes (degree >= 3).
 
     route_length is computed on the directed graph restricted to the largest
-    (weakly) connected component.
+    weakly connected component, where parallel edges count with the shorter
+    length. Of several largest components, the first in node order wins:
+    net.nodes, then the endpoints only edges name, in edge order.
     """
-    total_lanes = sum(e.num_lanes for e in net.edges)
-    total_edges = len(net.edges)
-
-    comp = _largest_component_nodes(net)
-    g = nx.DiGraph()
-    g.add_nodes_from(n.id for n in net.nodes if n.id in comp)
-    for e in net.edges:
-        if e.from_node in comp and e.to_node in comp:
-            length = edge_length(net, e)
-            if not g.has_edge(e.from_node, e.to_node) or \
-                    g[e.from_node][e.to_node]["weight"] > length:
-                g.add_edge(e.from_node, e.to_node, weight=length)
-    route_length = 0.0
-    for _, dists in nx.all_pairs_dijkstra_path_length(g, weight="weight"):
-        for d in dists.values():
-            route_length = max(route_length, d)
-
+    adj: dict[str, set] = {n.id: set() for n in net.nodes}
     degree: dict[str, int] = {}
     for e in net.edges:
+        adj.setdefault(e.from_node, set()).add(e.to_node)
+        adj.setdefault(e.to_node, set()).add(e.from_node)
         for nid in (e.from_node, e.to_node):
             degree[nid] = degree.get(nid, 0) + 1
-    junctions = [n for n in net.nodes if degree.get(n.id, 0) >= 3]
-    if len(junctions) < 2:
-        pjd = 0.0
-    else:
-        ds = [math.dist((a.x, a.y), (b.x, b.y))
-              for i, a in enumerate(junctions) for b in junctions[i + 1:]]
-        pjd = sum(ds) / len(ds)
 
-    return NetworkStats(total_lanes=total_lanes, total_edges=total_edges,
-                        route_length=route_length,
+    comp: set = set()
+    seen: set = set()
+    for start in adj:
+        if start not in seen:
+            found, stack = {start}, [start]
+            while stack:
+                new = adj[stack.pop()] - found
+                found |= new
+                stack += new
+            seen |= found
+            if len(found) > len(comp):
+                comp = found
+
+    # from -> {to: shortest edge length}, over the component in node order
+    succ: dict[str, dict[str, float]] = {v: {} for v in adj if v in comp}
+    edge_length = net.lane_graph.edge_length
+    for e in net.edges:
+        if e.from_node in comp:
+            out, length = succ[e.from_node], edge_length[e.id]
+            if e.to_node not in out or out[e.to_node] > length:
+                out[e.to_node] = length
+    route_length = 0.0
+    for source in succ:
+        # Dijkstra; an entry whose distance was lowered after it was pushed
+        # is stale and skipped
+        dist, heap = {source: 0.0}, [(0.0, source)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if d > dist[v]:
+                continue
+            for to, length in succ[v].items():
+                alt = d + length
+                if to not in dist or alt < dist[to]:
+                    dist[to] = alt
+                    heapq.heappush(heap, (alt, to))
+        route_length = max(route_length, max(dist.values()))
+
+    junctions = [n for n in net.nodes if degree.get(n.id, 0) >= 3]
+    ds = [math.dist((a.x, a.y), (b.x, b.y))
+          for i, a in enumerate(junctions) for b in junctions[i + 1:]]
+    pjd = sum(ds) / len(ds) if ds else 0.0
+    return NetworkStats(total_lanes=sum(e.num_lanes for e in net.edges),
+                        total_edges=len(net.edges), route_length=route_length,
                         pairwise_junction_distance=pjd)
 
 
@@ -718,9 +716,10 @@ def compile_network(road: RoadDescription, kb, provider,
                                            "missing nodes/edges separator")]
         else:
             xml_nodes, xml_edges = text.split(NET_RESPONSE_SEPARATOR, 1)
-            last_errors = validate_network(xml_nodes.strip(), xml_edges.strip())
-            if not last_errors:
+            try:
                 return parse_sumo_xml(xml_nodes.strip(), xml_edges.strip())
+            except NetworkValidationError as exc:
+                last_errors = exc.errors
         prompt = prompt + "\n### PREVIOUS ERRORS:\n" + \
             "\n".join(str(e) for e in last_errors)
     raise CompileFailed(last_errors)

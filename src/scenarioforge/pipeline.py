@@ -52,8 +52,12 @@ class PipelineConfig:
     def __post_init__(self):
         if not (0 < self.dt <= 0.5):
             raise ConfigError(f"dt must be in (0, 0.5], got {self.dt}")
-        if self.variations < 1 or self.workers < 1:
-            raise ConfigError("variations and workers must be >= 1")
+        if self.variations < 1 or self.workers < 1 or self.max_agents < 1:
+            raise ConfigError(
+                "variations, workers and max_agents must be >= 1")
+        if not (self.min_gap > 0 and self.duration > 0):
+            raise ConfigError("min_gap and duration must be > 0, got "
+                              f"{self.min_gap} and {self.duration}")
 
 
 def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:

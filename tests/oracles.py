@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package's math.
 
 These deliberately avoid the library's own helpers: lengths are recomputed
-from raw geometry and shortest paths use Floyd-Warshall over dense matrices.
+from raw geometry and shortest paths use Floyd-Warshall over dense matrices,
+or networkx where a result must match the library bit for bit.
 """
 import math
 
@@ -129,6 +130,56 @@ def stats_oracle(net):
                  for i, a in enumerate(junctions) for b in junctions[i + 1:]]
         pjd = sum(pairs) / len(pairs)
     return total_lanes, total_edges, route, pjd
+
+
+def network_stats_networkx(net):
+    """(total_lanes, total_edges, route_length, pairwise_junction_distance)
+    as network_stats computed them with networkx: the largest connected
+    component, all-pairs Dijkstra, and edge lengths from a first-wins linear
+    node scan."""
+    import networkx as nx
+
+    def node(node_id):
+        return next(n for n in net.nodes if n.id == node_id)
+
+    def edge_length(e):
+        if e.lanes and len(e.lanes[0].shape) >= 2:
+            pts = e.lanes[0].shape
+        else:
+            a, b = node(e.from_node), node(e.to_node)
+            pts = ((a.x, a.y), (b.x, b.y))
+        return sum(math.dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+
+    und = nx.Graph()
+    und.add_nodes_from(n.id for n in net.nodes)
+    und.add_edges_from((e.from_node, e.to_node) for e in net.edges)
+    comp = max(nx.connected_components(und), key=len) if und else set()
+    g = nx.DiGraph()
+    g.add_nodes_from(n.id for n in net.nodes if n.id in comp)
+    for e in net.edges:
+        if e.from_node in comp and e.to_node in comp:
+            length = edge_length(e)
+            if not g.has_edge(e.from_node, e.to_node) or \
+                    g[e.from_node][e.to_node]["weight"] > length:
+                g.add_edge(e.from_node, e.to_node, weight=length)
+    route_length = 0.0
+    for _, dists in nx.all_pairs_dijkstra_path_length(g, weight="weight"):
+        for d in dists.values():
+            route_length = max(route_length, d)
+
+    degree: dict = {}
+    for e in net.edges:
+        for nid in (e.from_node, e.to_node):
+            degree[nid] = degree.get(nid, 0) + 1
+    junctions = [n for n in net.nodes if degree.get(n.id, 0) >= 3]
+    if len(junctions) < 2:
+        pjd = 0.0
+    else:
+        ds = [math.dist((a.x, a.y), (b.x, b.y))
+              for i, a in enumerate(junctions) for b in junctions[i + 1:]]
+        pjd = sum(ds) / len(ds)
+    return (sum(e.num_lanes for e in net.edges), len(net.edges),
+            route_length, pjd)
 
 
 def point_along_scan(polyline, s):

@@ -71,6 +71,14 @@ def test_run_invalid_dt_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_run_zero_min_gap_is_config_error(tmp_path, capsys):
+    code = run_cli("run", "--text", "a car", "--min-gap", "0",
+                   "--output-dir", str(tmp_path))
+    assert code == 2
+    # rejected before any stage ran
+    assert not (tmp_path / "runs").exists()
+
+
 def test_batch_fixtures(tmp_path, capsys):
     fixtures = tmp_path / "fixtures.txt"
     fixtures.write_text("a car cuts in on the highway\n"

@@ -2,14 +2,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scenarioforge import ir, netgen
 from scenarioforge.interpreter import MockProvider, default_knowledge_base
 
 from conftest import random_network
-from oracles import (connections_brute_force, point_along_scan,
-                     stats_oracle, successors_scan)
+from oracles import (connections_brute_force, network_stats_networkx,
+                     point_along_scan, stats_oracle, successors_scan)
 from validator_cases import CASES, GOOD_EDGES, GOOD_NODES
 
 
@@ -27,7 +27,7 @@ def test_straight_blueprint():
     assert len(net.edges) == 1
     edge = net.edges[0]
     assert edge.num_lanes == 2
-    assert netgen.edge_length(net, edge) == pytest.approx(100.0)
+    assert net.lane_graph.edge_length[edge.id] == pytest.approx(100.0)
     stats = netgen.network_stats(net)
     assert stats.total_lanes == 2
     assert stats.total_edges == 1
@@ -49,7 +49,7 @@ def test_cross_intersection_blueprint():
     net = netgen.build_network_blueprint(road)
     assert len(net.nodes) == 5
     assert len(net.edges) == 8
-    assert net.node("c").node_type == "traffic_light"
+    assert net.lane_graph.nodes["c"].node_type == "traffic_light"
     stats = netgen.network_stats(net)
     # arm -> center -> opposite arm
     assert stats.route_length == pytest.approx(100.0)
@@ -63,7 +63,7 @@ def test_tjunction_blueprint():
     net = netgen.build_network_blueprint(road)
     assert len(net.nodes) == 4
     assert len(net.edges) == 6
-    assert net.node("c").node_type == "priority"
+    assert net.lane_graph.nodes["c"].node_type == "priority"
 
 
 def test_merge_blueprint_joins_two_ramps():
@@ -143,6 +143,8 @@ def test_lane_graph_matches_per_call_geometry(rng):
     for net in [random_network(rng) for _ in range(30)] + [grid_network()]:
         graph = net.lane_graph
         assert net.lane_graph is graph  # compiled once per network
+        # first wins: a dict built from the reversed nodes keeps the first
+        assert graph.nodes == {n.id: n for n in reversed(net.nodes)}
         assert [(e, li) for e, li, _ in graph.inventory] == \
             [(e, li) for e in net.edges for li in range(e.num_lanes)]
         for e, li, path in graph.inventory:
@@ -152,7 +154,8 @@ def test_lane_graph_matches_per_call_geometry(rng):
             assert graph.lanes[(e.id, li)] is path
         for e in net.edges:
             assert graph.edges[e.id] is e
-            assert graph.edge_length[e.id] == netgen.edge_length(net, e)
+            assert graph.edge_length[e.id] == \
+                netgen._polyline_length(netgen.edge_polyline(net, e))
             assert list(graph.successors[e.id]) == successors_scan(net, e.id)
 
 
@@ -323,6 +326,55 @@ def test_stats_match_floyd_warshall_oracle():
         assert stats.pairwise_junction_distance == pytest.approx(pjd, abs=1e-9)
 
 
+# few distinct values make coincident nodes and zero-length edges likely
+STATS_COORD = st.one_of(st.sampled_from([0.0, 0.1, 2.7]),
+                        st.floats(-500.0, 500.0, allow_nan=False))
+
+
+@st.composite
+def stats_networks(draw):
+    """Networks with isolated nodes, equally large components, parallel and
+    zero-length edges, self-loops, lane shapes, and endpoints that only
+    lane-shaped edges name ("u0" to "u3")."""
+    n_nodes = draw(st.integers(0, 9))
+    nodes = tuple(netgen.Node(f"n{i}", draw(STATS_COORD), draw(STATS_COORD))
+                  for i in range(n_nodes))
+    ids = [n.id for n in nodes] + ["u0", "u1", "u2", "u3"]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids),
+                                    st.sampled_from(ids)), max_size=14))
+    edges = []
+    for k, (a, b) in enumerate(pairs):
+        lanes = ()
+        if "u" in a + b or draw(st.booleans()):
+            shape = draw(st.lists(st.tuples(STATS_COORD, STATS_COORD),
+                                  min_size=2, max_size=4))
+            lanes = (netgen.Lane(0, shape),)
+        edges.append(netgen.Edge(f"e{k}", a, b,
+                                 num_lanes=draw(st.integers(1, 3)),
+                                 lanes=lanes))
+    return netgen.RoadNetwork(nodes, tuple(edges))
+
+
+def _shaped(eid, a, b, length):
+    lane = netgen.Lane(0, ((0.0, 0.0), (length, 0.0)))
+    return netgen.Edge(eid, a, b, lanes=(lane,))
+
+
+# two equally large components with different route lengths: one with
+# declared nodes, one whose endpoints only the edges name
+@settings(max_examples=300, deadline=None)
+@example(net=netgen.RoadNetwork(
+    (netgen.Node("a", 0, 0), netgen.Node("b", 10, 0),
+     netgen.Node("c", 0, 9), netgen.Node("d", 30, 9)),
+    (netgen.Edge("e0", "c", "d"), netgen.Edge("e1", "a", "b"))))
+@example(net=netgen.RoadNetwork(
+    (), (_shaped("e0", "u0", "u1", 5.0), _shaped("e1", "u2", "u3", 9.0))))
+@given(net=stats_networks())
+def test_stats_equal_networkx_reference(net):
+    assert netgen.network_stats(net) == \
+        netgen.NetworkStats(*network_stats_networkx(net))
+
+
 def test_stats_use_largest_component():
     nodes = (netgen.Node("a", 0, 0), netgen.Node("b", 100, 0),
              netgen.Node("c", 0, 500), netgen.Node("d", 10, 500),
@@ -332,6 +384,9 @@ def test_stats_use_largest_component():
     net = netgen.RoadNetwork(nodes, edges)
     # largest component is c-d-e with total length 20, not the 100 m edge
     assert netgen.network_stats(net).route_length == pytest.approx(20.0)
+    # of two equally large components, the first in node order wins
+    tied = netgen.RoadNetwork(nodes[:4], (edges[1], edges[0]))
+    assert netgen.network_stats(tied).route_length == pytest.approx(100.0)
 
 
 def test_stats_relabel_invariance(rng):
@@ -439,7 +494,7 @@ def test_ingest_osm_geometry_and_tags():
     assert len(two_lane) == 4
     assert two_lane[0].speed == pytest.approx(50 / 3.6)
     # 0.001 deg of latitude is ~111 m
-    length = netgen.edge_length(net, two_lane[0])
+    length = net.lane_graph.edge_length[two_lane[0].id]
     assert 100.0 < length < 120.0
     # output passes its own validation
     xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)

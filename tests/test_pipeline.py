@@ -1,5 +1,8 @@
 import json
+import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -168,6 +171,11 @@ def test_load_config_json_and_validation(tmp_path):
         pipeline.PipelineConfig(dt=0.6)
     with pytest.raises(pipeline.ConfigError):
         pipeline.PipelineConfig(variations=0)
+    for bad_field in ({"min_gap": 0.0}, {"min_gap": -1.0},
+                      {"min_gap": math.nan}, {"max_agents": 0},
+                      {"duration": 0.0}, {"duration": -5.0}):
+        with pytest.raises(pipeline.ConfigError):
+            pipeline.PipelineConfig(**bad_field)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not_a_field": 1}))
     with pytest.raises(pipeline.ConfigError):
@@ -254,3 +262,26 @@ def test_run_comparison_small(tmp_path):
     for arm in ("ours", "baseline"):
         assert set(report[arm]) == set(report["rows"])
     assert os.path.exists(tmp_path / "out" / "comparison.json")
+
+
+RUNTIME_IMPORTS_SCRIPT = """
+import sys
+from scenarioforge import ir, pipeline
+cfg = pipeline.PipelineConfig(output_dir=sys.argv[1], duration=5.0)
+m = pipeline.run_pipeline(ir.TextRequest("two cars near a junction"), cfg)
+assert m.failure is None, m.failure
+print(" ".join(sorted({"networkx", "numpy"} & set(sys.modules))))
+"""
+
+
+def test_mock_run_imports_no_test_only_dependency(tmp_path):
+    # networkx and numpy are test references only; a run must not load them
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNTIME_IMPORTS_SCRIPT, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

@@ -23,7 +23,7 @@ def straight_net(length=2000.0, fwd=1, speed=13.89):
 
 def place(net, edge_id, lane_index, s, agent_id, kind="Car", role="BV",
           speed=0.0):
-    edge = net.edge(edge_id)
+    edge = net.lane_graph.edges[edge_id]
     line = netgen.lane_centerline(net, edge, lane_index)
     x, y, heading = netgen.point_along(line, s)
     length, width = compgen.VEHICLE_DIMS[kind]
@@ -309,7 +309,7 @@ def test_no_teleportation():
 def test_av_stops_for_blocking_object():
     net = straight_net(length=200.0)
     av = place(net, "e0f", 0, 20.0, "av", role="AV", speed=10.0)
-    line = netgen.lane_centerline(net, net.edge("e0f"), 0)
+    line = netgen.lane_centerline(net, net.lane_graph.edges["e0f"], 0)
     bx, by, bh = netgen.point_along(line, 100.0)
     barrier = compgen.PlacedObject(kind="Barrier", x=bx, y=by, yaw=bh,
                                    footprint=(2.0, 0.5))
