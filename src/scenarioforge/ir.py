@@ -268,7 +268,8 @@ class ScenarioBundle:
 # ---------------------------------------------------------------------------
 # canonical document serialization
 
-def _desc_to_dict(d: ScenarioDescription) -> dict:
+def description_to_dict(d: ScenarioDescription) -> dict:
+    """The canonical document of a description as JSON-ready data."""
     return {
         "format": FORMAT_HEADER,
         "scene_type": d.scene_type,
@@ -302,7 +303,7 @@ def _desc_to_dict(d: ScenarioDescription) -> dict:
 
 def serialize_description(d: ScenarioDescription) -> str:
     """Canonical, deterministic text document for a scenario description."""
-    return json.dumps(_desc_to_dict(d), sort_keys=True, indent=2) + "\n"
+    return json.dumps(description_to_dict(d), sort_keys=True, indent=2) + "\n"
 
 
 def _req(obj: dict, key: str):

@@ -131,6 +131,12 @@ class RoadNetwork:
         """network_stats of this network, computed on first use and kept."""
         return network_stats(self)
 
+    @functools.cached_property
+    def sumo_xml(self) -> tuple[str, str]:
+        """serialize_sumo_xml of this network, computed on first use and
+        kept."""
+        return serialize_sumo_xml(self)
+
 
 @dataclass(frozen=True)
 class NetworkStats:
@@ -483,7 +489,7 @@ def serialize_sumo_xml(net: RoadNetwork) -> tuple[str, str]:
 def write_sumo_xml(net: RoadNetwork, prefix: str) -> tuple[str, str]:
     """Write <prefix>.nod.xml and <prefix>.edg.xml; return their paths."""
     paths = (prefix + ".nod.xml", prefix + ".edg.xml")
-    for path, doc in zip(paths, serialize_sumo_xml(net)):
+    for path, doc in zip(paths, net.sumo_xml):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(doc)
     return paths
@@ -551,32 +557,40 @@ def network_stats(net: RoadNetwork) -> NetworkStats:
             if len(found) > len(comp):
                 comp = found
 
-    # from -> {to: shortest edge length}, over the component in node order
-    succ: dict[str, dict[str, float]] = {v: {} for v in adj if v in comp}
+    # the component's nodes in node order as 0..n-1, and per node the
+    # (successor, shortest edge length) pairs
+    index = {v: i for i, v in enumerate(v for v in adj if v in comp)}
+    shortest: list[dict[int, float]] = [{} for _ in index]
     edge_length = net.lane_graph.edge_length
     for e in net.edges:
         if e.from_node in comp:
-            out, length = succ[e.from_node], edge_length[e.id]
-            if e.to_node not in out or out[e.to_node] > length:
-                out[e.to_node] = length
+            out, to = shortest[index[e.from_node]], index[e.to_node]
+            length = edge_length[e.id]
+            if to not in out or out[to] > length:
+                out[to] = length
+    succ = [tuple(out.items()) for out in shortest]
     route_length = 0.0
-    for source in succ:
+    for source in range(len(succ)):
         # Dijkstra; an entry whose distance was lowered after it was pushed
-        # is stale and skipped
-        dist, heap = {source: 0.0}, [(0.0, source)]
+        # is stale and skipped. Pops come in distance order, so the last
+        # current one is the farthest node reachable from source.
+        dist = [math.inf] * len(succ)
+        dist[source] = 0.0
+        heap = [(0.0, source)]
         while heap:
             d, v = heapq.heappop(heap)
             if d > dist[v]:
                 continue
-            for to, length in succ[v].items():
+            farthest = d
+            for to, length in succ[v]:
                 alt = d + length
-                if to not in dist or alt < dist[to]:
+                if alt < dist[to]:
                     dist[to] = alt
                     heapq.heappush(heap, (alt, to))
-        route_length = max(route_length, max(dist.values()))
+        route_length = max(route_length, farthest)
 
-    junctions = [n for n in net.nodes if degree.get(n.id, 0) >= 3]
-    ds = [math.dist((a.x, a.y), (b.x, b.y))
+    junctions = [(n.x, n.y) for n in net.nodes if degree.get(n.id, 0) >= 3]
+    ds = [math.dist(a, b)
           for i, a in enumerate(junctions) for b in junctions[i + 1:]]
     pjd = sum(ds) / len(ds) if ds else 0.0
     return NetworkStats(total_lanes=sum(e.num_lanes for e in net.edges),
@@ -859,8 +873,7 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
     edge_tuple = tuple(edges)
     net = RoadNetwork(node_tuple, edge_tuple,
                       derive_connections(node_tuple, edge_tuple))
-    xml_nodes, xml_edges = serialize_sumo_xml(net)
-    errors = validate_network(xml_nodes, xml_edges)
+    errors = validate_network(*net.sumo_xml)
     if errors:
         raise NetworkValidationError(errors)
     return net

@@ -130,16 +130,21 @@ def classify_failure(exc: Exception) -> str:
 
 
 def _bundle_to_dict(bundle: ir.ScenarioBundle) -> dict:
+    """JSON-ready bundle data. The network part is built shallowly from each
+    node's and edge's fields, sharing their tuples: a deep copy of a large
+    network costs more than encoding it."""
+    net = bundle.network
     return {
         "seed": bundle.seed,
-        "description": json.loads(ir.serialize_description(bundle.description)),
+        "description": ir.description_to_dict(bundle.description),
         "agents": [dataclasses.asdict(a) for a in bundle.agents],
         "objects": [dataclasses.asdict(o) for o in bundle.objects],
         "network": {
-            "nodes": [dataclasses.asdict(n) for n in bundle.network.nodes],
-            "edges": [dataclasses.asdict(e) for e in bundle.network.edges],
+            "nodes": [vars(n) for n in net.nodes],
+            "edges": [{**vars(e), "lanes": [vars(lane) for lane in e.lanes]}
+                      for e in net.edges],
             "connections": [[c.from_edge, c.to_edge, c.from_lane, c.to_lane]
-                            for c in bundle.network.connections],
+                            for c in net.connections],
         },
     }
 
@@ -163,7 +168,6 @@ def _write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, data) -> None:
-    # streamed, so the indented text of a large bundle is never held whole
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, sort_keys=True, indent=2)
@@ -251,7 +255,10 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
         return fail("compgen", exc)
     manifest.bundle = bundle
     bundle_path = os.path.join(run_dir, "bundle.json")
-    _write_json(bundle_path, _bundle_to_dict(bundle))
+    # compact: any indent selects the pure-Python encoder, several times
+    # slower than the C one on a large network
+    _write(bundle_path,
+           json.dumps(_bundle_to_dict(bundle), sort_keys=True) + "\n")
     manifest.artifacts["bundle"] = bundle_path
 
     # simulation

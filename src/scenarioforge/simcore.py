@@ -17,7 +17,7 @@ import bisect
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import netgen
@@ -446,17 +446,17 @@ def _advance_vehicle(world: World, veh: _Vehicle, accel: float,
                      lane_change: int, dt: float) -> None:
     graph = world.net.lane_graph
     me = veh.state
+    edge_id = me.edge_id
+    lane_index = me.lane_index
     if lane_change != 0:
-        li = me.lane_index + lane_change
-        if 0 <= li < graph.edges[me.edge_id].num_lanes:
-            me = replace(me, lane_index=li)
+        li = lane_index + lane_change
+        if 0 <= li < graph.edges[edge_id].num_lanes:
+            lane_index = li
             veh.lane_change_cooldown = 2.0
     accel = max(-8.0, min(accel, veh.params.max_accel))
     v_new = max(0.0, me.speed + accel * dt)
     s_new = me.s + v_new * dt
 
-    edge_id = me.edge_id
-    lane_index = me.lane_index
     path = graph.lanes[(edge_id, lane_index)]
     while s_new > path.length:
         nxt = _next_edge(graph, veh.route, edge_id)
@@ -471,15 +471,21 @@ def _advance_vehicle(world: World, veh: _Vehicle, accel: float,
         path = graph.lanes[(edge_id, lane_index)]
     x, y, heading = path.point_at(s_new)
     veh.lane_change_cooldown = max(0.0, veh.lane_change_cooldown - dt)
-    veh.state = replace(me, edge_id=edge_id, lane_index=lane_index, s=s_new,
-                        speed=v_new, x=x, y=y, heading=heading)
+    # the constructor, not dataclasses.replace, which costs about twice as
+    # much on every agent-step; __post_init__ still validates the state
+    veh.state = AgentState(me.id, me.kind, me.role, edge_id, lane_index,
+                           s_new, v_new, heading, x, y, me.length, me.width,
+                           me.color)
 
 
 def _advance_vru(veh: _Vehicle, dt: float) -> None:
     me = veh.state
     rad = math.radians(me.heading)
-    veh.state = replace(me, x=me.x + me.speed * math.cos(rad) * dt,
-                        y=me.y + me.speed * math.sin(rad) * dt)
+    veh.state = AgentState(me.id, me.kind, me.role, me.edge_id,
+                           me.lane_index, me.s, me.speed, me.heading,
+                           me.x + me.speed * math.cos(rad) * dt,
+                           me.y + me.speed * math.sin(rad) * dt,
+                           me.length, me.width, me.color)
 
 
 def step(world: World, dt: float) -> World:
@@ -610,14 +616,32 @@ def run(bundle: ScenarioBundle, duration: float, dt: float = DEFAULT_DT,
 
 
 def export_trace(trace: SimulationTrace) -> str:
-    """Line-delimited trace records: step, id, x, y, speed, heading, accel."""
+    """Line-delimited trace records: step, id, x, y, speed, heading, accel.
+
+    Each line is the JSON object json.dumps(record, sort_keys=True) writes,
+    formatted directly: repr is the float encoding json uses, and each id is
+    quoted once. A record holding a non-finite value goes through json.dumps,
+    which spells those NaN and Infinity.
+    """
     lines = []
+    quoted: dict = {}
     for k, states in enumerate(trace.steps):
         for a in states:
             accel = trace.accel_series.get(a.id, [])
-            acc = accel[k] if k < len(accel) else 0.0
-            lines.append(json.dumps({
-                "step": k, "id": a.id, "x": round(a.x, 4), "y": round(a.y, 4),
-                "speed": round(a.speed, 4), "heading": round(a.heading, 4),
-                "accel": round(acc, 4)}, sort_keys=True))
+            acc = round(accel[k] if k < len(accel) else 0.0, 4)
+            x, y = round(a.x, 4), round(a.y, 4)
+            speed, heading = round(a.speed, 4), round(a.heading, 4)
+            # NaN unless all five are finite (a sum that overflows only
+            # sends a finite record the slow way)
+            if 0 * (acc + x + y + speed + heading) == 0:
+                if a.id not in quoted:
+                    quoted[a.id] = json.dumps(a.id)
+                lines.append(
+                    f'{{"accel": {acc!r}, "heading": {heading!r}, '
+                    f'"id": {quoted[a.id]}, "speed": {speed!r}, '
+                    f'"step": {k}, "x": {x!r}, "y": {y!r}}}')
+            else:
+                lines.append(json.dumps({
+                    "step": k, "id": a.id, "x": x, "y": y, "speed": speed,
+                    "heading": heading, "accel": acc}, sort_keys=True))
     return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ These deliberately avoid the library's own helpers: lengths are recomputed
 from raw geometry and shortest paths use Floyd-Warshall over dense matrices,
 or networkx where a result must match the library bit for bit.
 """
+import json
 import math
 
 
@@ -336,3 +337,18 @@ def _lane_line(net, edge, lane_index, lane_width=3.2):
         norm = math.hypot(dx, dy) or 1.0
         out.append((x + dy / norm * off, y - dx / norm * off))
     return out
+
+
+def export_trace_json(trace):
+    """Trace records with one json.dumps(..., sort_keys=True) per record: the
+    encoding export_trace formats directly."""
+    lines = []
+    for k, states in enumerate(trace.steps):
+        for a in states:
+            accel = trace.accel_series.get(a.id, [])
+            acc = accel[k] if k < len(accel) else 0.0
+            lines.append(json.dumps({
+                "step": k, "id": a.id, "x": round(a.x, 4), "y": round(a.y, 4),
+                "speed": round(a.speed, 4), "heading": round(a.heading, 4),
+                "accel": round(acc, 4)}, sort_keys=True))
+    return "\n".join(lines) + "\n"

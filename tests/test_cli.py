@@ -79,6 +79,15 @@ def test_run_zero_min_gap_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_place_zero_min_gap_is_config_error(monkeypatch, capsys):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+    monkeypatch.setattr(cli, "interpret", no_stage)
+    code = run_cli("place", "--text", "a car", "--min-gap", "0")
+    assert code == 2
+    assert "min_gap" in capsys.readouterr().err
+
+
 def test_batch_fixtures(tmp_path, capsys):
     fixtures = tmp_path / "fixtures.txt"
     fixtures.write_text("a car cuts in on the highway\n"

@@ -335,13 +335,17 @@ STATS_COORD = st.one_of(st.sampled_from([0.0, 0.1, 2.7]),
 def stats_networks(draw):
     """Networks with isolated nodes, equally large components, parallel and
     zero-length edges, self-loops, lane shapes, and endpoints that only
-    lane-shaped edges name ("u0" to "u3")."""
+    lane-shaped edges name ("u0" to "u3"). In half of them every edge
+    points to a later id or loops, so most nodes of a component cannot
+    reach one another."""
     n_nodes = draw(st.integers(0, 9))
     nodes = tuple(netgen.Node(f"n{i}", draw(STATS_COORD), draw(STATS_COORD))
                   for i in range(n_nodes))
     ids = [n.id for n in nodes] + ["u0", "u1", "u2", "u3"]
     pairs = draw(st.lists(st.tuples(st.sampled_from(ids),
                                     st.sampled_from(ids)), max_size=14))
+    if draw(st.booleans()):
+        pairs = [tuple(sorted(pair, key=ids.index)) for pair in pairs]
     edges = []
     for k, (a, b) in enumerate(pairs):
         lanes = ()
@@ -369,6 +373,13 @@ def _shaped(eid, a, b, length):
     (netgen.Edge("e0", "c", "d"), netgen.Edge("e1", "a", "b"))))
 @example(net=netgen.RoadNetwork(
     (), (_shaped("e0", "u0", "u1", 5.0), _shaped("e1", "u2", "u3", 9.0))))
+# a sink: no node reaches "a" or "c", and "b" reaches nothing
+@example(net=netgen.RoadNetwork(
+    (), (_shaped("e0", "a", "b", 5.0), _shaped("e1", "c", "b", 9.0))))
+# the 10 m entry for "b" is stale when it is popped last
+@example(net=netgen.RoadNetwork(
+    (), (_shaped("e0", "a", "b", 10.0), _shaped("e1", "a", "c", 1.0),
+         _shaped("e2", "c", "b", 1.0))))
 @given(net=stats_networks())
 def test_stats_equal_networkx_reference(net):
     assert netgen.network_stats(net) == \

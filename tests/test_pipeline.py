@@ -18,12 +18,26 @@ def make_cfg(tmp_path, **kw):
     return pipeline.PipelineConfig(**base)
 
 
-def test_run_pipeline_happy_path(tmp_path):
+def count_calls(monkeypatch, owner, name) -> list:
+    """Patch owner.name to record each call; the list grows per call."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_run_pipeline_happy_path(tmp_path, monkeypatch):
+    serialized = count_calls(monkeypatch, netgen, "serialize_sumo_xml")
     cfg = make_cfg(tmp_path)
     m = pipeline.run_pipeline(
         ir.TextRequest("a car cuts in front of the ego vehicle"), cfg,
         run_id="t0")
     assert m.ok
+    # once for the mock provider's response, once for the written network
+    assert len(serialized) == 2
     assert all(m.stages[s] == "ok" for s in pipeline.STAGES)
     assert set(m.artifacts) == {"description", "network_nodes",
                                 "network_edges", "bundle", "trace", "report"}
@@ -78,6 +92,9 @@ def test_bundle_artifacts_round_trip_to_manifest_bundle(tmp_path, text):
     assert m.bundle is not None
     assert "bundle" not in m.to_dict()
     assert load_bundle(m) == m.bundle
+    with open(m.artifacts["bundle"], encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.index("\n") == len(text) - 1   # compact: one line
 
 
 def test_default_run_ids_do_not_collide(tmp_path):
@@ -128,13 +145,16 @@ def test_run_pipeline_blueprint_reuse_fault(tmp_path):
     assert m.failure == "BlueprintReuse"
 
 
-def test_run_pipeline_gps_with_fixture(tmp_path):
+def test_run_pipeline_gps_with_fixture(tmp_path, monkeypatch):
     fixture = tmp_path / "extract.osm"
     fixture.write_text(OSM_FIXTURE, encoding="utf-8")
     cfg = make_cfg(tmp_path, osm_fixture=str(fixture))
     bbox = ir.GpsBoundingBox(-0.001, -0.001, 0.003, 0.002)
+    serialized = count_calls(monkeypatch, netgen, "serialize_sumo_xml")
     m = pipeline.run_pipeline(bbox, cfg, run_id="gps")
     assert m.ok, m.stages
+    # ingest_osm validates the documents that are then written
+    assert len(serialized) == 1
     xml = (tmp_path / "out" / "runs" / "gps-0" / "network.edg.xml").read_text()
     assert "osm" in xml  # the network came from the extract, not a blueprint
 

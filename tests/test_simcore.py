@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 import scenarioforge
 from scenarioforge import compgen, ir, netgen, pipeline, simcore
 
-from oracles import (all_pairs_collisions, follower_scan, leader_gap_scan,
-                     quads_overlap_oracle)
+from oracles import (all_pairs_collisions, export_trace_json, follower_scan,
+                     leader_gap_scan, quads_overlap_oracle)
 
 
 def straight_net(length=2000.0, fwd=1, speed=13.89):
@@ -371,10 +371,57 @@ def test_route_planner_and_length():
 def test_export_trace_format():
     import json
     trace = simcore.run(platoon_bundle(n=2), duration=1.0, dt=0.1)
-    lines = simcore.export_trace(trace).strip().split("\n")
+    text = simcore.export_trace(trace)
+    assert text == export_trace_json(trace)
+    lines = text.strip().split("\n")
     assert len(lines) == 2 * 10
     rec = json.loads(lines[0])
     assert set(rec) == {"step", "id", "x", "y", "speed", "heading", "accel"}
+
+
+# signed zeros, subnormals, exponent forms, values on the 4-decimal rounding
+# boundary, ints and non-finite values
+TRACE_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-05, -4e-05, 1e16,
+                     -1e16, 1.5e300, 0.00005, -0.00005, 0.00015, 2.67675,
+                     1.00005, 123456.78905, math.nan, math.inf, -math.inf]),
+    st.integers(-10**6, 10**6),
+    st.floats(allow_nan=True, allow_infinity=True))
+# quotes, backslashes, control characters and non-ASCII in agent ids
+TRACE_ID = st.one_of(st.sampled_from(['a"b', "back\\slash", "tab\tnl\n",
+                                      "\x00\x1f\x7f", "\u00e9\u4e2d\U0001f697"]),
+                     st.text(max_size=6))
+
+
+@st.composite
+def export_traces(draw):
+    ids = draw(st.lists(TRACE_ID, min_size=1, max_size=4, unique=True))
+    n_steps = draw(st.integers(0, 4))
+    trace = simcore.SimulationTrace(dt=0.1)
+    for _ in range(n_steps):
+        states = []
+        for agent_id in draw(st.lists(st.sampled_from(ids), max_size=4)):
+            speed = draw(TRACE_FLOAT.filter(lambda v: not v < 0))
+            heading = draw(st.one_of(
+                st.sampled_from([180.0, -179.99995, 0.00005, -0.0]),
+                st.floats(-179.999, 180.0)))
+            states.append(compgen.AgentState(
+                id=agent_id, kind="Car", role="BV", edge_id="e", lane_index=0,
+                s=0.0, speed=speed, heading=heading, x=draw(TRACE_FLOAT),
+                y=draw(TRACE_FLOAT), length=4.5, width=1.8))
+        trace.steps.append(states)
+    # series shorter than the trace, or missing, give an accel of 0.0
+    for agent_id in ids:
+        if draw(st.booleans()):
+            trace.accel_series[agent_id] = draw(
+                st.lists(TRACE_FLOAT, max_size=n_steps))
+    return trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=export_traces())
+def test_export_trace_matches_json_reference(trace):
+    assert simcore.export_trace(trace) == export_trace_json(trace)
 
 
 # ---------------------------------------------------------------------------
