@@ -131,7 +131,9 @@ def cmd_netgen(args) -> int:
         with open(args.edges, encoding="utf-8") as fh:
             xml_edges = fh.read()
         net = netgen.parse_sumo_xml(xml_nodes, xml_edges)
-        print(json.dumps(dataclasses.asdict(netgen.network_stats(net)),
+        print(json.dumps({**dataclasses.asdict(netgen.network_stats(net)),
+                          "pairwise_junction_distance":
+                              netgen.junction_distance(net)},
                          indent=2, sort_keys=True))
         return 0
     if args.net_cmd == "osm":

@@ -143,7 +143,6 @@ class NetworkStats:
     total_lanes: int
     total_edges: int
     route_length: float
-    pairwise_junction_distance: float
 
 
 # ---------------------------------------------------------------------------
@@ -527,22 +526,50 @@ def parse_sumo_xml(xml_nodes: str, xml_edges: str) -> RoadNetwork:
 # ---------------------------------------------------------------------------
 # statistics
 
+def _dijkstra(graph: list, source: int) -> tuple[list[float], float]:
+    """Shortest distances from source over graph, a list of (node, length)
+    pairs per node, and the largest finite one. An entry whose distance was
+    lowered after it was pushed is stale and skipped. Pops come in distance
+    order, so the last current one is the farthest node reachable."""
+    dist = [math.inf] * len(graph)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        farthest = d
+        for to, length in graph[v]:
+            alt = d + length
+            if alt < dist[to]:
+                dist[to] = alt
+                heapq.heappush(heap, (alt, to))
+    return dist, farthest
+
+
 def network_stats(net: RoadNetwork) -> NetworkStats:
-    """Lane/edge totals, longest shortest-path route length, and the mean
-    pairwise Euclidean distance between junction nodes (degree >= 3).
+    """Lane/edge totals and the longest shortest-path route length.
 
     route_length is computed on the directed graph restricted to the largest
     weakly connected component, where parallel edges count with the shorter
     length. Of several largest components, the first in node order wins:
     net.nodes, then the endpoints only edges name, in edge order.
+
+    route_length is the largest eccentricity ecc(v), the distance from v to
+    the farthest node it reaches, found without a Dijkstra from every node.
+    Each node v keeps an upper bound ub[v] >= ecc(v), infinite at first. The
+    node with the largest bound runs a forward Dijkstra, giving ecc(u), and a
+    backward one, giving d(v, u). A node that u reaches and that reaches u is
+    in u's strongly connected component, so it reaches the same node set as
+    u, and ecc(v) <= d(v, u) + ecc(u) bounds it. The search stops once the
+    largest bound left, scaled by 1 + 1e-9, is below the best ecc found: the
+    factor covers float rounding in a bound, so the value returned is always
+    the farthest distance of a Dijkstra that ran from the arg-max source.
     """
     adj: dict[str, set] = {n.id: set() for n in net.nodes}
-    degree: dict[str, int] = {}
     for e in net.edges:
         adj.setdefault(e.from_node, set()).add(e.to_node)
         adj.setdefault(e.to_node, set()).add(e.from_node)
-        for nid in (e.from_node, e.to_node):
-            degree[nid] = degree.get(nid, 0) + 1
 
     comp: set = set()
     seen: set = set()
@@ -558,7 +585,7 @@ def network_stats(net: RoadNetwork) -> NetworkStats:
                 comp = found
 
     # the component's nodes in node order as 0..n-1, and per node the
-    # (successor, shortest edge length) pairs
+    # (successor, shortest edge length) pairs and the reversed pairs
     index = {v: i for i, v in enumerate(v for v in adj if v in comp)}
     shortest: list[dict[int, float]] = [{} for _ in index]
     edge_length = net.lane_graph.edge_length
@@ -569,33 +596,41 @@ def network_stats(net: RoadNetwork) -> NetworkStats:
             if to not in out or out[to] > length:
                 out[to] = length
     succ = [tuple(out.items()) for out in shortest]
-    route_length = 0.0
-    for source in range(len(succ)):
-        # Dijkstra; an entry whose distance was lowered after it was pushed
-        # is stale and skipped. Pops come in distance order, so the last
-        # current one is the farthest node reachable from source.
-        dist = [math.inf] * len(succ)
-        dist[source] = 0.0
-        heap = [(0.0, source)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if d > dist[v]:
-                continue
-            farthest = d
-            for to, length in succ[v]:
-                alt = d + length
-                if alt < dist[to]:
-                    dist[to] = alt
-                    heapq.heappush(heap, (alt, to))
-        route_length = max(route_length, farthest)
+    pred: list[list] = [[] for _ in index]
+    for v, out in enumerate(succ):
+        for to, length in out:
+            pred[to].append((v, length))
 
+    n = len(succ)
+    ub = [math.inf] * n
+    route_length = 0.0
+    while n:
+        # the largest bound, of equal ones the lowest index; -inf marks done
+        u = max(range(n), key=ub.__getitem__)
+        if ub[u] * (1 + 1e-9) < route_length:
+            break
+        fwd, ecc = _dijkstra(succ, u)
+        route_length = max(route_length, ecc)
+        bwd, _ = _dijkstra(pred, u)
+        for v in range(n):
+            if fwd[v] < math.inf and bwd[v] < math.inf:
+                ub[v] = min(ub[v], bwd[v] + ecc)
+        ub[u] = -math.inf
+    return NetworkStats(total_lanes=sum(e.num_lanes for e in net.edges),
+                        total_edges=len(net.edges), route_length=route_length)
+
+
+def junction_distance(net: RoadNetwork) -> float:
+    """Mean pairwise Euclidean distance between junction nodes (degree >= 3
+    over all edge endpoints), in node order; 0.0 with fewer than two."""
+    degree: dict[str, int] = {}
+    for e in net.edges:
+        for nid in (e.from_node, e.to_node):
+            degree[nid] = degree.get(nid, 0) + 1
     junctions = [(n.x, n.y) for n in net.nodes if degree.get(n.id, 0) >= 3]
     ds = [math.dist(a, b)
           for i, a in enumerate(junctions) for b in junctions[i + 1:]]
-    pjd = sum(ds) / len(ds) if ds else 0.0
-    return NetworkStats(total_lanes=sum(e.num_lanes for e in net.edges),
-                        total_edges=len(net.edges), route_length=route_length,
-                        pairwise_junction_distance=pjd)
+    return sum(ds) / len(ds) if ds else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +798,7 @@ def fetch_osm_extract(bbox: GpsBoundingBox, cache_dir: str) -> str:
     """Fetch an OSM XML extract over Overpass, with on-disk caching."""
     import hashlib
     import os
+    import tempfile
 
     import requests
 
@@ -781,8 +817,16 @@ def fetch_osm_extract(bbox: GpsBoundingBox, cache_dir: str) -> str:
         resp.raise_for_status()
     except Exception as exc:
         raise FetchFailed(str(exc))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(resp.text)
+    # a failed write must not leave a cache entry that later calls return
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=f".osm-{key}-",
+                               suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(resp.text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return resp.text
 
 

@@ -147,6 +147,41 @@ def test_netgen_compile_and_stats(tmp_path, capsys):
     assert stats["total_lanes"] >= 1
 
 
+STATS_NODES = """<nodes>
+    <node id="a" x="0.0" y="0.0" type="priority"/>
+    <node id="b" x="120.0" y="0.0" type="priority"/>
+    <node id="c" x="120.0" y="90.0" type="traffic_light"/>
+    <node id="d" x="5.5" y="90.5" type="priority"/>
+</nodes>"""
+
+STATS_EDGES = """<edges>
+    <edge id="ab" from="a" to="b" numLanes="2" speed="13.89" spreadType="right"/>
+    <edge id="ba" from="b" to="a" numLanes="1" speed="13.89" spreadType="right"/>
+    <edge id="bc" from="b" to="c" numLanes="1" speed="13.89" spreadType="right"/>
+    <edge id="cb" from="c" to="b" numLanes="1" speed="13.89" spreadType="right"/>
+    <edge id="cd" from="c" to="d" numLanes="1" speed="13.89" spreadType="right"/>
+    <edge id="dc" from="d" to="c" numLanes="1" speed="13.89" spreadType="right"/>
+    <edge id="da" from="d" to="a" numLanes="1" speed="13.89" spreadType="right">
+        <lane index="0" shape="5.5,90.5 -20.0,45.0 0.0,0.0"/>
+    </edge>
+</edges>"""
+
+
+def test_netgen_stats_output_bytes(tmp_path, capsys):
+    # four junctions, a one-way edge with a lane shape: every field non-zero
+    (tmp_path / "n.xml").write_text(STATS_NODES)
+    (tmp_path / "e.xml").write_text(STATS_EDGES)
+    assert run_cli("netgen", "stats", str(tmp_path / "n.xml"),
+                   str(tmp_path / "e.xml")) == 0
+    assert capsys.readouterr().out == """{
+  "pairwise_junction_distance": 118.51916214858947,
+  "route_length": 324.5010916978524,
+  "total_edges": 7,
+  "total_lanes": 8
+}
+"""
+
+
 def test_netgen_validate(tmp_path, capsys):
     good_n = tmp_path / "n.xml"
     good_e = tmp_path / "e.xml"

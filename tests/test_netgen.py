@@ -32,7 +32,7 @@ def test_straight_blueprint():
     assert stats.total_lanes == 2
     assert stats.total_edges == 1
     assert stats.route_length == pytest.approx(100.0)
-    assert stats.pairwise_junction_distance == 0.0
+    assert netgen.junction_distance(net) == 0.0
 
 
 def test_straight_two_way_has_edge_pair():
@@ -54,7 +54,7 @@ def test_cross_intersection_blueprint():
     # arm -> center -> opposite arm
     assert stats.route_length == pytest.approx(100.0)
     # the single junction contributes no pairwise distance
-    assert stats.pairwise_junction_distance == 0.0
+    assert netgen.junction_distance(net) == 0.0
 
 
 def test_tjunction_blueprint():
@@ -323,7 +323,7 @@ def test_stats_match_floyd_warshall_oracle():
         assert stats.total_lanes == lanes
         assert stats.total_edges == edges
         assert stats.route_length == pytest.approx(route, abs=1e-9)
-        assert stats.pairwise_junction_distance == pytest.approx(pjd, abs=1e-9)
+        assert netgen.junction_distance(net) == pytest.approx(pjd, abs=1e-9)
 
 
 # few distinct values make coincident nodes and zero-length edges likely
@@ -382,8 +382,9 @@ def _shaped(eid, a, b, length):
          _shaped("e2", "c", "b", 1.0))))
 @given(net=stats_networks())
 def test_stats_equal_networkx_reference(net):
-    assert netgen.network_stats(net) == \
-        netgen.NetworkStats(*network_stats_networkx(net))
+    stats = netgen.network_stats(net)
+    assert (stats.total_lanes, stats.total_edges, stats.route_length,
+            netgen.junction_distance(net)) == network_stats_networkx(net)
 
 
 def test_stats_use_largest_component():
@@ -413,8 +414,8 @@ def test_stats_relabel_invariance(rng):
     s1, s2 = netgen.network_stats(net), netgen.network_stats(relabeled)
     assert s1.route_length == pytest.approx(s2.route_length)
     assert s1.total_lanes == s2.total_lanes
-    assert s1.pairwise_junction_distance == \
-        pytest.approx(s2.pairwise_junction_distance)
+    assert netgen.junction_distance(net) == \
+        pytest.approx(netgen.junction_distance(relabeled))
 
 
 def test_parallel_edges_use_shorter():
@@ -424,6 +425,80 @@ def test_parallel_edges_use_shorter():
              netgen.Edge("detour", "a", "b", lanes=(lane,)))
     net = netgen.RoadNetwork(nodes, edges)
     assert netgen.network_stats(net).route_length == pytest.approx(100.0)
+
+
+# few distinct values make zero-length edges and float rounding likely
+GRID_SPACING = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 10.0]),
+                         st.floats(0.0, 200.0))
+
+
+@st.composite
+def grid_networks(draw):
+    """Street grids of 10 to 40 nodes, declared in a drawn order. Streets
+    are two-way but for about one in eight; only one-way streets cross the
+    drawn column cuts, so the blocks between cuts form separate strongly
+    connected components. One-way spurs lead into and out of dead ends,
+    spacings of 0 make zero-length edges, and some streets get a parallel
+    lane-shaped edge of a drawn length."""
+    rows = draw(st.integers(2, 5))
+    cols = draw(st.integers(-(-10 // rows), 40 // rows))
+    xs, ys = [0.0], [0.0]
+    for _ in range(cols - 1):
+        xs.append(xs[-1] + draw(GRID_SPACING))
+    for _ in range(rows - 1):
+        ys.append(ys[-1] + draw(GRID_SPACING))
+    cuts = draw(st.sets(st.integers(1, cols - 1), max_size=3)) \
+        if cols > 1 else set()
+    nodes = [netgen.Node(f"g{r}_{c}", xs[c], ys[r])
+             for r in range(rows) for c in range(cols)]
+    edges = []
+
+    def street(a, b, one_way):
+        if one_way and draw(st.booleans()):
+            a, b = b, a
+        pairs = [(a, b)] if one_way else [(a, b), (b, a)]
+        for u, v in pairs:
+            edges.append(netgen.Edge(f"e{len(edges)}", u, v))
+            if draw(st.integers(0, 5)) == 0:
+                edges.append(_shaped(f"e{len(edges)}", u, v,
+                                     draw(GRID_SPACING)))
+
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                street(f"g{r}_{c}", f"g{r}_{c + 1}",
+                       c + 1 in cuts or draw(st.integers(0, 7)) == 0)
+            if r + 1 < rows:
+                street(f"g{r}_{c}", f"g{r + 1}_{c}",
+                       draw(st.integers(0, 7)) == 0)
+    for k in range(draw(st.integers(0, 4))):
+        at = draw(st.sampled_from(nodes))
+        nodes.append(netgen.Node(f"s{k}", at.x + draw(GRID_SPACING), at.y))
+        street(at.id, f"s{k}", True)
+    return netgen.RoadNetwork(tuple(draw(st.permutations(nodes))),
+                              tuple(edges))
+
+
+def _two_way_path(order, lengths):
+    """A two-way path p0 - p1 - ... with the given edge lengths, its nodes
+    declared in the given order of path positions."""
+    edges = []
+    for i, length in enumerate(lengths):
+        edges += [_shaped(f"f{i}", f"p{i}", f"p{i + 1}", length),
+                  _shaped(f"b{i}", f"p{i + 1}", f"p{i}", length)]
+    return netgen.RoadNetwork(
+        tuple(netgen.Node(f"p{i}", 0, 0) for i in order), tuple(edges))
+
+
+# p3 runs first, with ecc 1.4, and bounds p5 by 0.4 + 1.4, which rounds to
+# 1.7999999999999998; p0 then finds its route to p5 of 1.8, while p5's own
+# route to p0 sums to 1.8000000000000003 in the other order
+@example(net=_two_way_path([3, 2, 1, 5, 0, 4], [0.6, 0.6, 0.2, 0.1, 0.3]))
+@settings(max_examples=200, deadline=None)
+@given(net=grid_networks())
+def test_stats_route_length_equals_all_sources(net):
+    assert netgen.network_stats(net).route_length == \
+        network_stats_networkx(net)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -535,3 +610,32 @@ def test_fetch_osm_extract_uses_cache(tmp_path):
     cached.write_text(OSM_FIXTURE, encoding="utf-8")
     # no network access happens on a cache hit
     assert netgen.fetch_osm_extract(BBOX, str(tmp_path)) == OSM_FIXTURE
+
+
+def test_fetch_osm_extract_failed_write_leaves_no_cache(tmp_path,
+                                                        monkeypatch):
+    import requests
+
+    class Response:
+        def __init__(self, text):
+            self.text = text
+
+        def raise_for_status(self):
+            pass
+
+    texts = ["\ud800", OSM_FIXTURE]   # a lone surrogate fails to encode
+    posts = []
+    monkeypatch.setattr(requests, "post",
+                        lambda *a, **kw: posts.append(a) or
+                        Response(texts[len(posts) - 1]))
+    with pytest.raises(UnicodeEncodeError):
+        netgen.fetch_osm_extract(BBOX, str(tmp_path))
+    # neither an osm-*.xml cache entry nor the temp file is left
+    assert list(tmp_path.iterdir()) == []
+    # the next call fetches again, and a complete write is cached
+    assert netgen.fetch_osm_extract(BBOX, str(tmp_path)) == OSM_FIXTURE
+    assert len(posts) == 2
+    cached, = tmp_path.iterdir()
+    assert cached.name.startswith("osm-") and cached.suffix == ".xml"
+    assert netgen.fetch_osm_extract(BBOX, str(tmp_path)) == OSM_FIXTURE
+    assert len(posts) == 2
