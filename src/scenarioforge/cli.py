@@ -13,18 +13,21 @@ from . import compgen, evalkit, ir, netgen, pipeline, simcore
 from .interpreter import MockProvider, default_knowledge_base, interpret
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _load_input(args) -> ir.MultimodalInput:
     if getattr(args, "bbox", None):
         lat0, lon0, lat1, lon1 = (float(v) for v in args.bbox.split(","))
         return ir.GpsBoundingBox(lat0, lon0, lat1, lon1)
     if getattr(args, "crash_report", None):
-        with open(args.crash_report, encoding="utf-8") as fh:
-            return ir.CrashReport(fh.read())
+        return ir.CrashReport(_read(args.crash_report))
     if getattr(args, "text", None):
         return ir.TextRequest(args.text)
     if getattr(args, "text_file", None):
-        with open(args.text_file, encoding="utf-8") as fh:
-            return ir.TextRequest(fh.read().strip())
+        return ir.TextRequest(_read(args.text_file).strip())
     raise pipeline.ConfigError("no input given (--text/--text-file/"
                                "--crash-report/--bbox)")
 
@@ -98,8 +101,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with open(args.aggregate, encoding="utf-8") as fh:
-        aggregate = json.load(fh)
+    aggregate = json.loads(_read(args.aggregate))
     print(aggregate.get("diversity_table", ""))
     print(json.dumps(aggregate.get("conformity", {}), indent=2,
                      sort_keys=True))
@@ -116,21 +118,14 @@ def cmd_netgen(args) -> int:
         print(f"wrote {nod_path} / {edg_path}")
         return 0
     if args.net_cmd == "validate":
-        with open(args.nodes, encoding="utf-8") as fh:
-            xml_nodes = fh.read()
-        with open(args.edges, encoding="utf-8") as fh:
-            xml_edges = fh.read()
-        errors = netgen.validate_network(xml_nodes, xml_edges)
+        errors = netgen.validate_network(_read(args.nodes),
+                                          _read(args.edges))
         for err in errors:
             print(err)
         print(f"{len(errors)} error(s)")
         return 0 if not errors else 1
     if args.net_cmd == "stats":
-        with open(args.nodes, encoding="utf-8") as fh:
-            xml_nodes = fh.read()
-        with open(args.edges, encoding="utf-8") as fh:
-            xml_edges = fh.read()
-        net = netgen.parse_sumo_xml(xml_nodes, xml_edges)
+        net = netgen.parse_sumo_xml(_read(args.nodes), _read(args.edges))
         print(json.dumps({**dataclasses.asdict(netgen.network_stats(net)),
                           "pairwise_junction_distance":
                               netgen.junction_distance(net)},
@@ -140,8 +135,7 @@ def cmd_netgen(args) -> int:
         lat0, lon0, lat1, lon1 = (float(v) for v in args.bbox.split(","))
         bbox = ir.GpsBoundingBox(lat0, lon0, lat1, lon1)
         if args.extract:
-            with open(args.extract, encoding="utf-8") as fh:
-                source = fh.read()
+            source = _read(args.extract)
         else:
             source = netgen.fetch_osm_extract(bbox, args.cache_dir)
         net = netgen.ingest_osm(bbox, source)

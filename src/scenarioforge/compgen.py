@@ -102,9 +102,9 @@ def _min_pair_dist(states) -> float:
     return best
 
 
-def _conflict_pair(desc: ScenarioDescription) -> Optional[tuple[int, int]]:
-    av = next((i for i, a in enumerate(desc.agents) if a.role == "AV"), None)
-    for i, a in enumerate(desc.agents):
+def _conflict_pair(agents) -> Optional[tuple[int, int]]:
+    av = next((i for i, a in enumerate(agents) if a.role == "AV"), None)
+    for i, a in enumerate(agents):
         if i == av:
             continue
         intent = (a.intent or "").lower()
@@ -152,11 +152,7 @@ def generate_agents(desc: ScenarioDescription, net: netgen.RoadNetwork,
 
     rng = random.Random(constraints.seed)
     gap = constraints.min_gap
-    conflict = _conflict_pair(
-        ScenarioDescription(road=desc.road, objects=desc.objects,
-                            agents=tuple(agents), weather=desc.weather,
-                            narrative=desc.narrative,
-                            scene_type=desc.scene_type))
+    conflict = _conflict_pair(agents)
 
     for _ in range(300):
         states: list[AgentState] = []

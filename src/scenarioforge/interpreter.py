@@ -20,7 +20,7 @@ from .ir import (CrashReport, DescriptionError, GpsBoundingBox,
                  ScenarioDescription, TextRequest, VideoDescriptor,
                  parse_description, serialize_description)
 
-SHORT_REQUEST_THRESHOLD = 120  # chars; below this, requests are expanded
+SHORT_REQUEST_THRESHOLD = 120  # chars; shorter text is expanded
 DEFAULT_MAX_RETRIES = 3
 
 
@@ -166,16 +166,16 @@ class HttpProvider:
             raise ProviderUnavailable("no provider endpoint configured")
 
     def complete(self, prompt: str) -> str:
-        import requests
-        headers = {}
+        import urllib.request
+        headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        body = json.dumps({"model": self.model, "prompt": prompt}).encode()
         try:
-            resp = requests.post(self.endpoint,
-                                 json={"model": self.model, "prompt": prompt},
-                                 headers=headers, timeout=self.timeout)
-            resp.raise_for_status()
-            return resp.json()["text"]
+            req = urllib.request.Request(self.endpoint, data=body,
+                                         headers=headers, method="POST")
+            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+                return json.loads(resp.read())["text"]
         except Exception as exc:
             raise ProviderUnavailable(str(exc))
 
@@ -523,30 +523,65 @@ def _run_task(task: str, payload: str, kb: PromptKnowledgeBase, provider,
     raise UnparseableAfterRetries(last_error)
 
 
+def _require_agents(desc: ScenarioDescription):
+    if not desc.agents:
+        raise ir.MissingSection("agents")
+
+
 def interpret_response(source: MultimodalInput, kb: PromptKnowledgeBase,
                        provider, seed: int = 0,
                        max_retries: int = DEFAULT_MAX_RETRIES
                        ) -> ProviderResponse:
-    """Like interpret() but returns the full ProviderResponse."""
+    """Like interpret() but returns the full ProviderResponse.
+
+    Text shorter than SHORT_REQUEST_THRESHOLD and GPS boxes are expanded into
+    a full description, which must name agents; longer text is interpreted
+    as is; crash reports are restructured into the four sections. An image
+    needs a caption, and its description must hold one agent per detected
+    road user. A video needs >= 2 depth samples, from which the road length
+    is reconstructed (integrate_forward_distance).
+    """
+    postcheck = None
     if isinstance(source, TextRequest):
-        if len(source.text) < SHORT_REQUEST_THRESHOLD:
-            return _expand_response(source.text, kb, provider, seed,
-                                    max_retries)
-        return _run_task("interpret_text", source.text, kb, provider, seed,
-                         max_retries)
-    if isinstance(source, CrashReport):
-        return _restructure_response(source.text, kb, provider, seed,
-                                     max_retries)
-    if isinstance(source, ImageDescriptor):
-        return _image_response(source, kb, provider, seed, max_retries)
-    if isinstance(source, VideoDescriptor):
-        return _video_response(source, kb, provider, seed, max_retries)
-    if isinstance(source, GpsBoundingBox):
-        text = (f"real-world road scenario within GPS box "
-                f"({source.min_lat:.4f},{source.min_lon:.4f})-"
-                f"({source.max_lat:.4f},{source.max_lon:.4f})")
-        return _expand_response(text, kb, provider, seed, max_retries)
-    raise TypeError(f"unsupported input: {type(source).__name__}")
+        payload = source.text
+        if len(payload) < SHORT_REQUEST_THRESHOLD:
+            task, postcheck = "expand_request", _require_agents
+        else:
+            task = "interpret_text"
+    elif isinstance(source, GpsBoundingBox):
+        task, postcheck = "expand_request", _require_agents
+        payload = (f"real-world road scenario within GPS box "
+                   f"({source.min_lat:.4f},{source.min_lon:.4f})-"
+                   f"({source.max_lat:.4f},{source.max_lon:.4f})")
+    elif isinstance(source, CrashReport):
+        task, payload = "restructure_report", source.text
+    elif isinstance(source, ImageDescriptor):
+        if not source.captions:
+            raise ValueError("image descriptor needs >= 1 caption")
+        task = "interpret_image"
+        payload = json.dumps({"captions": list(source.captions),
+                              "elements": [list(e) for e in source.elements]},
+                             sort_keys=True)
+        expected_agents = sum(n for k, n in source.elements
+                              if _singular(k) in
+                              ("car", "truck", "bus", "motorcycle", "cyclist",
+                               "pedestrian"))
+
+        def postcheck(parsed: ScenarioDescription):
+            if len(parsed.agents) != expected_agents:
+                raise ir.RangeViolation("agents.count", len(parsed.agents))
+    elif isinstance(source, VideoDescriptor):
+        if len(source.depth_samples) < 2:
+            raise InsufficientFrames(
+                f"need >= 2 frames with depth, got {len(source.depth_samples)}")
+        task = "interpret_video"
+        payload = json.dumps({"captions": list(source.frame_captions),
+                              "depths": list(source.depth_samples)},
+                             sort_keys=True)
+    else:
+        raise TypeError(f"unsupported input: {type(source).__name__}")
+    return _run_task(task, payload, kb, provider, seed, max_retries,
+                     postcheck)
 
 
 def interpret(source: MultimodalInput, kb: PromptKnowledgeBase, provider,
@@ -554,84 +589,3 @@ def interpret(source: MultimodalInput, kb: PromptKnowledgeBase, provider,
               max_retries: int = DEFAULT_MAX_RETRIES) -> ScenarioDescription:
     """Map any multimodal input to a valid ScenarioDescription."""
     return interpret_response(source, kb, provider, seed, max_retries).parsed
-
-
-def _expand_response(text, kb, provider, seed, max_retries):
-    def check(desc: ScenarioDescription):
-        if not desc.road.segments:
-            raise ir.MissingSection("road.segments")
-        if not desc.agents:
-            raise ir.MissingSection("agents")
-    return _run_task("expand_request", text, kb, provider, seed, max_retries,
-                     postcheck=check)
-
-
-def expand_short_request(text: str, kb: PromptKnowledgeBase, provider,
-                         seed: int = 0,
-                         max_retries: int = DEFAULT_MAX_RETRIES
-                         ) -> ScenarioDescription:
-    """Grow a terse testing request into a full four-section description."""
-    if len(text) >= SHORT_REQUEST_THRESHOLD:
-        raise ValueError("request too long; use restructure_report")
-    return _expand_response(text, kb, provider, seed, max_retries).parsed
-
-
-def _restructure_response(text, kb, provider, seed, max_retries):
-    return _run_task("restructure_report", text, kb, provider, seed,
-                     max_retries)
-
-
-def restructure_report(text: str, kb: PromptKnowledgeBase, provider,
-                       seed: int = 0,
-                       max_retries: int = DEFAULT_MAX_RETRIES
-                       ) -> ScenarioDescription:
-    """Restructure long narrative text (crash reports) into the four sections."""
-    return _restructure_response(text, kb, provider, seed, max_retries).parsed
-
-
-def _image_response(desc: ImageDescriptor, kb, provider, seed, max_retries):
-    if not desc.captions:
-        raise ValueError("image descriptor needs >= 1 caption")
-    payload = json.dumps({"captions": list(desc.captions),
-                          "elements": [list(e) for e in desc.elements]},
-                         sort_keys=True)
-    expected_agents = sum(n for k, n in desc.elements
-                          if _singular(k) in
-                          ("car", "truck", "bus", "motorcycle", "cyclist",
-                           "pedestrian"))
-
-    def check(parsed: ScenarioDescription):
-        if len(parsed.agents) != expected_agents:
-            raise ir.RangeViolation("agents.count", len(parsed.agents))
-    return _run_task("interpret_image", payload, kb, provider, seed,
-                     max_retries, postcheck=check)
-
-
-def interpret_image_descriptor(desc: ImageDescriptor, kb: PromptKnowledgeBase,
-                               provider, seed: int = 0,
-                               max_retries: int = DEFAULT_MAX_RETRIES
-                               ) -> ScenarioDescription:
-    """Scene description from pre-extracted image captions and detections."""
-    return _image_response(desc, kb, provider, seed, max_retries).parsed
-
-
-def _video_response(desc: VideoDescriptor, kb, provider, seed, max_retries):
-    if len(desc.depth_samples) < 2:
-        raise InsufficientFrames(
-            f"need >= 2 frames with depth, got {len(desc.depth_samples)}")
-    payload = json.dumps({"captions": list(desc.frame_captions),
-                          "depths": list(desc.depth_samples)}, sort_keys=True)
-    return _run_task("interpret_video", payload, kb, provider, seed,
-                     max_retries)
-
-
-def interpret_video_descriptor(desc: VideoDescriptor, kb: PromptKnowledgeBase,
-                               provider, seed: int = 0,
-                               max_retries: int = DEFAULT_MAX_RETRIES
-                               ) -> ScenarioDescription:
-    """Scene description from ordered frame captions plus depth samples.
-
-    Road length is reconstructed by accumulating forward distance between
-    consecutive frames.
-    """
-    return _video_response(desc, kb, provider, seed, max_retries).parsed

@@ -799,8 +799,8 @@ def fetch_osm_extract(bbox: GpsBoundingBox, cache_dir: str) -> str:
     import hashlib
     import os
     import tempfile
-
-    import requests
+    import urllib.parse
+    import urllib.request
 
     key = hashlib.sha256(
         f"{bbox.min_lat},{bbox.min_lon},{bbox.max_lat},{bbox.max_lon}"
@@ -812,9 +812,12 @@ def fetch_osm_extract(bbox: GpsBoundingBox, cache_dir: str) -> str:
             return fh.read()
     query = (f"[out:xml];(way[highway]({bbox.min_lat},{bbox.min_lon},"
              f"{bbox.max_lat},{bbox.max_lon}););(._;>;);out body;")
+    body = urllib.parse.urlencode({"data": query}).encode()
     try:
-        resp = requests.post(OVERPASS_URL, data={"data": query}, timeout=60)
-        resp.raise_for_status()
+        with urllib.request.urlopen(OVERPASS_URL, data=body,
+                                    timeout=60) as resp:
+            text = resp.read().decode(
+                resp.headers.get_content_charset() or "utf-8")
     except Exception as exc:
         raise FetchFailed(str(exc))
     # a failed write must not leave a cache entry that later calls return
@@ -822,12 +825,12 @@ def fetch_osm_extract(bbox: GpsBoundingBox, cache_dir: str) -> str:
                                suffix=".tmp")
     try:
         with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(resp.text)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    return resp.text
+    return text
 
 
 def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:

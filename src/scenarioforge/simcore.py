@@ -141,19 +141,16 @@ def obb_overlap(corners_a, corners_b) -> float:
 BROAD_PHASE_MARGIN = 1e-3   # m
 
 
-def detect_collisions(states, dimensions=None, step: int = 0
-                      ) -> list[CollisionEvent]:
+def detect_collisions(states, step: int = 0) -> list[CollisionEvent]:
     """Pairwise OBB overlap events among the given agent states, in (i, j)
     order.
 
-    dimensions optionally overrides (length, width) per agent id. A
-    sort-and-sweep over the boxes' x-extents, then a y-extent check, picks
+    A sort-and-sweep over the boxes' x-extents, then a y-extent check, picks
     the pairs that get the exact separating axis test.
     """
     boxes, extents = [], []
     for a in states:
-        length, width = (dimensions or {}).get(a.id, (a.length, a.width))
-        box = obb_corners(a.x, a.y, a.heading, length, width)
+        box = obb_corners(a.x, a.y, a.heading, a.length, a.width)
         xs = [p[0] for p in box]
         ys = [p[1] for p in box]
         boxes.append(box)
@@ -199,10 +196,6 @@ class World:
     obstacles: list           # (edge_id, lane_index, s, PlacedObject)
     time: float = 0.0
     step_index: int = 0
-
-    @property
-    def states(self):
-        return [v.state for v in self.vehicles.values()]
 
 
 class _LaneIndex:
@@ -531,16 +524,11 @@ def step(world: World, dt: float) -> World:
     return world
 
 
-def _default_params(kind: str, edge_speed: float,
-                    desired_speed: Optional[float] = None) -> BehaviorParams:
-    v0 = desired_speed if desired_speed and desired_speed > 0 else edge_speed
-    if kind == "Truck":
-        return BehaviorParams(desired_speed=v0 * 0.9, max_accel=1.0,
+def _default_params(kind: str, edge_speed: float) -> BehaviorParams:
+    if kind in ("Truck", "Bus"):
+        return BehaviorParams(desired_speed=edge_speed * 0.9, max_accel=1.0,
                               comfortable_decel=1.5, time_headway=1.8)
-    if kind == "Bus":
-        return BehaviorParams(desired_speed=v0 * 0.9, max_accel=1.0,
-                              comfortable_decel=1.5, time_headway=1.8)
-    return BehaviorParams(desired_speed=max(v0, 0.5))
+    return BehaviorParams(desired_speed=max(edge_speed, 0.5))
 
 
 def build_world(bundle: ScenarioBundle,

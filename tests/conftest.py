@@ -1,5 +1,9 @@
+import http.server
 import math
+import os
 import random
+import threading
+import time
 
 import pytest
 
@@ -102,3 +106,44 @@ def rng():
 def polyline_len(points):
     return sum(math.dist(points[i], points[i + 1])
                for i in range(len(points) - 1))
+
+
+class _ReplyHandler(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):
+        server = self.server
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        server.posts.append((self.headers, body))
+        status, reply, content_type, delay = server.replies.pop(0)
+        time.sleep(delay)
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def http_server(monkeypatch):
+    """An HTTP server on 127.0.0.1, reached without any proxy.
+
+    Each POST is recorded in ``posts`` as (headers, body) and answered with
+    the next ``replies`` entry: (status, body bytes, content type, delay s).
+    """
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    server = http.server.HTTPServer(("127.0.0.1", 0), _ReplyHandler)
+    server.posts, server.replies = [], []
+    server.url = f"http://127.0.0.1:{server.server_port}/"
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()

@@ -238,13 +238,11 @@ def successors_scan(net, edge_id):
 # The collision reference checks only the broad phase in front of the exact
 # pair test, so it calls the package's exact test, which has its own oracle.
 
-def all_pairs_collisions(states, dimensions=None, step=0):
+def all_pairs_collisions(states, step=0):
     """(step, id_a, id_b, penetration) from the exact test on every pair."""
     from scenarioforge import simcore
-    boxes = []
-    for a in states:
-        length, width = (dimensions or {}).get(a.id, (a.length, a.width))
-        boxes.append(simcore.obb_corners(a.x, a.y, a.heading, length, width))
+    boxes = [simcore.obb_corners(a.x, a.y, a.heading, a.length, a.width)
+             for a in states]
     out = []
     for i in range(len(states)):
         for j in range(i + 1, len(states)):

@@ -1,15 +1,12 @@
+import json
 import random
 
 import pytest
 
 from scenarioforge import interpreter, ir
 from scenarioforge.interpreter import (MockProvider, default_knowledge_base,
-                                       expand_short_request,
                                        integrate_forward_distance, interpret,
-                                       interpret_image_descriptor,
-                                       interpret_response,
-                                       interpret_video_descriptor,
-                                       restructure_report, strip_knowledge)
+                                       interpret_response, strip_knowledge)
 
 
 @pytest.fixture
@@ -23,11 +20,11 @@ def provider():
 
 
 # ---------------------------------------------------------------------------
-# text requests
+# text input
 
 def test_expand_cut_in_request(kb, provider):
-    desc = expand_short_request("a car cuts in front of the ego vehicle",
-                                kb, provider)
+    desc = interpret(ir.TextRequest("a car cuts in front of the ego vehicle"),
+                     kb, provider)
     assert desc.scene_type == "General"
     assert desc.road.layout == "Straight"
     cars = [a for a in desc.agents if a.kind == "Car"]
@@ -37,8 +34,9 @@ def test_expand_cut_in_request(kb, provider):
 
 
 def test_expand_construction_request(kb, provider):
-    desc = expand_short_request("two cars pass a construction zone at night",
-                                kb, provider)
+    desc = interpret(
+        ir.TextRequest("two cars pass a construction zone at night"),
+        kb, provider)
     assert desc.scene_type == "ConstructionZone"
     assert any(o.kind == "Cone" for o in desc.objects)
     assert any(o.kind == "WarningSign" for o in desc.objects)
@@ -47,16 +45,10 @@ def test_expand_construction_request(kb, provider):
 
 
 def test_expand_intersection_request(kb, provider):
-    desc = expand_short_request("left turn across an intersection", kb,
-                                provider)
+    desc = interpret(ir.TextRequest("left turn across an intersection"),
+                     kb, provider)
     assert desc.scene_type == "Intersection"
     assert desc.road.layout == "CrossIntersection"
-
-
-def test_expand_rejects_long_text(kb, provider):
-    with pytest.raises(ValueError):
-        expand_short_request("x" * interpreter.SHORT_REQUEST_THRESHOLD,
-                             kb, provider)
 
 
 def test_interpret_dispatches_long_text(kb, provider):
@@ -84,7 +76,7 @@ def test_crash_report_restructuring(kb, provider):
     report = ("The driver stated that while proceeding through the "
               "crossing, a cyclist entered from the right and the vehicle "
               "swerved, striking a barrier on the far corner of the road.")
-    desc = restructure_report(report, kb, provider)
+    desc = interpret(ir.CrashReport(report), kb, provider)
     assert desc.scene_type == "Intersection"
     assert any(a.kind == "Cyclist" and a.role == "VRU" for a in desc.agents)
     assert any(o.kind == "Barrier" for o in desc.objects)
@@ -129,7 +121,7 @@ def test_image_elements_preserved_exactly(kb, provider):
     img = ir.ImageDescriptor(
         captions=("vehicles queue near roadwork",),
         elements=(("car", 3), ("cone", 5)))
-    desc = interpret_image_descriptor(img, kb, provider)
+    desc = interpret(img, kb, provider)
     assert len([a for a in desc.agents if a.kind == "Car"]) == 3
     cones = [o for o in desc.objects if o.kind == "Cone"]
     assert len(cones) == 1 and cones[0].count == 5
@@ -140,16 +132,15 @@ def test_image_plural_and_bus_detections(kb, provider):
     img = ir.ImageDescriptor(
         captions=("a bus stops at the crossing",),
         elements=(("buses", 1), ("pedestrians", 2)))
-    desc = interpret_image_descriptor(img, kb, provider)
+    desc = interpret(img, kb, provider)
     assert len([a for a in desc.agents if a.kind == "Bus"]) == 1
     assert len([a for a in desc.agents if a.kind == "Pedestrian"]) == 2
 
 
 def test_image_needs_a_caption(kb, provider):
     with pytest.raises(ValueError):
-        interpret_image_descriptor(
-            ir.ImageDescriptor(captions=(), elements=(("car", 1),)),
-            kb, provider)
+        interpret(ir.ImageDescriptor(captions=(), elements=(("car", 1),)),
+                  kb, provider)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +182,7 @@ def test_video_segment_length_from_depths(kb, provider):
     vid = ir.VideoDescriptor(
         frame_captions=("approaching a stopped car", "closing in", "stopped"),
         depth_samples=(50.0, 45.0, 40.0))
-    desc = interpret_video_descriptor(vid, kb, provider)
+    desc = interpret(vid, kb, provider)
     assert len(desc.road.segments) == 1
     assert desc.road.segments[0].length == pytest.approx(10.0)
 
@@ -204,14 +195,14 @@ def test_video_eleven_frame_fixture(kb, provider):
                    for i in range(len(depths) - 1))
     assert expected == pytest.approx(54.5)
     vid = ir.VideoDescriptor(frame_captions=("f",) * 11, depth_samples=depths)
-    desc = interpret_video_descriptor(vid, kb, provider)
+    desc = interpret(vid, kb, provider)
     assert desc.road.segments[0].length == pytest.approx(54.5)
 
 
 def test_video_needs_two_depth_samples(kb, provider):
     vid = ir.VideoDescriptor(frame_captions=("a", "b"), depth_samples=(30.0,))
     with pytest.raises(interpreter.InsufficientFrames):
-        interpret_video_descriptor(vid, kb, provider)
+        interpret(vid, kb, provider)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +224,31 @@ def test_http_provider_requires_endpoint(monkeypatch):
     monkeypatch.delenv("SCENARIOFORGE_ENDPOINT", raising=False)
     with pytest.raises(interpreter.ProviderUnavailable):
         interpreter.HttpProvider()
+
+
+def test_http_provider_posts_prompt(http_server):
+    http_server.replies.append(
+        (200, b'{"text": "a scene"}', "application/json", 0.0))
+    provider = interpreter.HttpProvider(http_server.url, model="m1",
+                                        api_key="k3y")
+    assert provider.complete("describe the road") == "a scene"
+    (headers, body), = http_server.posts
+    assert headers["Authorization"] == "Bearer k3y"
+    assert json.loads(body) == {"model": "m1", "prompt": "describe the road"}
+
+
+@pytest.mark.parametrize("status, body, delay", [
+    (500, b'{"text": "a scene"}', 0.0),
+    (200, b"<html>not json</html>", 0.0),
+    (200, b'{"text": "a scene"}', 1.0),     # answers after the timeout
+], ids=["http_500", "non_json", "timeout"])
+def test_http_provider_failures_are_unavailable(http_server, status, body,
+                                                delay):
+    http_server.replies.append((status, body, "application/json", delay))
+    provider = interpreter.HttpProvider(http_server.url, timeout=0.2)
+    with pytest.raises(interpreter.ProviderUnavailable):
+        provider.complete("describe the road")
+    assert len(http_server.posts) == 1
 
 
 def test_logging_provider_writes_pairs(tmp_path, kb):

@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import urllib.parse
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -601,6 +603,19 @@ def test_ingest_osm_rejects_garbage():
         netgen.ingest_osm(BBOX, "not xml at all <<")
 
 
+@pytest.mark.parametrize("old, new, errors", [
+    ('<way id="11">', '<way id="11#x">',
+     [("MalformedKeyword", "edge", "w11#xs0")]),
+    ('<way id="11">', '<way id="10">', [("DuplicateId", "edge", "w10s0")]),
+    ('<tag k="maxspeed" v="50"/>', '<tag k="maxspeed" v="0"/>',
+     [("InvalidEnum", "edge", "speed=0.0")] * 4),
+], ids=["hash_in_way_id", "repeated_way_id", "zero_maxspeed"])
+def test_ingest_osm_rejects_invalid_ways(old, new, errors):
+    with pytest.raises(netgen.NetworkValidationError) as exc:
+        netgen.ingest_osm(BBOX, OSM_FIXTURE.replace(old, new))
+    assert exc.value.errors == [netgen.ValidationError(*e) for e in errors]
+
+
 def test_fetch_osm_extract_uses_cache(tmp_path):
     import hashlib
     key = hashlib.sha256(
@@ -612,30 +627,51 @@ def test_fetch_osm_extract_uses_cache(tmp_path):
     assert netgen.fetch_osm_extract(BBOX, str(tmp_path)) == OSM_FIXTURE
 
 
-def test_fetch_osm_extract_failed_write_leaves_no_cache(tmp_path,
+def test_fetch_osm_extract_posts_query_and_caches(tmp_path, http_server,
+                                                  monkeypatch):
+    monkeypatch.setattr(netgen, "OVERPASS_URL", http_server.url)
+    extract = OSM_FIXTURE.replace("</osm>", "<!-- Stra\u00dfe --></osm>")
+    http_server.replies.append((200, extract.encode("iso-8859-1"),
+                                "application/xml; charset=iso-8859-1", 0.0))
+    assert netgen.fetch_osm_extract(BBOX, str(tmp_path)) == extract
+    (_, body), = http_server.posts
+    assert urllib.parse.parse_qs(body.decode()) == {"data": [
+        "[out:xml];(way[highway](-0.001,-0.001,0.003,0.002););"
+        "(._;>;);out body;"]}
+    # the cache answers the next call
+    assert netgen.fetch_osm_extract(BBOX, str(tmp_path)) == extract
+    assert len(http_server.posts) == 1
+
+
+def test_fetch_osm_extract_http_error_is_fetch_failed(tmp_path, http_server,
+                                                      monkeypatch):
+    monkeypatch.setattr(netgen, "OVERPASS_URL", http_server.url)
+    http_server.replies.append((500, b"overloaded", "text/plain", 0.0))
+    with pytest.raises(netgen.FetchFailed):
+        netgen.fetch_osm_extract(BBOX, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fetch_osm_extract_failed_write_leaves_no_cache(tmp_path, http_server,
                                                         monkeypatch):
-    import requests
+    monkeypatch.setattr(netgen, "OVERPASS_URL", http_server.url)
+    http_server.replies += [(200, OSM_FIXTURE.encode(), "application/xml",
+                             0.0)] * 2
+    failures, real_replace = [OSError("disk full")], os.replace
 
-    class Response:
-        def __init__(self, text):
-            self.text = text
-
-        def raise_for_status(self):
-            pass
-
-    texts = ["\ud800", OSM_FIXTURE]   # a lone surrogate fails to encode
-    posts = []
-    monkeypatch.setattr(requests, "post",
-                        lambda *a, **kw: posts.append(a) or
-                        Response(texts[len(posts) - 1]))
-    with pytest.raises(UnicodeEncodeError):
+    def replace_failing_once(src, dst):
+        if failures:
+            raise failures.pop()
+        real_replace(src, dst)
+    monkeypatch.setattr(os, "replace", replace_failing_once)
+    with pytest.raises(OSError, match="disk full"):
         netgen.fetch_osm_extract(BBOX, str(tmp_path))
     # neither an osm-*.xml cache entry nor the temp file is left
     assert list(tmp_path.iterdir()) == []
     # the next call fetches again, and a complete write is cached
     assert netgen.fetch_osm_extract(BBOX, str(tmp_path)) == OSM_FIXTURE
-    assert len(posts) == 2
+    assert len(http_server.posts) == 2
     cached, = tmp_path.iterdir()
     assert cached.name.startswith("osm-") and cached.suffix == ".xml"
     assert netgen.fetch_osm_extract(BBOX, str(tmp_path)) == OSM_FIXTURE
-    assert len(posts) == 2
+    assert len(http_server.posts) == 2

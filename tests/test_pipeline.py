@@ -286,21 +286,34 @@ def test_run_comparison_small(tmp_path):
 
 RUNTIME_IMPORTS_SCRIPT = """
 import sys
+at_startup = set(sys.modules)   # whatever site and .pth files load
 from scenarioforge import ir, pipeline
-cfg = pipeline.PipelineConfig(output_dir=sys.argv[1], duration=5.0)
+out, fixture = sys.argv[1:]
+cfg = pipeline.PipelineConfig(output_dir=out, duration=5.0)
 m = pipeline.run_pipeline(ir.TextRequest("two cars near a junction"), cfg)
 assert m.failure is None, m.failure
-print(" ".join(sorted({"networkx", "numpy"} & set(sys.modules))))
+cfg = pipeline.PipelineConfig(output_dir=out, duration=5.0,
+                              osm_fixture=fixture)
+bbox = ir.GpsBoundingBox(-0.001, -0.001, 0.003, 0.002)
+m = pipeline.run_pipeline(bbox, cfg, run_id="osm")
+assert m.failure is None, m.failure
+loaded = {name.split(".")[0] for name in set(sys.modules) - at_startup}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names)
+                      - {"scenarioforge"})))
 """
 
 
 def test_mock_run_imports_no_test_only_dependency(tmp_path):
-    # networkx and numpy are test references only; a run must not load them
+    # the runtime is the standard library alone: a mock run and an OSM
+    # fixture run load no other top-level module
+    fixture = tmp_path / "extract.osm"
+    fixture.write_text(OSM_FIXTURE, encoding="utf-8")
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
                            if p)
     proc = subprocess.run(
-        [sys.executable, "-c", RUNTIME_IMPORTS_SCRIPT, str(tmp_path)],
+        [sys.executable, "-c", RUNTIME_IMPORTS_SCRIPT, str(tmp_path / "out"),
+         str(fixture)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

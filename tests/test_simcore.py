@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -175,11 +176,12 @@ BOX = st.tuples(
 def test_detect_collisions_matches_all_pairs(boxes, copies, swap_dims):
     boxes = boxes + [boxes[i] for i in copies if i < len(boxes)]  # coincident
     states = [box_state(i, *b) for i, b in enumerate(boxes)]
-    dims = ({a.id: (a.width, a.length) for a in states[::2]}
-            if swap_dims else None)
+    if swap_dims:
+        states[::2] = [replace(a, length=a.width, width=a.length)
+                       for a in states[::2]]
     got = [(e.step, e.agent_a, e.agent_b, e.penetration)
-           for e in simcore.detect_collisions(states, dims, step=3)]
-    assert got == all_pairs_collisions(states, dims, step=3)
+           for e in simcore.detect_collisions(states, step=3)]
+    assert got == all_pairs_collisions(states, step=3)
 
 
 def test_detect_collisions_keeps_touching_and_coincident_boxes():
