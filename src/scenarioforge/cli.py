@@ -18,10 +18,19 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _bbox(text: str) -> ir.GpsBoundingBox:
+    """--bbox min_lat,min_lon,max_lat,max_lon; a malformed box is a usage
+    error."""
+    try:
+        lat0, lon0, lat1, lon1 = (float(v) for v in text.split(","))
+        return ir.GpsBoundingBox(lat0, lon0, lat1, lon1)
+    except ValueError as exc:
+        raise pipeline.ConfigError(f"bad --bbox {text!r}: {exc}")
+
+
 def _load_input(args) -> ir.MultimodalInput:
     if getattr(args, "bbox", None):
-        lat0, lon0, lat1, lon1 = (float(v) for v in args.bbox.split(","))
-        return ir.GpsBoundingBox(lat0, lon0, lat1, lon1)
+        return _bbox(args.bbox)
     if getattr(args, "crash_report", None):
         return ir.CrashReport(_read(args.crash_report))
     if getattr(args, "text", None):
@@ -132,15 +141,14 @@ def cmd_netgen(args) -> int:
                          indent=2, sort_keys=True))
         return 0
     if args.net_cmd == "osm":
-        lat0, lon0, lat1, lon1 = (float(v) for v in args.bbox.split(","))
-        bbox = ir.GpsBoundingBox(lat0, lon0, lat1, lon1)
+        bbox = _bbox(args.bbox)
         if args.extract:
             source = _read(args.extract)
         else:
             source = netgen.fetch_osm_extract(bbox, args.cache_dir)
         net = netgen.ingest_osm(bbox, source)
         nod_path, edg_path = netgen.write_sumo_xml(net, args.out_prefix)
-        print(f"{len(net.edges)} edges -> {nod_path}/{edg_path}")
+        print(f"{len(net.edges)} edges -> {nod_path} / {edg_path}")
         return 0
     raise pipeline.ConfigError(f"unknown netgen command {args.net_cmd}")
 

@@ -221,7 +221,9 @@ class GpsBoundingBox:
     max_lon: float
 
     def __post_init__(self):
-        if not (self.min_lat < self.max_lat and self.min_lon < self.max_lon):
+        # the bounds also reject NaN and infinite coordinates
+        if not (-90 <= self.min_lat < self.max_lat <= 90
+                and -180 <= self.min_lon < self.max_lon <= 180):
             raise RangeViolation("bbox", (self.min_lat, self.min_lon,
                                           self.max_lat, self.max_lon))
 

@@ -166,22 +166,20 @@ def _edge_axis(edge: Edge, nodes: dict) -> tuple[tuple[float, float], ...]:
     return ((a.x, a.y), (b.x, b.y))
 
 
-def lane_centerline(net: RoadNetwork, edge: Edge, lane_index: int,
-                    lane_width: float = DEFAULT_LANE_WIDTH):
+def lane_centerline(net: RoadNetwork, edge: Edge, lane_index: int):
     """Centerline polyline of one lane, offset from the edge axis.
 
     spreadType "right" puts lanes on the right of the axis (lane 0 nearest),
     "center"/"roadCenter" center the lane band on the axis.
     """
-    return _offset_axis(edge_polyline(net, edge), edge, lane_index,
-                        lane_width)
+    return _offset_axis(edge_polyline(net, edge), edge, lane_index)
 
 
-def _offset_axis(axis, edge: Edge, lane_index: int, lane_width: float):
+def _offset_axis(axis, edge: Edge, lane_index: int):
     if edge.spread_type == "right":
-        off = (lane_index + 0.5) * lane_width
+        off = (lane_index + 0.5) * DEFAULT_LANE_WIDTH
     else:
-        off = (lane_index - (edge.num_lanes - 1) / 2.0) * lane_width
+        off = (lane_index - (edge.num_lanes - 1) / 2.0) * DEFAULT_LANE_WIDTH
     out = []
     for i, (x, y) in enumerate(axis):
         j = min(i, len(axis) - 2)
@@ -254,8 +252,7 @@ class LaneGraph:
             axis = _edge_axis(e, self.nodes)
             self.edge_length.setdefault(e.id, _polyline_length(axis))
             for li in range(e.num_lanes):
-                path = LanePath.measure(
-                    _offset_axis(axis, e, li, DEFAULT_LANE_WIDTH))
+                path = LanePath.measure(_offset_axis(axis, e, li))
                 inventory.append((e, li, path))
                 self.lanes.setdefault((e.id, li), path)
         self.inventory = tuple(inventory)

@@ -130,23 +130,10 @@ def classify_failure(exc: Exception) -> str:
 
 
 def _bundle_to_dict(bundle: ir.ScenarioBundle) -> dict:
-    """JSON-ready bundle data. The network part is built shallowly from each
-    node's and edge's fields, sharing their tuples: a deep copy of a large
-    network costs more than encoding it."""
-    net = bundle.network
-    return {
-        "seed": bundle.seed,
-        "description": ir.description_to_dict(bundle.description),
-        "agents": [dataclasses.asdict(a) for a in bundle.agents],
-        "objects": [dataclasses.asdict(o) for o in bundle.objects],
-        "network": {
-            "nodes": [vars(n) for n in net.nodes],
-            "edges": [{**vars(e), "lanes": [vars(lane) for lane in e.lanes]}
-                      for e in net.edges],
-            "connections": [[c.from_edge, c.to_edge, c.from_lane, c.to_lane]
-                            for c in net.connections],
-        },
-    }
+    """The placement: the one part of a bundle no other artifact holds."""
+    return {"seed": bundle.seed,
+            "agents": [dataclasses.asdict(a) for a in bundle.agents],
+            "objects": [dataclasses.asdict(o) for o in bundle.objects]}
 
 
 def _score_av(bundle: ir.ScenarioBundle, trace: simcore.SimulationTrace,
@@ -168,16 +155,12 @@ def _write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, data) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
                  seed: Optional[int] = None, run_id: Optional[str] = None,
-                 kb: Optional[ir.PromptKnowledgeBase] = None,
-                 provider=None) -> RunManifest:
+                 kb: Optional[ir.PromptKnowledgeBase] = None) -> RunManifest:
     """One end-to-end run. Artifacts land in <output_dir>/runs/<run_id>-<seed>."""
     seed = cfg.global_seed if seed is None else seed
     if run_id is None:
@@ -187,8 +170,8 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
     run_dir = os.path.join(cfg.output_dir, "runs", f"{run_id}-{seed}")
     os.makedirs(run_dir, exist_ok=True)
     kb = kb or default_knowledge_base()
-    provider = provider or make_provider(cfg)
-    provider = LoggingProvider(provider, os.path.join(run_dir, "prompts"))
+    provider = LoggingProvider(make_provider(cfg),
+                               os.path.join(run_dir, "prompts"))
 
     manifest = RunManifest(run_id=run_id, seed=seed)
 
@@ -216,7 +199,7 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
     except Exception as exc:
         return fail("interpret", exc)
     desc_path = os.path.join(run_dir, "description.json")
-    _write(desc_path, ir.serialize_description(desc))
+    _write_json(desc_path, ir.description_to_dict(desc))
     manifest.artifacts["description"] = desc_path
 
     # network
@@ -255,10 +238,7 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
         return fail("compgen", exc)
     manifest.bundle = bundle
     bundle_path = os.path.join(run_dir, "bundle.json")
-    # compact: any indent selects the pure-Python encoder, several times
-    # slower than the C one on a large network
-    _write(bundle_path,
-           json.dumps(_bundle_to_dict(bundle), sort_keys=True) + "\n")
+    _write_json(bundle_path, _bundle_to_dict(bundle))
     manifest.artifacts["bundle"] = bundle_path
 
     # simulation
@@ -296,8 +276,7 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
     return manifest
 
 
-def run_batch(inputs, cfg: PipelineConfig,
-              kb: Optional[ir.PromptKnowledgeBase] = None) -> dict:
+def run_batch(inputs, cfg: PipelineConfig) -> dict:
     """Diversify each input into cfg.variations seeded runs and aggregate
     conformity + diversity over the whole batch. Partial failures are
     recorded and the batch continues."""
@@ -309,7 +288,7 @@ def run_batch(inputs, cfg: PipelineConfig,
             seed = cfg.global_seed + i * 1000 + v
             run_id = f"batch-i{i:03d}-v{v:02d}"
             manifests.append(run_pipeline(source, cfg, seed=seed,
-                                          run_id=run_id, kb=kb))
+                                          run_id=run_id))
 
     outcomes = [{"ok": m.ok, "failure": m.failure} for m in manifests]
     bundles = [m.bundle for m in manifests if m.bundle is not None]
@@ -336,12 +315,15 @@ def run_batch(inputs, cfg: PipelineConfig,
     return aggregate
 
 
-def ablate(cfg: PipelineConfig, inputs=None) -> dict:
+_ABLATION_FIXTURES = (
+    "two cars on a straight road, one cuts in",
+    "construction zone lane closure with cones",
+    "busy intersection left turn conflict",
+)
+
+
+def ablate(cfg: PipelineConfig) -> dict:
     """Success-rate table after removing named prompt components."""
-    if inputs is None:
-        inputs = [ir.TextRequest("two cars on a straight road, one cuts in"),
-                  ir.TextRequest("construction zone lane closure with cones"),
-                  ir.TextRequest("busy intersection left turn conflict")]
     kb_full = default_knowledge_base()
     knob_map = {
         "Ours": {},
@@ -357,11 +339,12 @@ def ablate(cfg: PipelineConfig, inputs=None) -> dict:
             output_dir=os.path.join(cfg.output_dir, "ablate",
                                     row.replace(" ", "_")))
         ok = 0
-        for i, source in enumerate(inputs):
-            m = run_pipeline(source, sub, seed=cfg.global_seed + i,
+        for i, text in enumerate(_ABLATION_FIXTURES):
+            m = run_pipeline(ir.TextRequest(text), sub,
+                             seed=cfg.global_seed + i,
                              run_id=f"ablate-{i:02d}", kb=kb)
             ok += 1 if m.ok else 0
-        rates[row] = ok / len(inputs)
+        rates[row] = ok / len(_ABLATION_FIXTURES)
     result = {"rows": list(ABLATION_ROWS), "success_rate": rates}
     _write_json(os.path.join(cfg.output_dir, "ablation.json"), result)
     return result

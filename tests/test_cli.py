@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from scenarioforge import cli
 
 from test_netgen import OSM_FIXTURE
@@ -204,6 +206,22 @@ def test_netgen_osm_from_extract(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "osm-net.nod.xml").exists()
     assert (tmp_path / "osm-net.edg.xml").exists()
+    # an absolute prefix: the two paths stay apart
+    assert capsys.readouterr().out == (
+        f"5 edges -> {prefix}.nod.xml / {prefix}.edg.xml\n")
+
+
+@pytest.mark.parametrize("bbox", ["1,2,3", "a,b,c,d", "3,0,1,1",
+                                  "-inf,0,1,1", "0,0,91,1"])
+@pytest.mark.parametrize("command", ["run", "netgen osm"])
+def test_malformed_bbox_is_config_error(tmp_path, capsys, command, bbox):
+    extra = (["--osm-fixture", "unused.osm", "--output-dir", str(tmp_path)]
+             if command == "run" else
+             ["--extract", "unused.osm", "--out-prefix", str(tmp_path / "n")])
+    code = run_cli(*command.split(), f"--bbox={bbox}", *extra)
+    assert code == 2
+    assert "bbox" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_place_command(capsys):

@@ -53,24 +53,15 @@ def test_run_pipeline_happy_path(tmp_path, monkeypatch):
 
 
 def load_bundle(manifest):
-    """The bundle as read back from description.json and bundle.json."""
-    with open(manifest.artifacts["description"], encoding="utf-8") as fh:
-        desc = ir.parse_description(fh.read())
-    with open(manifest.artifacts["bundle"], encoding="utf-8") as fh:
-        data = json.load(fh)
-    assert ir.parse_description(json.dumps(data["description"])) == desc
-    nodes = tuple(netgen.Node(**n) for n in data["network"]["nodes"])
-    edges = tuple(netgen.Edge(
-        id=e["id"], from_node=e["from_node"], to_node=e["to_node"],
-        num_lanes=e["num_lanes"], speed=e["speed"],
-        spread_type=e["spread_type"],
-        lanes=tuple(netgen.Lane(index=l["index"],
-                                shape=tuple(map(tuple, l["shape"])))
-                    for l in e["lanes"]))
-        for e in data["network"]["edges"])
-    connections = tuple(netgen.Connection(*c)
-                        for c in data["network"]["connections"])
-    net = netgen.RoadNetwork(nodes, edges, connections)
+    """The bundle as read back from the run directory: the description from
+    description.json, the network from the SUMO files, the placement from
+    bundle.json."""
+    def read(name):
+        with open(manifest.artifacts[name], encoding="utf-8") as fh:
+            return fh.read()
+    desc = ir.parse_description(read("description"))
+    net = netgen.parse_sumo_xml(read("network_nodes"), read("network_edges"))
+    data = json.loads(read("bundle"))
     agents = tuple(compgen.AgentState(**a) for a in data["agents"])
     objects = tuple(compgen.PlacedObject(
         kind=o["kind"], x=o["x"], y=o["y"], yaw=o["yaw"],
@@ -80,21 +71,26 @@ def load_bundle(manifest):
                              seed=data["seed"])
 
 
-@pytest.mark.parametrize("text", [
-    "a car cuts in front of the ego vehicle",
-    "construction zone lane closure with cones and two cars",
-    "busy intersection left turn conflict with three vehicles",
+@pytest.mark.parametrize("source", [
+    *(pytest.param(ir.TextRequest(text), id=text) for text in (
+        "a car cuts in front of the ego vehicle",
+        "construction zone lane closure with cones and two cars",
+        "busy intersection left turn conflict with three vehicles")),
+    pytest.param(ir.GpsBoundingBox(-0.001, -0.001, 0.003, 0.002),
+                 id="osm fixture"),
 ])
-def test_bundle_artifacts_round_trip_to_manifest_bundle(tmp_path, text):
-    m = pipeline.run_pipeline(ir.TextRequest(text), make_cfg(tmp_path),
+def test_bundle_artifacts_round_trip_to_manifest_bundle(tmp_path, source):
+    fixture = tmp_path / "extract.osm"
+    fixture.write_text(OSM_FIXTURE, encoding="utf-8")
+    m = pipeline.run_pipeline(source, make_cfg(tmp_path,
+                                               osm_fixture=str(fixture)),
                               seed=3, run_id="rt")
     assert m.ok
     assert m.bundle is not None
     assert "bundle" not in m.to_dict()
     assert load_bundle(m) == m.bundle
     with open(m.artifacts["bundle"], encoding="utf-8") as fh:
-        text = fh.read()
-    assert text.index("\n") == len(text) - 1   # compact: one line
+        assert set(json.load(fh)) == {"seed", "agents", "objects"}
 
 
 def test_default_run_ids_do_not_collide(tmp_path):
