@@ -3,6 +3,11 @@
 Networks are immutable value graphs. XML serialization is netconvert-compatible
 (node: id/x/y/type, edge: id/from/to/numLanes/speed/spreadType with optional
 lane children carrying index/shape).
+
+validate_network checks a document pair (provider output, files on disk): its
+XML structure, and per element the value and reference checks that
+network_errors runs over typed records. OSM ingestion builds typed records, so
+it checks them with network_errors and serializes only to write the files.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ import heapq
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ir import GpsBoundingBox, RoadDescription
 
@@ -102,8 +107,7 @@ class Edge:
         object.__setattr__(self, "lanes", tuple(self.lanes))
 
 
-@dataclass(frozen=True)
-class Connection:
+class Connection(NamedTuple):
     from_edge: str
     to_edge: str
     from_lane: int
@@ -130,12 +134,6 @@ class RoadNetwork:
     def stats(self) -> NetworkStats:
         """network_stats of this network, computed on first use and kept."""
         return network_stats(self)
-
-    @functools.cached_property
-    def sumo_xml(self) -> tuple[str, str]:
-        """serialize_sumo_xml of this network, computed on first use and
-        kept."""
-        return serialize_sumo_xml(self)
 
 
 @dataclass(frozen=True)
@@ -313,16 +311,71 @@ def _validate_root(doc: str, tag: str, errors: list) -> Optional[ET.Element]:
     return root
 
 
-def validate_network(xml_nodes: str, xml_edges: str) -> list[ValidationError]:
-    """All schema and referential violations in a nodes/edges document pair.
+def _node_errors(nid, node_type, node_ids: set, errors: list) -> None:
+    """Value checks of one node; None stands for a missing attribute."""
+    if nid is not None:
+        if "#" in nid:
+            errors.append(ValidationError("MalformedKeyword", "node", nid))
+        if nid in node_ids:
+            errors.append(ValidationError("DuplicateId", "node", nid))
+        node_ids.add(nid)
+    if node_type is not None and node_type not in NODE_TYPES:
+        errors.append(ValidationError("InvalidEnum", "node",
+                                      f"type={node_type}"))
 
-    Empty result iff both documents are valid and mutually consistent.
-    """
+
+def _edge_errors(eid, ends, spread, node_ids: set, edge_ids: set,
+                 errors: list) -> None:
+    """Value checks of one edge up to its numbers; None stands for a
+    missing attribute."""
+    if eid is not None:
+        if "#" in eid:
+            errors.append(ValidationError("MalformedKeyword", "edge", eid))
+        if eid in edge_ids:
+            errors.append(ValidationError("DuplicateId", "edge", eid))
+        edge_ids.add(eid)
+    for attr, ref in zip(("from", "to"), ends):
+        if ref is not None and ref not in node_ids:
+            errors.append(ValidationError("UnknownNode", "edge",
+                                          f"{attr}={ref}"))
+    if spread is not None and spread not in SPREAD_TYPES:
+        errors.append(ValidationError("InvalidEnum", "edge",
+                                      f"spreadType={spread}"))
+
+
+def _number_errors(attr: str, value, text, errors: list) -> None:
+    """A numLanes or speed of 0 or less, spelled as text."""
+    if value <= 0:
+        errors.append(ValidationError("InvalidEnum", "edge", f"{attr}={text}"))
+
+
+def _attr_errors(el: ET.Element, declared, required, errors: list) -> None:
+    errors.extend(ValidationError("UndeclaredAttribute", el.tag, attr)
+                  for attr in el.attrib if attr not in declared)
+    errors.extend(ValidationError("MissingAttribute", el.tag, attr)
+                  for attr in required if attr not in el.attrib)
+
+
+def _number(el: ET.Element, attr: str, kind, errors: list):
+    """The attribute as kind; None when missing or malformed."""
+    text = el.get(attr)
+    try:
+        return None if text is None else kind(text)
+    except ValueError:
+        errors.append(ValidationError("MalformedKeyword", el.tag,
+                                      f"{attr}={text}"))
+
+
+def _read_documents(xml_nodes: str, xml_edges: str):
+    """(errors, nodes root, edges root) of a document pair. Per element, the
+    structural checks (tags, undeclared or missing attributes, number
+    syntax) run interleaved with the value checks network_errors shares.
+    The roots are None when a document has no valid root."""
     errors: list[ValidationError] = []
     nodes_root = _validate_root(xml_nodes, "nodes", errors)
     edges_root = _validate_root(xml_edges, "edges", errors)
     if nodes_root is None or edges_root is None:
-        return errors
+        return errors, None, None
 
     node_ids: set[str] = set()
     for el in nodes_root:
@@ -330,30 +383,10 @@ def validate_network(xml_nodes: str, xml_edges: str) -> list[ValidationError]:
             errors.append(ValidationError("UndeclaredAttribute", "node",
                                           f"unexpected element <{el.tag}>"))
             continue
-        for attr in el.attrib:
-            if attr not in _NODE_ATTRS:
-                errors.append(ValidationError("UndeclaredAttribute", "node", attr))
-        for attr in ("id", "x", "y"):
-            if attr not in el.attrib:
-                errors.append(ValidationError("MissingAttribute", "node", attr))
-        nid = el.get("id")
-        if nid is not None:
-            if "#" in nid:
-                errors.append(ValidationError("MalformedKeyword", "node", nid))
-            if nid in node_ids:
-                errors.append(ValidationError("DuplicateId", "node", nid))
-            node_ids.add(nid)
-        ntype = el.get("type")
-        if ntype is not None and ntype not in NODE_TYPES:
-            errors.append(ValidationError("InvalidEnum", "node", f"type={ntype}"))
+        _attr_errors(el, _NODE_ATTRS, ("id", "x", "y"), errors)
+        _node_errors(el.get("id"), el.get("type"), node_ids, errors)
         for attr in ("x", "y"):
-            val = el.get(attr)
-            if val is not None:
-                try:
-                    float(val)
-                except ValueError:
-                    errors.append(ValidationError("MalformedKeyword", "node",
-                                                  f"{attr}={val}"))
+            _number(el, attr, float, errors)
 
     edge_ids: set[str] = set()
     n_edges = 0
@@ -363,66 +396,62 @@ def validate_network(xml_nodes: str, xml_edges: str) -> list[ValidationError]:
                                           f"unexpected element <{el.tag}>"))
             continue
         n_edges += 1
-        for attr in el.attrib:
-            if attr not in _EDGE_ATTRS:
-                errors.append(ValidationError("UndeclaredAttribute", "edge", attr))
-        for attr in ("id", "from", "to"):
-            if attr not in el.attrib:
-                errors.append(ValidationError("MissingAttribute", "edge", attr))
-        eid = el.get("id")
-        if eid is not None:
-            if "#" in eid:
-                errors.append(ValidationError("MalformedKeyword", "edge", eid))
-            if eid in edge_ids:
-                errors.append(ValidationError("DuplicateId", "edge", eid))
-            edge_ids.add(eid)
-        for attr in ("from", "to"):
-            ref = el.get(attr)
-            if ref is not None and ref not in node_ids:
-                errors.append(ValidationError("UnknownNode", "edge",
-                                              f"{attr}={ref}"))
-        spread = el.get("spreadType")
-        if spread is not None and spread not in SPREAD_TYPES:
-            errors.append(ValidationError("InvalidEnum", "edge",
-                                          f"spreadType={spread}"))
-        num_lanes = el.get("numLanes")
-        if num_lanes is not None:
-            try:
-                if int(num_lanes) < 1:
-                    errors.append(ValidationError("InvalidEnum", "edge",
-                                                  f"numLanes={num_lanes}"))
-            except ValueError:
-                errors.append(ValidationError("MalformedKeyword", "edge",
-                                              f"numLanes={num_lanes}"))
-        speed = el.get("speed")
-        if speed is not None:
-            try:
-                if float(speed) <= 0:
-                    errors.append(ValidationError("InvalidEnum", "edge",
-                                                  f"speed={speed}"))
-            except ValueError:
-                errors.append(ValidationError("MalformedKeyword", "edge",
-                                              f"speed={speed}"))
+        _attr_errors(el, _EDGE_ATTRS, ("id", "from", "to"), errors)
+        _edge_errors(el.get("id"), (el.get("from"), el.get("to")),
+                     el.get("spreadType"), node_ids, edge_ids, errors)
+        for attr, kind in (("numLanes", int), ("speed", float)):
+            value = _number(el, attr, kind, errors)
+            if value is not None:
+                _number_errors(attr, value, el.get(attr), errors)
         for child in el:
             if child.tag != "lane":
                 errors.append(ValidationError("UndeclaredAttribute", "edge",
                                               f"unexpected child <{child.tag}>"))
                 continue
-            for attr in child.attrib:
-                if attr not in _LANE_ATTRS:
-                    errors.append(ValidationError("UndeclaredAttribute", "lane",
-                                                  attr))
-            if "shape" not in child.attrib:
-                errors.append(ValidationError("MissingAttribute", "lane", "shape"))
-            else:
-                pts = _parse_shape(child.get("shape"))
+            _attr_errors(child, _LANE_ATTRS, ("shape",), errors)
+            shape = child.get("shape")
+            if shape is not None:
+                pts = _parse_shape(shape)
                 if pts is None or len(pts) < 2:
                     errors.append(ValidationError("MalformedKeyword", "lane",
-                                                  f"shape={child.get('shape')}"))
+                                                  f"shape={shape}"))
             if "index" not in child.attrib:
                 errors.append(ValidationError("MissingAttribute", "lane", "index"))
+            _number(child, "index", int, errors)
 
     if n_edges == 0:
+        errors.append(ValidationError("EmptyNetwork", "document", "no edges"))
+    return errors, nodes_root, edges_root
+
+
+def validate_network(xml_nodes: str, xml_edges: str) -> list[ValidationError]:
+    """All schema and referential violations in a nodes/edges document
+    pair; empty iff both documents are valid and mutually consistent."""
+    return _read_documents(xml_nodes, xml_edges)[0]
+
+
+def network_errors(net: RoadNetwork) -> list[ValidationError]:
+    """validate_network(*serialize_sumo_xml(net)), checked on the typed
+    records without writing them out: the same errors in the same order.
+    This holds while every id and enum string of net consists of characters
+    XML 1.0 allows; with any other, the serialized network does not parse.
+    """
+    errors: list[ValidationError] = []
+    node_ids: set[str] = set()
+    for n in net.nodes:
+        _node_errors(n.id, n.node_type, node_ids, errors)
+    edge_ids: set[str] = set()
+    for e in net.edges:
+        _edge_errors(e.id, (e.from_node, e.to_node), e.spread_type,
+                     node_ids, edge_ids, errors)
+        _number_errors("numLanes", e.num_lanes, e.num_lanes, errors)
+        _number_errors("speed", e.speed, _fmt(e.speed), errors)
+        for lane in e.lanes:
+            if len(lane.shape) < 2:
+                errors.append(ValidationError(
+                    "MalformedKeyword", "lane",
+                    f"shape={_shape_attr(lane.shape)}"))
+    if not net.edges:
         errors.append(ValidationError("EmptyNetwork", "document", "no edges"))
     return errors
 
@@ -454,6 +483,10 @@ def _attr(value: str) -> str:
     return value
 
 
+def _shape_attr(shape) -> str:
+    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in shape)
+
+
 def serialize_sumo_xml(net: RoadNetwork) -> tuple[str, str]:
     """(nodes document, edges document) in SUMO plain XML."""
     nodes_lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<nodes>"]
@@ -474,9 +507,9 @@ def serialize_sumo_xml(net: RoadNetwork) -> tuple[str, str]:
         else:
             edges_lines.append(head + ">")
             for lane in e.lanes:
-                shape = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in lane.shape)
                 edges_lines.append(
-                    f'        <lane index="{lane.index}" shape="{shape}"/>')
+                    f'        <lane index="{lane.index}" '
+                    f'shape="{_shape_attr(lane.shape)}"/>')
             edges_lines.append("    </edge>")
     edges_lines.append("</edges>")
     return "\n".join(nodes_lines) + "\n", "\n".join(edges_lines) + "\n"
@@ -485,7 +518,7 @@ def serialize_sumo_xml(net: RoadNetwork) -> tuple[str, str]:
 def write_sumo_xml(net: RoadNetwork, prefix: str) -> tuple[str, str]:
     """Write <prefix>.nod.xml and <prefix>.edg.xml; return their paths."""
     paths = (prefix + ".nod.xml", prefix + ".edg.xml")
-    for path, doc in zip(paths, net.sumo_xml):
+    for path, doc in zip(paths, serialize_sumo_xml(net)):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(doc)
     return paths
@@ -496,15 +529,15 @@ def parse_sumo_xml(xml_nodes: str, xml_edges: str) -> RoadNetwork:
 
     Raises NetworkValidationError carrying every violation found.
     """
-    errors = validate_network(xml_nodes, xml_edges)
+    errors, nodes_root, edges_root = _read_documents(xml_nodes, xml_edges)
     if errors:
         raise NetworkValidationError(errors)
     nodes = tuple(
         Node(id=el.get("id"), x=float(el.get("x")), y=float(el.get("y")),
              node_type=el.get("type", "priority"))
-        for el in ET.fromstring(xml_nodes))
+        for el in nodes_root)
     edges = []
-    for el in ET.fromstring(xml_edges):
+    for el in edges_root:
         lanes = tuple(
             Lane(index=int(c.get("index")),
                  shape=tuple(_parse_shape(c.get("shape"))))
@@ -917,7 +950,7 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
     edge_tuple = tuple(edges)
     net = RoadNetwork(node_tuple, edge_tuple,
                       derive_connections(node_tuple, edge_tuple))
-    errors = validate_network(*net.sumo_xml)
+    errors = network_errors(net)
     if errors:
         raise NetworkValidationError(errors)
     return net

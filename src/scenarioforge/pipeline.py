@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -161,14 +162,20 @@ def _write_json(path: str, data) -> None:
 def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
                  seed: Optional[int] = None, run_id: Optional[str] = None,
                  kb: Optional[ir.PromptKnowledgeBase] = None) -> RunManifest:
-    """One end-to-end run. Artifacts land in <output_dir>/runs/<run_id>-<seed>."""
+    """One end-to-end run. Artifacts land in <output_dir>/runs/<run_id>-<seed>;
+    a directory an earlier run with the same id and seed left is removed."""
     seed = cfg.global_seed if seed is None else seed
     if run_id is None:
         # the random suffix keeps runs started in the same second apart
         run_id = (time.strftime("%Y%m%dT%H%M%S", time.gmtime())
                   + f"-{uuid.uuid4().hex[:8]}")
+    if os.path.basename(run_id) != run_id:
+        raise ConfigError(f"run_id must not contain a path: {run_id!r}")
     run_dir = os.path.join(cfg.output_dir, "runs", f"{run_id}-{seed}")
-    os.makedirs(run_dir, exist_ok=True)
+    # a reused run id replaces the earlier run wholesale; what could not be
+    # removed makes makedirs fail rather than mix into the new run
+    shutil.rmtree(run_dir, ignore_errors=True)
+    os.makedirs(run_dir)
     kb = kb or default_knowledge_base()
     provider = LoggingProvider(make_provider(cfg),
                                os.path.join(run_dir, "prompts"))

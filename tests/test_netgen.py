@@ -245,6 +245,50 @@ def test_validator_unparseable_xml():
     assert errors[0].kind == "MalformedDocument"
 
 
+# strings of characters XML 1.0 allows, with the ones the validator or the
+# serializer treat specially; short, so that ids repeat
+XML_TEXT = st.text(alphabet="&<>\"'\t\n\r ;#n1\u00e9", max_size=3)
+COORDS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def typed_networks(draw):
+    node_ids = draw(st.lists(XML_TEXT, max_size=4))
+    kinds = st.sampled_from(netgen.NODE_TYPES + ("bogus", "&<\t"))
+    nodes = tuple(netgen.Node(nid, draw(COORDS), draw(COORDS), draw(kinds))
+                  for nid in node_ids)
+    ends = st.sampled_from(node_ids) | XML_TEXT if node_ids else XML_TEXT
+    lanes = st.builds(netgen.Lane, index=st.integers(-1, 2), shape=st.lists(
+        st.tuples(COORDS, COORDS), max_size=3))
+    edges = tuple(netgen.Edge(
+        draw(XML_TEXT), draw(ends), draw(ends),
+        num_lanes=draw(st.integers(-1, 3)),
+        speed=draw(COORDS | st.sampled_from([0.0, -0.0, math.nan, math.inf])),
+        spread_type=draw(st.sampled_from(netgen.SPREAD_TYPES + ("left",))),
+        lanes=draw(st.lists(lanes, max_size=2)))
+        for _ in range(draw(st.integers(0, 4))))
+    return netgen.RoadNetwork(nodes, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=typed_networks())
+@example(net=netgen.build_network_blueprint(ir.RoadDescription(
+    "CrossIntersection", (ir.RoadSegment(80.0, 1, 1, 13.89),))))
+def test_network_errors_equal_validator_on_serialized_network(net):
+    assert netgen.network_errors(net) == \
+        netgen.validate_network(*netgen.serialize_sumo_xml(net))
+
+
+def test_parse_rejects_a_non_integer_lane_index():
+    edges = GOOD_EDGES.replace(
+        'spreadType="right"/>',
+        'spreadType="right"><lane index="first" shape="0,0 100,0"/></edge>')
+    with pytest.raises(netgen.NetworkValidationError) as exc:
+        netgen.parse_sumo_xml(GOOD_NODES, edges)
+    assert exc.value.errors == [
+        netgen.ValidationError("MalformedKeyword", "lane", "index=first")]
+
+
 def test_parse_raises_with_all_errors():
     bad = GOOD_EDGES.replace('spreadType="right"',
                              'spreadType="left" function="internal"')

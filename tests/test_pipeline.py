@@ -111,6 +111,31 @@ def test_default_run_ids_do_not_collide(tmp_path):
             assert os.path.dirname(path) == str(run_dir)
 
 
+def test_reused_run_id_replaces_the_earlier_run(tmp_path):
+    source = ir.TextRequest("a car cuts in front of the ego vehicle")
+    first = pipeline.run_pipeline(source, make_cfg(tmp_path), run_id="again")
+    assert first.ok
+    cfg = make_cfg(tmp_path, provider_fault="hash_ids")
+    second = pipeline.run_pipeline(source, cfg, run_id="again")
+    assert second.stages["netgen"] == "error:MalformedKeyword"
+    run_dir = tmp_path / "out" / "runs" / "again-0"
+    assert json.loads((run_dir / "manifest.json").read_text()) == \
+        second.to_dict()
+    files = {str(p) for p in run_dir.iterdir() if p.is_file()}
+    assert files == {str(run_dir / "manifest.json"),
+                     *second.artifacts.values()}
+    # the prompt log holds the failed run's exchanges only: one for
+    # interpret, then the first attempt and 3 retries of netgen
+    assert len(list((run_dir / "prompts").iterdir())) == 2 * 5
+
+
+def test_run_id_with_a_path_is_rejected(tmp_path):
+    with pytest.raises(pipeline.ConfigError):
+        pipeline.run_pipeline(ir.TextRequest("a car on a road"),
+                              make_cfg(tmp_path), run_id="../escape")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_pipeline_netgen_fault(tmp_path):
     cfg = make_cfg(tmp_path, provider_fault="hash_ids")
     m = pipeline.run_pipeline(ir.TextRequest("a car on a road"), cfg,
@@ -147,10 +172,12 @@ def test_run_pipeline_gps_with_fixture(tmp_path, monkeypatch):
     cfg = make_cfg(tmp_path, osm_fixture=str(fixture))
     bbox = ir.GpsBoundingBox(-0.001, -0.001, 0.003, 0.002)
     serialized = count_calls(monkeypatch, netgen, "serialize_sumo_xml")
+    validated = count_calls(monkeypatch, netgen, "validate_network")
     m = pipeline.run_pipeline(bbox, cfg, run_id="gps")
     assert m.ok, m.stages
-    # ingest_osm validates the documents that are then written
+    # ingest_osm checks the typed network; only the write serializes it
     assert len(serialized) == 1
+    assert validated == []
     xml = (tmp_path / "out" / "runs" / "gps-0" / "network.edg.xml").read_text()
     assert "osm" in xml  # the network came from the extract, not a blueprint
 
