@@ -17,11 +17,11 @@ from .ir import (AgentDescription, ObjectDescription, RoadDescription,
 FAILURE_KINDS = ("MalformedKeyword", "BlueprintReuse", "ValidationError",
                  "RuntimeError")
 
-# driving-score decomposition constants (config-exposed; the source metric
-# definition is not public, so these are an interpretation)
-DEFAULT_WEIGHTS = (0.4, 0.3, 0.3)   # safety, efficiency, comfort
-DEFAULT_TTC_REF = 4.0               # s
-DEFAULT_JERK_REF = 2.0              # m/s^3
+# driving-score decomposition constants (the source metric definition is
+# not public, so these are an interpretation)
+SCORE_WEIGHTS = (0.4, 0.3, 0.3)     # safety, efficiency, comfort
+TTC_REF = 4.0                       # s
+JERK_REF = 2.0                      # m/s^3
 
 TABLE5_ROWS = ("Route completion", "Driving score", "Total score",
                "Use Time", "Success rate", "Collision rate")
@@ -92,10 +92,7 @@ def classify_bundle(bundle: ScenarioBundle) -> str:
     """Scene class from the realized scenario, not its source description."""
     if any(o.kind == "Cone" for o in bundle.objects):
         return "ConstructionZone"
-    neighbors: dict[str, set] = {}
-    for e in bundle.network.edges:
-        neighbors.setdefault(e.from_node, set()).add(e.to_node)
-        neighbors.setdefault(e.to_node, set()).add(e.from_node)
+    neighbors = bundle.network.lane_graph.neighbors
     if any(len(v) >= 4 for v in neighbors.values()):
         return "Intersection"
     return "General"
@@ -129,7 +126,7 @@ def describe_bundle(bundle: ScenarioBundle) -> ScenarioDescription:
     objects = tuple(ObjectDescription(kind=k, count=n)
                     for k, n in sorted(counts.items()))
     return ScenarioDescription(road=road, objects=objects, agents=agents,
-                               weather=bundle.weather,
+                               weather=bundle.description.weather,
                                narrative="generated scenario", scene_type=scene)
 
 
@@ -327,25 +324,18 @@ def _min_ttc(trace: simcore.SimulationTrace, av_id: str) -> float:
 
 
 def performance(trace: simcore.SimulationTrace, route_len: float,
-                speed_limit: float, av_id: str = None,
-                weights=DEFAULT_WEIGHTS, ttc_ref=DEFAULT_TTC_REF,
-                jerk_ref=DEFAULT_JERK_REF) -> PerformanceReport:
+                speed_limit: float, av_id: str) -> PerformanceReport:
     """Driving score (safety/efficiency/comfort mix), route completion,
-    and their product as total score."""
-    if av_id is None:
-        ids = {a.id for states in trace.steps for a in states}
-        av_id = next((i for i in sorted(ids)
-                      if any(a.id == i and a.role == "AV"
-                             for states in trace.steps for a in states)), None)
-    if av_id is None or av_id not in trace.odometry:
-        raise AVNotFound("trace contains no AV agent")
+    and their product as total score, of the agent av_id."""
+    if av_id not in trace.odometry:
+        raise AVNotFound(f"trace contains no agent {av_id!r}")
 
     distance = trace.odometry[av_id]
     route_completion = max(0.0, min(1.0, distance / route_len)) \
         if route_len > 0 else 0.0
 
     min_ttc = _min_ttc(trace, av_id)
-    safety = 1.0 if math.isinf(min_ttc) else min(1.0, min_ttc / ttc_ref)
+    safety = 1.0 if math.isinf(min_ttc) else min(1.0, min_ttc / TTC_REF)
 
     speeds = [a.speed for states in trace.steps for a in states
               if a.id == av_id]
@@ -354,9 +344,9 @@ def performance(trace: simcore.SimulationTrace, route_len: float,
 
     jerks = trace.jerk_series.get(av_id, [])
     mean_jerk = sum(abs(j) for j in jerks) / len(jerks) if jerks else 0.0
-    comfort = 1.0 - min(1.0, mean_jerk / jerk_ref)
+    comfort = 1.0 - min(1.0, mean_jerk / JERK_REF)
 
-    w_s, w_e, w_c = weights
+    w_s, w_e, w_c = SCORE_WEIGHTS
     driving_score = 100.0 * (w_s * safety + w_e * efficiency + w_c * comfort)
     total_score = driving_score * route_completion
 

@@ -257,7 +257,6 @@ class ScenarioBundle:
     network: "object"           # netgen.RoadNetwork
     agents: tuple               # compgen.AgentState
     objects: tuple              # compgen.PlacedObject
-    weather: WeatherDescription
     seed: int = 0
 
     def __post_init__(self):

@@ -1,8 +1,9 @@
 """Road-network compilation: SUMO plain-XML nodes/edges, validation, stats, OSM.
 
-Networks are immutable value graphs. XML serialization is netconvert-compatible
-(node: id/x/y/type, edge: id/from/to/numLanes/speed/spreadType with optional
-lane children carrying index/shape).
+Networks are immutable value graphs of nodes and edges; their LaneGraph derives
+the lane connections from them, as netconvert does. XML serialization is
+netconvert-compatible (node: id/x/y/type, edge: id/from/to/numLanes/speed/
+spreadType with optional lane children carrying index/shape).
 
 validate_network checks a document pair (provider output, files on disk): its
 XML structure, and per element the value and reference checks that
@@ -118,12 +119,10 @@ class Connection(NamedTuple):
 class RoadNetwork:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
-    connections: tuple[Connection, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "connections", tuple(self.connections))
 
     @functools.cached_property
     def lane_graph(self) -> LaneGraph:
@@ -255,21 +254,20 @@ class LaneGraph:
                 self.lanes.setdefault((e.id, li), path)
         self.inventory = tuple(inventory)
 
-        # successors: the connected edges, else every edge leaving the end
-        # node that does not lead straight back
-        connected: dict[str, set] = {}
-        for c in net.connections:
-            connected.setdefault(c.from_edge, set()).add(c.to_edge)
-        leaving: dict[str, list] = {}
+        # successors: the edges some lane of the edge connects to, sorted
+        connected: dict[str, set] = {eid: set() for eid in self.edges}
+        for c in derive_connections(net.nodes, net.edges):
+            connected[c.from_edge].add(c.to_edge)
+        self.successors: dict[str, tuple[str, ...]] = {
+            eid: tuple(sorted(out)) for eid, out in connected.items()}
+
+        # undirected adjacency: the declared nodes in order, then the
+        # endpoints only edges name, in edge order (network_stats breaks
+        # component ties by this order)
+        self.neighbors: dict[str, set] = {n.id: set() for n in net.nodes}
         for e in net.edges:
-            leaving.setdefault(e.from_node, []).append(e)
-        self.successors: dict[str, tuple[str, ...]] = {}
-        for eid, e in self.edges.items():
-            out = sorted(connected.get(eid, ()))
-            if not out:
-                out = sorted(o.id for o in leaving.get(e.to_node, ())
-                             if o.to_node != e.from_node)
-            self.successors[eid] = tuple(out)
+            self.neighbors.setdefault(e.from_node, set()).add(e.to_node)
+            self.neighbors.setdefault(e.to_node, set()).add(e.from_node)
 
 
 def derive_connections(nodes, edges) -> tuple[Connection, ...]:
@@ -548,9 +546,7 @@ def parse_sumo_xml(xml_nodes: str, xml_edges: str) -> RoadNetwork:
             speed=float(el.get("speed", str(DEFAULT_SPEED))),
             spread_type=el.get("spreadType", "right"),
             lanes=lanes))
-    edges = tuple(edges)
-    return RoadNetwork(nodes=nodes, edges=edges,
-                       connections=derive_connections(nodes, edges))
+    return RoadNetwork(nodes=nodes, edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +592,7 @@ def network_stats(net: RoadNetwork) -> NetworkStats:
     factor covers float rounding in a bound, so the value returned is always
     the farthest distance of a Dijkstra that ran from the arg-max source.
     """
-    adj: dict[str, set] = {n.id: set() for n in net.nodes}
-    for e in net.edges:
-        adj.setdefault(e.from_node, set()).add(e.to_node)
-        adj.setdefault(e.to_node, set()).add(e.from_node)
-
+    adj = net.lane_graph.neighbors
     comp: set = set()
     seen: set = set()
     for start in adj:
@@ -687,8 +679,7 @@ def _chain(road: RoadDescription, bend_deg: float = 0.0) -> RoadNetwork:
             edges.append(Edge(f"e{i}b", f"n{i + 1}", f"n{i}",
                               num_lanes=seg.lanes_backward,
                               speed=seg.speed_limit))
-    return RoadNetwork(tuple(nodes), tuple(edges),
-                       derive_connections(nodes, edges))
+    return RoadNetwork(nodes, edges)
 
 
 def _star(road: RoadDescription, n_arms: int, center_type: str) -> RoadNetwork:
@@ -706,8 +697,7 @@ def _star(road: RoadDescription, n_arms: int, center_type: str) -> RoadNetwork:
         if seg.lanes_backward >= 1:
             edges.append(Edge(f"out{i}", "c", nid, num_lanes=seg.lanes_backward,
                               speed=seg.speed_limit))
-    return RoadNetwork(tuple(nodes), tuple(edges),
-                       derive_connections(nodes, edges))
+    return RoadNetwork(nodes, edges)
 
 
 def _merge(road: RoadDescription) -> RoadNetwork:
@@ -723,7 +713,7 @@ def _merge(road: RoadDescription) -> RoadNetwork:
              Edge("main", "m", "d",
                   num_lanes=max(s0.lanes_forward or 1, s1.lanes_forward or 1),
                   speed=s0.speed_limit))
-    return RoadNetwork(nodes, edges, derive_connections(nodes, edges))
+    return RoadNetwork(nodes, edges)
 
 
 def _roundabout(road: RoadDescription) -> RoadNetwork:
@@ -749,8 +739,7 @@ def _roundabout(road: RoadDescription) -> RoadNetwork:
         edges.append(Edge(f"exit{i}", f"r{i}", nid,
                           num_lanes=max(1, s.lanes_backward or s.lanes_forward),
                           speed=s.speed_limit))
-    return RoadNetwork(tuple(nodes), tuple(edges),
-                       derive_connections(nodes, edges))
+    return RoadNetwork(nodes, edges)
 
 
 def build_network_blueprint(road: RoadDescription) -> RoadNetwork:
@@ -912,7 +901,7 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
         if tags.get("maxspeed"):
             try:
                 speed = float(tags["maxspeed"].split()[0]) / 3.6
-            except ValueError:
+            except (ValueError, IndexError):  # blank counts as absent
                 pass
         oneway = tags.get("oneway") in ("yes", "true", "1") or \
             tags.get("highway") == "motorway"
@@ -946,10 +935,7 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
                     lanes=tuple(Lane(index=i, shape=rev)
                                 for i in range(lanes))))
 
-    node_tuple = tuple(nodes.values())
-    edge_tuple = tuple(edges)
-    net = RoadNetwork(node_tuple, edge_tuple,
-                      derive_connections(node_tuple, edge_tuple))
+    net = RoadNetwork(nodes.values(), edges)
     errors = network_errors(net)
     if errors:
         raise NetworkValidationError(errors)

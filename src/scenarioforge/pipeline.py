@@ -7,6 +7,7 @@ so a failure pins the taxonomy class of the stage that died.
 from __future__ import annotations
 
 import dataclasses
+import glob
 import json
 import os
 import shutil
@@ -46,9 +47,6 @@ class PipelineConfig:
     workers: int = 1
     osm_cache_dir: str = "osm-cache"
     osm_fixture: Optional[str] = None    # path to a cached OSM extract
-    score_weights: tuple = evalkit.DEFAULT_WEIGHTS
-    ttc_ref: float = evalkit.DEFAULT_TTC_REF
-    jerk_ref: float = evalkit.DEFAULT_JERK_REF
 
     def __post_init__(self):
         if not (0 < self.dt <= 0.5):
@@ -69,8 +67,6 @@ def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
             data = json.load(fh)
         data.pop("format", None)
     data.update(overrides)
-    if "score_weights" in data:
-        data["score_weights"] = tuple(data["score_weights"])
     try:
         cfg = PipelineConfig(**data)
     except TypeError as exc:
@@ -137,16 +133,15 @@ def _bundle_to_dict(bundle: ir.ScenarioBundle) -> dict:
             "objects": [dataclasses.asdict(o) for o in bundle.objects]}
 
 
-def _score_av(bundle: ir.ScenarioBundle, trace: simcore.SimulationTrace,
-              cfg: PipelineConfig) -> evalkit.PerformanceReport:
+def _score_av(bundle: ir.ScenarioBundle, trace: simcore.SimulationTrace
+              ) -> evalkit.PerformanceReport:
     """AV performance of one simulated bundle along its planned route."""
     net = bundle.network
     av = next(a for a in bundle.agents if a.role == "AV")
     route = simcore.plan_route(net, av.edge_id)
     return evalkit.performance(
         trace, simcore.route_length(net, route),
-        max(e.speed for e in net.edges), av_id=av.id,
-        weights=cfg.score_weights, ttc_ref=cfg.ttc_ref, jerk_ref=cfg.jerk_ref)
+        max(e.speed for e in net.edges), av_id=av.id)
 
 
 def _write(path: str, text: str) -> None:
@@ -238,8 +233,7 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
             objects = compgen.generate_objects(desc, net, constraints)
             return ir.ScenarioBundle(description=desc, network=net,
                                      agents=tuple(agents),
-                                     objects=tuple(objects),
-                                     weather=desc.weather, seed=seed)
+                                     objects=tuple(objects), seed=seed)
         bundle = timed("compgen", place)
     except Exception as exc:
         return fail("compgen", exc)
@@ -261,7 +255,7 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
     # evaluation
     try:
         def evaluate():
-            perf = _score_av(bundle, trace, cfg)
+            perf = _score_av(bundle, trace)
             embedder = evalkit.HashingEmbedder()
             dist = evalkit.objective_distance(desc, bundle, embedder)
             return {
@@ -286,9 +280,13 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
 def run_batch(inputs, cfg: PipelineConfig) -> dict:
     """Diversify each input into cfg.variations seeded runs and aggregate
     conformity + diversity over the whole batch. Partial failures are
-    recorded and the batch continues."""
+    recorded and the batch continues. The batch replaces an earlier batch
+    in cfg.output_dir wholesale: its batch-* run directories go first."""
     if not inputs:
         raise ConfigError("batch needs >= 1 input")
+    runs_dir = glob.escape(os.path.join(cfg.output_dir, "runs"))
+    for stale in glob.glob(os.path.join(runs_dir, "batch-*")):
+        shutil.rmtree(stale)
     manifests = []
     for i, source in enumerate(inputs):
         for v in range(cfg.variations):
@@ -396,9 +394,9 @@ def run_comparison(cfg: PipelineConfig, n_networks: int = 5,
                         net, len(desc.agents), seed=seed))):
                 bundle = ir.ScenarioBundle(
                     description=desc, network=net, agents=tuple(agents),
-                    objects=objects, weather=desc.weather, seed=seed)
+                    objects=objects, seed=seed)
                 trace = simcore.run(bundle, cfg.duration, cfg.dt)
-                runs.append(_score_av(bundle, trace, cfg))
+                runs.append(_score_av(bundle, trace))
     report = evalkit.compare_pipelines(ours, baseline)
     out = {"rows": report["rows"],
            "ours": {k: list(v) if v[1] is not None else [v[0]]

@@ -194,8 +194,6 @@ class World:
     net: netgen.RoadNetwork
     vehicles: dict            # id -> _Vehicle
     obstacles: list           # (edge_id, lane_index, s, PlacedObject)
-    time: float = 0.0
-    step_index: int = 0
 
 
 class _LaneIndex:
@@ -518,9 +516,6 @@ def step(world: World, dt: float) -> World:
             if veh.lane_change_cooldown > 0:
                 lane_change = 0
             _advance_vehicle(world, veh, accel, lane_change, dt)
-
-    world.time += dt
-    world.step_index += 1
     return world
 
 

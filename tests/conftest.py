@@ -77,8 +77,7 @@ def random_network(rng: random.Random, max_nodes: int = 12
         a, b = rng.sample(range(n_nodes), 2)
         edges.append(_random_edge(rng, f"e{len(edges)}", nodes[a], nodes[b]))
     edges = tuple(edges)
-    return netgen.RoadNetwork(nodes, edges,
-                              netgen.derive_connections(nodes, edges))
+    return netgen.RoadNetwork(nodes, edges)
 
 
 def _random_edge(rng, eid, a, b):

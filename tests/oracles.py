@@ -222,11 +222,16 @@ def connections_brute_force(edges):
     return out
 
 
+# The successor reference takes the package's connections, which have their
+# own brute-force oracle (connections_brute_force).
+
 def successors_scan(net, edge_id):
     """Edges a vehicle may take after edge_id: the connected ones, else every
     edge leaving its end node that does not lead straight back."""
+    from scenarioforge import netgen
     edge = next(e for e in net.edges if e.id == edge_id)
-    out = sorted({c.to_edge for c in net.connections
+    out = sorted({c.to_edge
+                  for c in netgen.derive_connections(net.nodes, net.edges)
                   if c.from_edge == edge_id})
     if out:
         return out

@@ -40,8 +40,7 @@ def make_bundle(desc, agents, objects=(), layout="Straight"):
     net = netgen.build_network_blueprint(ir.RoadDescription(
         layout=layout, segments=(ir.RoadSegment(100.0, 2, 0, 13.89),)))
     return ir.ScenarioBundle(description=desc, network=net,
-                             agents=tuple(agents), objects=tuple(objects),
-                             weather=desc.weather)
+                             agents=tuple(agents), objects=tuple(objects))
 
 
 # ---------------------------------------------------------------------------

@@ -165,5 +165,4 @@ def test_bundle_requires_exactly_one_av():
 
     with pytest.raises(ir.InvalidEnum):
         ir.ScenarioBundle(description=d, network=None,
-                          agents=(_A("BV"),), objects=(),
-                          weather=d.weather)
+                          agents=(_A("BV"),), objects=())

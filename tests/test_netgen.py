@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scenarioforge import ir, netgen
 from scenarioforge.interpreter import MockProvider, default_knowledge_base
 
-from conftest import random_network
+from conftest import _random_edge, random_network
 from oracles import (connections_brute_force, network_stats_networkx,
                      point_along_scan, stats_oracle, successors_scan)
 from validator_cases import CASES, GOOD_EDGES, GOOD_NODES
@@ -76,7 +76,8 @@ def test_merge_blueprint_joins_two_ramps():
     incoming = [e for e in net.edges if e.to_node == "m"]
     outgoing = [e for e in net.edges if e.from_node == "m"]
     assert len(incoming) == 2 and len(outgoing) == 1
-    conns = {(c.from_edge, c.to_edge) for c in net.connections}
+    conns = {(c.from_edge, c.to_edge)
+             for c in netgen.derive_connections(net.nodes, net.edges)}
     assert ("ramp_a", "main") in conns and ("ramp_b", "main") in conns
 
 
@@ -86,7 +87,8 @@ def test_roundabout_blueprint_ring_is_cyclic():
     net = netgen.build_network_blueprint(road)
     ring = [e for e in net.edges if e.id.startswith("ring")]
     assert len(ring) == 4
-    conns = {(c.from_edge, c.to_edge) for c in net.connections}
+    conns = {(c.from_edge, c.to_edge)
+             for c in netgen.derive_connections(net.nodes, net.edges)}
     for i in range(4):
         assert (f"ring{i}", f"ring{(i + 1) % 4}") in conns
 
@@ -105,7 +107,8 @@ def test_connections_skip_uturns():
         layout="Straight", segments=(ir.RoadSegment(50.0, 1, 1, 13.89),
                                      ir.RoadSegment(50.0, 1, 1, 13.89)))
     net = netgen.build_network_blueprint(road)
-    conns = {(c.from_edge, c.to_edge) for c in net.connections}
+    conns = {(c.from_edge, c.to_edge)
+             for c in netgen.derive_connections(net.nodes, net.edges)}
     assert ("e0f", "e1f") in conns
     assert ("e1b", "e0b") in conns
     assert ("e0f", "e0b") not in conns
@@ -127,9 +130,7 @@ def grid_network(size=6):
             a, b = f"g{r}_{c}", f"g{r + 1}_{c}"
             edges.append(netgen.Edge(f"c{c}_{r}", a, b, num_lanes=2))
             edges.append(netgen.Edge(f"c{c}_{r}r", b, a, num_lanes=2))
-    edges = tuple(edges)
-    return netgen.RoadNetwork(nodes, edges,
-                              netgen.derive_connections(nodes, edges))
+    return netgen.RoadNetwork(nodes, edges)
 
 
 def test_derive_connections_matches_brute_force(rng):
@@ -138,11 +139,36 @@ def test_derive_connections_matches_brute_force(rng):
         got = [(c.from_edge, c.to_edge, c.from_lane, c.to_lane)
                for c in netgen.derive_connections(net.nodes, net.edges)]
         assert got == connections_brute_force(net.edges)
-    assert len(nets[-1].connections) > 200
+    grid = nets[-1]
+    assert len(netgen.derive_connections(grid.nodes, grid.edges)) > 200
+
+
+def loops_and_dead_ends(rng):
+    """A random network plus self-loops, U-turn pairs and dead-end spurs:
+    the cases the connection rule treats apart."""
+    net = random_network(rng)
+    nodes, edges = list(net.nodes), list(net.edges)
+    by_id = {n.id: n for n in nodes}
+    for k in range(rng.randint(1, 4)):
+        a = rng.choice(net.nodes)
+        kind = rng.randrange(3)
+        if kind == 0:
+            edges.append(_random_edge(rng, f"loop{k}", a, a))
+        elif kind == 1:
+            e = rng.choice(net.edges)
+            edges.append(_random_edge(rng, f"back{k}", by_id[e.to_node],
+                                      by_id[e.from_node]))
+        else:
+            spur = netgen.Node(f"d{k}", a.x + 50.0, a.y)
+            nodes.append(spur)
+            edges.append(_random_edge(rng, f"spur{k}", a, spur))
+    return netgen.RoadNetwork(nodes, edges)
 
 
 def test_lane_graph_matches_per_call_geometry(rng):
-    for net in [random_network(rng) for _ in range(30)] + [grid_network()]:
+    nets = [random_network(rng) for _ in range(30)] + \
+        [loops_and_dead_ends(rng) for _ in range(30)] + [grid_network()]
+    for net in nets:
         graph = net.lane_graph
         assert net.lane_graph is graph  # compiled once per network
         # first wins: a dict built from the reversed nodes keeps the first
@@ -159,6 +185,11 @@ def test_lane_graph_matches_per_call_geometry(rng):
             assert graph.edge_length[e.id] == \
                 netgen._polyline_length(netgen.edge_polyline(net, e))
             assert list(graph.successors[e.id]) == successors_scan(net, e.id)
+        ends = [(e.from_node, e.to_node) for e in net.edges]
+        assert list(graph.neighbors) == list(dict.fromkeys(
+            [n.id for n in net.nodes] + [v for end in ends for v in end]))
+        for v, adj in graph.neighbors.items():
+            assert adj == {b if a == v else a for a, b in ends if v in (a, b)}
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +372,7 @@ def test_round_trip_xml_special_ids(ids):
     nodes = (netgen.Node(a, 0, 0), netgen.Node(b, 50, 0))
     edges = (netgen.Edge(edge_id, a, b, num_lanes=2),
              netgen.Edge(edge_id + "r", b, a))
-    net = netgen.RoadNetwork(nodes, edges,
-                             netgen.derive_connections(nodes, edges))
+    net = netgen.RoadNetwork(nodes, edges)
     xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
     assert netgen.parse_sumo_xml(xml_nodes, xml_edges) == net
 
@@ -631,6 +661,13 @@ def test_ingest_osm_geometry_and_tags():
     # output passes its own validation
     xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
     assert netgen.validate_network(xml_nodes, xml_edges) == []
+
+
+@pytest.mark.parametrize("blank", ["", " "])
+def test_ingest_osm_blank_maxspeed_is_absent(blank):
+    net = netgen.ingest_osm(BBOX, OSM_FIXTURE.replace(
+        '<tag k="maxspeed" v="50"/>', f'<tag k="maxspeed" v="{blank}"/>'))
+    assert {e.speed for e in net.edges} == {netgen.DEFAULT_SPEED}
 
 
 def test_ingest_osm_rejects_undrivable_extract():

@@ -67,8 +67,7 @@ def load_bundle(manifest):
         kind=o["kind"], x=o["x"], y=o["y"], yaw=o["yaw"],
         footprint=tuple(o["footprint"])) for o in data["objects"])
     return ir.ScenarioBundle(description=desc, network=net, agents=agents,
-                             objects=objects, weather=desc.weather,
-                             seed=data["seed"])
+                             objects=objects, seed=data["seed"])
 
 
 @pytest.mark.parametrize("source", [
@@ -220,9 +219,12 @@ def test_load_config_json_and_validation(tmp_path):
         with pytest.raises(pipeline.ConfigError):
             pipeline.PipelineConfig(**bad_field)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"not_a_field": 1}))
-    with pytest.raises(pipeline.ConfigError):
-        pipeline.load_config(str(bad))
+    # the scoring constants are not options
+    for unknown in ({"not_a_field": 1}, {"score_weights": [1.0]},
+                    {"ttc_ref": 4.0}, {"jerk_ref": 2.0}):
+        bad.write_text(json.dumps(unknown))
+        with pytest.raises(pipeline.ConfigError):
+            pipeline.load_config(str(bad))
 
 
 def test_make_provider_kinds(tmp_path):
@@ -264,6 +266,19 @@ def test_run_batch_is_deterministic(tmp_path):
     bytes_b = (tmp_path / "b" / "out" / "aggregate.json").read_bytes()
     assert bytes_a == bytes_b
     assert agg_a == agg_b
+
+
+def test_batch_rerun_replaces_the_earlier_batch(tmp_path):
+    inputs = [ir.TextRequest("a car cuts in on the highway"),
+              ir.TextRequest("construction zone with cones")]
+    pipeline.run_batch(inputs, make_cfg(tmp_path, variations=2))
+    pipeline.run_pipeline(inputs[0], make_cfg(tmp_path), run_id="other")
+    agg = pipeline.run_batch(inputs[:1], make_cfg(tmp_path))
+    assert agg["runs"] == 1
+    # the 2x2 batch's runs are gone; a run with another id stays
+    runs = tmp_path / "out" / "runs"
+    assert sorted(p.name for p in runs.iterdir()) == \
+        ["batch-i000-v00-0", "other-0"]
 
 
 def test_run_batch_records_partial_failures(tmp_path):

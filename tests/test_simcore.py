@@ -40,8 +40,7 @@ def make_bundle(net, agents, objects=()):
             layout="Straight", segments=(ir.RoadSegment(100.0, 1, 0, 13.89),)),
         objects=(), agents=(), weather=ir.WeatherDescription())
     return ir.ScenarioBundle(description=desc, network=net,
-                             agents=tuple(agents), objects=tuple(objects),
-                             weather=desc.weather)
+                             agents=tuple(agents), objects=tuple(objects))
 
 
 # ---------------------------------------------------------------------------
