@@ -342,8 +342,9 @@ def _edge_errors(eid, ends, spread, node_ids: set, edge_ids: set,
 
 
 def _number_errors(attr: str, value, text, errors: list) -> None:
-    """A numLanes or speed of 0 or less, spelled as text."""
-    if value <= 0:
+    """A numLanes or speed that is not a positive finite number, spelled as
+    text."""
+    if not 0 < value < math.inf:
         errors.append(ValidationError("InvalidEnum", "edge", f"{attr}={text}"))
 
 

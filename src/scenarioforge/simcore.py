@@ -8,8 +8,12 @@ bounding-box overlaps (separating axis test) recorded per step.
 Lane geometry comes from the network's compiled LaneGraph. Each step indexes
 the active vehicles by lane, sorted by arc length, so leader and follower
 lookups bisect one lane instead of scanning every vehicle, and a broad phase
-on the boxes' axis-aligned extents runs before the exact overlap test. Both
-return exactly what the full scans return, ties included.
+on the boxes' closed-form axis-aligned extents runs before the exact overlap
+test, which alone builds the corners. A background vehicle weighs its
+lane-change options only when the free-road acceleration, which bounds what
+any lane can offer, would beat the current lane by the threshold. All of
+these return exactly what the full scans and evaluations return, ties
+included.
 """
 from __future__ import annotations
 
@@ -137,7 +141,10 @@ def obb_overlap(corners_a, corners_b) -> float:
 # along one of their own edge normals by at least BROAD_PHASE_MARGIN / sqrt(2)
 # (the normals of two rectangles are at most 90 degrees apart), which is far
 # above the rounding of the exact test at map coordinates, so skipping them
-# drops no event the exact test would report.
+# drops no event the exact test would report. The extents are closed-form
+# (half extents |cos|*L/2 + |sin|*W/2 and |sin|*L/2 + |cos|*W/2); they differ
+# from the extremes of obb_corners only by rounding, many orders below the
+# margin, so at most they add pairs that the exact test rejects.
 BROAD_PHASE_MARGIN = 1e-3   # m
 
 
@@ -146,15 +153,16 @@ def detect_collisions(states, step: int = 0) -> list[CollisionEvent]:
     order.
 
     A sort-and-sweep over the boxes' x-extents, then a y-extent check, picks
-    the pairs that get the exact separating axis test.
+    the pairs that get the exact separating axis test; only those pairs have
+    their corners built.
     """
-    boxes, extents = [], []
+    extents = []
     for a in states:
-        box = obb_corners(a.x, a.y, a.heading, a.length, a.width)
-        xs = [p[0] for p in box]
-        ys = [p[1] for p in box]
-        boxes.append(box)
-        extents.append((min(xs), max(xs), min(ys), max(ys)))
+        rad = math.radians(a.heading)
+        c, s = abs(math.cos(rad)), abs(math.sin(rad))
+        hl, hw = a.length / 2.0, a.width / 2.0
+        hx, hy = c * hl + s * hw, s * hl + c * hw
+        extents.append((a.x - hx, a.x + hx, a.y - hy, a.y + hy))
     by_x = sorted(range(len(states)), key=lambda i: extents[i][0])
     pairs = []
     for k, i in enumerate(by_x):
@@ -169,10 +177,11 @@ def detect_collisions(states, step: int = 0) -> list[CollisionEvent]:
             pairs.append((i, j) if i < j else (j, i))
     events = []
     for i, j in sorted(pairs):
-        pen = obb_overlap(boxes[i], boxes[j])
+        a, b = states[i], states[j]
+        pen = obb_overlap(obb_corners(a.x, a.y, a.heading, a.length, a.width),
+                          obb_corners(b.x, b.y, b.heading, b.length, b.width))
         if pen > 0:
-            events.append(CollisionEvent(step, states[i].id, states[j].id,
-                                         pen))
+            events.append(CollisionEvent(step, a.id, b.id, pen))
     return events
 
 
@@ -216,7 +225,7 @@ class _LaneIndex:
         # (s values, (s, world order, vehicle) entries) per lane
         self.vehicles = {}
         for key, bucket in buckets.items():
-            bucket.sort(key=lambda entry: entry[:2])
+            bucket.sort()   # (s, order) is unique: vehicles never compare
             self.vehicles[key] = ([entry[0] for entry in bucket], bucket)
         self.obstacles: dict = {}
         for eid, li, obj_s, obj in world.obstacles:
@@ -410,27 +419,31 @@ def _bv_control(world: World, lanes: _LaneIndex, veh: _Vehicle
     gap, lead_v = _leader_gap(world, lanes, veh, me.edge_id, me.lane_index,
                               me.s)
     accel_here = idm_accel(veh.params, me.speed, gap, me.speed - lead_v)
+    if veh.lane_change_cooldown > 0:
+        return accel_here, 0
+    # the IDM interaction term is never negative, so no lane accelerates more
+    # than the free road: when even that misses the threshold, every option
+    # does (a NaN comparison is false and keeps the full evaluation)
+    free = idm_accel(veh.params, me.speed, math.inf, 0.0)
+    if free - accel_here < veh.params.lane_change_threshold:
+        return accel_here, 0
 
-    lane_change = 0
-    if veh.lane_change_cooldown <= 0:
-        for opt in _lane_options(world, lanes, veh):
-            accel_there = idm_accel(veh.params, me.speed, opt["gap"],
-                                    me.speed - opt["leader_speed"])
-            if accel_there - accel_here < veh.params.lane_change_threshold:
+    for opt in _lane_options(world, lanes, veh):
+        accel_there = idm_accel(veh.params, me.speed, opt["gap"],
+                                me.speed - opt["leader_speed"])
+        if accel_there - accel_here < veh.params.lane_change_threshold:
+            continue
+        if opt["rear_gap"] < veh.params.min_gap:
+            continue
+        follower = opt["follower"]
+        if follower is not None:
+            f_acc = idm_accel(follower.params, follower.state.speed,
+                              opt["rear_gap"],
+                              follower.state.speed - me.speed)
+            if f_acc < -follower.params.comfortable_decel:
                 continue
-            if opt["rear_gap"] < veh.params.min_gap:
-                continue
-            follower = opt["follower"]
-            if follower is not None:
-                f_acc = idm_accel(follower.params, follower.state.speed,
-                                  opt["rear_gap"],
-                                  follower.state.speed - me.speed)
-                if f_acc < -follower.params.comfortable_decel:
-                    continue
-            lane_change = opt["direction"]
-            accel_here = accel_there
-            break
-    return accel_here, lane_change
+        return accel_there, opt["direction"]
+    return accel_here, 0
 
 
 def _advance_vehicle(world: World, veh: _Vehicle, accel: float,
@@ -580,7 +593,7 @@ def run(bundle: ScenarioBundle, duration: float, dt: float = DEFAULT_DT,
     for k in range(n_steps):
         step(world, dt)
         states = [v.state for v in world.vehicles.values() if v.active]
-        trace.steps.append(list(states))
+        trace.steps.append(states)
         for ev in detect_collisions(states, step=k):
             key = (ev.agent_a, ev.agent_b)
             if key not in seen_contacts:

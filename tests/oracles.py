@@ -307,6 +307,35 @@ def leader_gap_scan(world, veh, edge_id, lane_index, s):
     return best_gap, best_speed
 
 
+def bv_control_scan(world, lanes, veh):
+    """(accel, lane change) of a background vehicle by evaluating every lane
+    option: the first whose IDM acceleration beats the current lane's by the
+    threshold, with room behind and no follower forced to brake harder than
+    it comfortably can. Leader gaps and options come from the package, which
+    has its own oracles for them."""
+    from scenarioforge import simcore
+    me, p = veh.state, veh.params
+    gap, lead_v = simcore._leader_gap(world, lanes, veh, me.edge_id,
+                                      me.lane_index, me.s)
+    accel_here = simcore.idm_accel(p, me.speed, gap, me.speed - lead_v)
+    if veh.lane_change_cooldown > 0:
+        return accel_here, 0
+    for opt in simcore._lane_options(world, lanes, veh):
+        accel_there = simcore.idm_accel(p, me.speed, opt["gap"],
+                                        me.speed - opt["leader_speed"])
+        if accel_there - accel_here < p.lane_change_threshold or \
+                opt["rear_gap"] < p.min_gap:
+            continue
+        follower = opt["follower"]
+        if follower is not None and simcore.idm_accel(
+                follower.params, follower.state.speed, opt["rear_gap"],
+                follower.state.speed - me.speed) < \
+                -follower.params.comfortable_decel:
+            continue
+        return accel_there, opt["direction"]
+    return accel_here, 0
+
+
 def follower_scan(world, me_id, edge_id, lane_index, s):
     """The active vehicle with the largest s <= s on the lane, first in world
     order on ties."""

@@ -310,6 +310,15 @@ def test_network_errors_equal_validator_on_serialized_network(net):
         netgen.validate_network(*netgen.serialize_sumo_xml(net))
 
 
+@pytest.mark.parametrize("speed", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_validator_rejects_a_non_finite_speed(speed):
+    edges = GOOD_EDGES.replace('speed="13.89"', f'speed="{speed}"')
+    assert netgen.validate_network(GOOD_NODES, edges) == [
+        netgen.ValidationError("InvalidEnum", "edge", f"speed={speed}")]
+    with pytest.raises(netgen.NetworkValidationError):
+        netgen.parse_sumo_xml(GOOD_NODES, edges)
+
+
 def test_parse_rejects_a_non_integer_lane_index():
     edges = GOOD_EDGES.replace(
         'spreadType="right"/>',
@@ -690,7 +699,12 @@ def test_ingest_osm_rejects_garbage():
     ('<way id="11">', '<way id="10">', [("DuplicateId", "edge", "w10s0")]),
     ('<tag k="maxspeed" v="50"/>', '<tag k="maxspeed" v="0"/>',
      [("InvalidEnum", "edge", "speed=0.0")] * 4),
-], ids=["hash_in_way_id", "repeated_way_id", "zero_maxspeed"])
+    ('<tag k="maxspeed" v="50"/>', '<tag k="maxspeed" v="nan"/>',
+     [("InvalidEnum", "edge", "speed=nan")] * 4),
+    ('<tag k="maxspeed" v="50"/>', '<tag k="maxspeed" v="inf mph"/>',
+     [("InvalidEnum", "edge", "speed=inf")] * 4),
+], ids=["hash_in_way_id", "repeated_way_id", "zero_maxspeed",
+        "nan_maxspeed", "inf_maxspeed"])
 def test_ingest_osm_rejects_invalid_ways(old, new, errors):
     with pytest.raises(netgen.NetworkValidationError) as exc:
         netgen.ingest_osm(BBOX, OSM_FIXTURE.replace(old, new))

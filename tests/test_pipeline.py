@@ -181,6 +181,21 @@ def test_run_pipeline_gps_with_fixture(tmp_path, monkeypatch):
     assert "osm" in xml  # the network came from the extract, not a blueprint
 
 
+@pytest.mark.parametrize("maxspeed", ["nan", "inf"])
+def test_run_pipeline_non_finite_maxspeed_fails_validation(tmp_path,
+                                                           maxspeed):
+    fixture = tmp_path / "extract.osm"
+    fixture.write_text(OSM_FIXTURE.replace(
+        '<tag k="maxspeed" v="50"/>', f'<tag k="maxspeed" v="{maxspeed}"/>'),
+        encoding="utf-8")
+    m = pipeline.run_pipeline(ir.GpsBoundingBox(-0.001, -0.001, 0.003, 0.002),
+                              make_cfg(tmp_path, osm_fixture=str(fixture)),
+                              run_id="speed")
+    assert m.stages["netgen"] == "error:ValidationError"
+    assert m.failure == "ValidationError"
+    assert "report" not in m.artifacts
+
+
 def test_classify_failure():
     err = netgen.CompileFailed([netgen.ValidationError("MalformedKeyword",
                                                        "edge", "e#0")])

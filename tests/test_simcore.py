@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 import scenarioforge
 from scenarioforge import compgen, ir, netgen, pipeline, simcore
 
-from oracles import (all_pairs_collisions, export_trace_json, follower_scan,
-                     leader_gap_scan, quads_overlap_oracle)
+from oracles import (all_pairs_collisions, bv_control_scan, export_trace_json,
+                     follower_scan, leader_gap_scan, quads_overlap_oracle)
 
 
 def straight_net(length=2000.0, fwd=1, speed=13.89):
@@ -168,13 +168,20 @@ BOX = st.tuples(
     st.one_of(st.sampled_from([1.8, 2.5]), st.floats(0.3, 3.0)))
 
 
-@settings(max_examples=200, deadline=None)
+# map-scale offsets, where the closed-form extents round the most
+OFFSET = st.sampled_from([(0.0, 0.0), (3000.0, -3000.0), (-3000.0, 3000.0),
+                          (1e4, 1e4), (-1e4, -1e4), (1e4, -3000.0)])
+
+
+@settings(max_examples=300, deadline=None)
 @given(boxes=st.lists(BOX, max_size=24),
        copies=st.lists(st.integers(0, 23), max_size=4),
-       swap_dims=st.booleans())
-def test_detect_collisions_matches_all_pairs(boxes, copies, swap_dims):
+       swap_dims=st.booleans(), offset=OFFSET)
+def test_detect_collisions_matches_all_pairs(boxes, copies, swap_dims,
+                                             offset):
     boxes = boxes + [boxes[i] for i in copies if i < len(boxes)]  # coincident
-    states = [box_state(i, *b) for i, b in enumerate(boxes)]
+    states = [box_state(i, x + offset[0], y + offset[1], *rest)
+              for i, (x, y, *rest) in enumerate(boxes)]
     if swap_dims:
         states[::2] = [replace(a, length=a.width, width=a.length)
                        for a in states[::2]]
@@ -483,6 +490,52 @@ def test_indexed_leader_and_follower_match_linear_scans(lanes, vehicles,
                 leader_gap_scan(world, veh, me.edge_id, li, me.s)
             assert index.follower(me.id, (me.edge_id, li), me.s) is \
                 follower_scan(world, me.id, me.edge_id, li, me.s)
+
+
+BACKGROUND_VEHICLE = st.tuples(
+    st.integers(0, 1), st.integers(0, 2), LANE_S,
+    st.sampled_from(["Car", "Truck"]),
+    st.one_of(st.integers(0, 20).map(float), st.floats(0.0, 25.0)),
+    st.sampled_from([0.0, 0.0, 0.05, 2.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(lanes=(2, 1), nan_at=5,  # a stopped leader, and a free lane beside
+         vehicles=[(0, 0, 10.0, "Car", 10.0, 0.0),
+                   (0, 0, 20.0, "Car", 0.0, 0.0)])
+@example(lanes=(2, 1), nan_at=0,  # a NaN desired speed reads as no limit
+         vehicles=[(0, 0, 10.0, "Car", 10.0, 0.0),
+                   (0, 0, 20.0, "Car", 0.0, 0.0)])
+@example(lanes=(2, 1), nan_at=5,  # NaN accelerations: every option is tried
+         vehicles=[(0, 0, 10.0, "Car", math.nan, 0.0),
+                   (0, 0, 20.0, "Car", 0.0, 0.0)])
+@given(lanes=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       vehicles=st.lists(BACKGROUND_VEHICLE, min_size=1, max_size=14),
+       nan_at=st.integers(0, 13))
+def test_bv_control_matches_full_option_scan(lanes, vehicles, nan_at):
+    """Skipping the options when the free road misses the threshold gives
+    what evaluating every option gives, for Car and Truck parameters,
+    leaders on the next edge, cooldowns and NaN speeds."""
+    road = ir.RoadDescription(
+        layout="Straight",
+        segments=(ir.RoadSegment(60.0, lanes[0], 0, 13.89),
+                  ir.RoadSegment(60.0, lanes[1], 0, 13.89)))
+    net = netgen.build_network_blueprint(road)
+    edge_ids = ("e0f", "e1f")
+    world = simcore.World(net=net, vehicles={}, obstacles=[])
+    for i, (ei, li, s, kind, speed, cooldown) in enumerate(vehicles):
+        state = place(net, edge_ids[ei], min(li, lanes[ei] - 1), s, f"v{i}",
+                      kind=kind, speed=speed)
+        params = simcore._default_params(kind, 13.89)
+        if i == nan_at:
+            params = replace(params, desired_speed=math.nan)
+        world.vehicles[state.id] = simcore._Vehicle(
+            state=state, params=params, lane_change_cooldown=cooldown)
+    index = simcore._LaneIndex(world)
+    for veh in world.vehicles.values():
+        # repr, so that NaN accelerations compare equal
+        assert repr(simcore._bv_control(world, index, veh)) == \
+            repr(bv_control_scan(world, index, veh))
 
 
 @settings(max_examples=100, deadline=None)
