@@ -51,11 +51,19 @@ class AgentState:
     width: float
     color: Optional[str] = None
 
-    def __post_init__(self):
-        if not (-180.0 < self.heading <= 180.0):
-            raise ValueError(f"heading out of range: {self.heading}")
-        if self.speed < 0:
+    # one is built per agent-step: the generated frozen __init__ calls
+    # object.__setattr__ per field, and __dict__ stores cost a third of that
+    def __init__(self, id, kind, role, edge_id, lane_index, s, speed, heading,
+                 x, y, length, width, color=None):
+        if not (-180.0 < heading <= 180.0):
+            raise ValueError(f"heading out of range: {heading}")
+        if speed < 0:
             raise ValueError("speed must be >= 0")
+        d = self.__dict__
+        d["id"], d["kind"], d["role"], d["edge_id"] = id, kind, role, edge_id
+        d["lane_index"], d["s"], d["speed"] = lane_index, s, speed
+        d["heading"], d["x"], d["y"] = heading, x, y
+        d["length"], d["width"], d["color"] = length, width, color
 
 
 @dataclass(frozen=True)

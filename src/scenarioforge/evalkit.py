@@ -25,8 +25,6 @@ JERK_REF = 2.0                      # m/s^3
 
 TABLE5_ROWS = ("Route completion", "Driving score", "Total score",
                "Use Time", "Success rate", "Collision rate")
-SIMILARITY_SECTIONS = ("Overall scene", "Net", "Road User", "Static object",
-                       "Vehicle behavior")
 
 
 class ZeroVector(ValueError):
@@ -411,48 +409,6 @@ def format_comparison(report: dict) -> str:
                          else format_pm(mean, std))
         lines.append(f"{row.ljust(width)}{cells[0].ljust(18)}{cells[1]}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# cross-view description similarity
-
-def _section_text(desc: ScenarioDescription, section: str) -> str:
-    if section == "Overall scene":
-        return serialize_description(desc)
-    if section == "Net":
-        return " ".join(
-            f"{desc.road.layout} segment length {s.length} lanes "
-            f"{s.lanes_forward}+{s.lanes_backward} speed {s.speed_limit}"
-            for s in desc.road.segments)
-    if section == "Road User":
-        return " ".join(f"{a.color or ''} {a.kind} {a.role}"
-                        for a in desc.agents)
-    if section == "Static object":
-        return " ".join(f"{o.count} {o.kind} {o.placement_hint}"
-                        for o in desc.objects) or "no static objects"
-    if section == "Vehicle behavior":
-        return " ".join(f"{a.kind} {a.intent} at {a.approx_speed}"
-                        for a in desc.agents) or "no vehicles"
-    raise KeyError(section)
-
-
-def cross_view_similarity(pairs_per_view: dict, embedder) -> dict:
-    """Per-section similarity between inputs and per-view regenerations.
-
-    pairs_per_view: view name -> list of (input_desc, regenerated_desc).
-    Returns {section: {view: (mean, std)}}.
-    """
-    out: dict = {}
-    for section in SIMILARITY_SECTIONS:
-        out[section] = {}
-        for view, pairs in pairs_per_view.items():
-            sims = []
-            for original, regen in pairs:
-                u = embedder.embed(_section_text(original, section))
-                v = embedder.embed(_section_text(regen, section))
-                sims.append(cosine_similarity(u, v))
-            out[section][view] = _mean_std(sims)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,19 @@ lane-change options only when the free-road acceleration, which bounds what
 any lane can offer, would beat the current lane by the threshold. All of
 these return exactly what the full scans and evaluations return, ties
 included.
+
+The trace file and hash spell each number as json.dumps(round(v, n)) does
+(n = 4 and 6) from one '%.nf' conversion: round makes the same correctly
+rounded, half-even conversion, then parses it back and takes the shortest
+repr. Below 1e9 in magnitude an ulp is under 1.2e-7, so the n-place decimal
+names one double and, with trailing zeros stripped to one decimal, is its
+shortest repr. Ints, NaN, infinities, values outside (-1e9, 1e9) and values
+that round to 0 < |x| < 1e-4, which repr spells with an exponent, take round.
 """
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import json
 import math
@@ -44,11 +53,12 @@ class BehaviorParams:
     lane_change_threshold: float = 0.3  # m/s^2 advantage
 
     def __post_init__(self):
-        if min(self.desired_speed, self.max_accel, self.comfortable_decel,
-               self.min_gap, self.time_headway,
-               self.lane_change_threshold) <= 0:
+        # not v > 0, so that NaN fails too
+        if not all(v > 0 for v in (
+                self.desired_speed, self.max_accel, self.comfortable_decel,
+                self.min_gap, self.time_headway, self.lane_change_threshold)):
             raise ValueError("behavior parameters must be positive")
-        if self.accel_exponent < 1:
+        if not self.accel_exponent >= 1:
             raise ValueError("accel_exponent must be >= 1")
 
 
@@ -70,16 +80,22 @@ class SimulationTrace:
     jerk_series: dict = field(default_factory=dict)   # id -> list[m/s^3]
 
     def hash(self) -> str:
-        payload = []
-        for states in self.steps:
-            payload.append([(a.id, round(a.x, 6), round(a.y, 6),
-                             round(a.speed, 6), round(a.heading, 6))
-                            for a in states])
-        blob = json.dumps({"dt": self.dt, "steps": payload,
-                           "collisions": [(c.step, c.agent_a, c.agent_b)
-                                          for c in self.collisions]},
-                          sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """sha256 of json.dumps({"dt", "steps": [[id, x, y, speed, heading] per
+        state, to 6 decimals], "collisions"}, sort_keys=True), fed in batches."""
+        collisions = [(c.step, c.agent_a, c.agent_b) for c in self.collisions]
+        digest = hashlib.sha256(f'{{"collisions": {json.dumps(collisions)}, '
+                                f'"dt": {json.dumps(self.dt)}, "steps": ['
+                                .encode())
+        quote = functools.cache(json.dumps)
+        for first, batch in _batches(self.steps):
+            n = iter(_decimals([v for states in batch for a in states
+                                for v in (a.x, a.y, a.speed, a.heading)], 6))
+            text = "], [".join(", ".join([
+                f"[{quote(a.id)}, {next(n)}, {next(n)}, {next(n)}, {next(n)}]"
+                for a in states]) for states in batch)
+            digest.update(f"{', ' if first else ''}[{text}]".encode())
+        digest.update(b"]}")
+        return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +108,7 @@ def idm_accel(params: BehaviorParams, speed: float, gap: float,
     gap may be math.inf (free road). speed_delta = own speed - leader speed.
     """
     p = params
-    free = (speed / p.desired_speed) ** p.accel_exponent \
-        if p.desired_speed > 0 else 0.0
+    free = (speed / p.desired_speed) ** p.accel_exponent
     if math.isinf(gap):
         interaction = 0.0
     else:
@@ -476,7 +491,7 @@ def _advance_vehicle(world: World, veh: _Vehicle, accel: float,
     x, y, heading = path.point_at(s_new)
     veh.lane_change_cooldown = max(0.0, veh.lane_change_cooldown - dt)
     # the constructor, not dataclasses.replace, which costs about twice as
-    # much on every agent-step; __post_init__ still validates the state
+    # much on every agent-step; __init__ still validates the state
     veh.state = AgentState(me.id, me.kind, me.role, edge_id, lane_index,
                            s_new, v_new, heading, x, y, me.length, me.width,
                            me.color)
@@ -611,33 +626,61 @@ def run(bundle: ScenarioBundle, duration: float, dt: float = DEFAULT_DT,
     return trace
 
 
+# ---------------------------------------------------------------------------
+# trace encoding
+
+def _batches(steps: list, size: int = 256):
+    """(first step index, steps) for runs of steps with at least size states
+    (the last run may have fewer): one _decimals call and text per run."""
+    start = count = 0
+    for stop, states in enumerate(steps, 1):
+        count += len(states)
+        if count >= size or stop == len(steps):
+            yield start, steps[start:stop]
+            start, count = stop, 0
+
+
+def _decimals(values: list, n: int) -> list[str]:
+    """json.dumps(round(v, n)) for each of values, n being 4 or 6: one '%.nf'
+    operation when all are exact floats (json spells an int 5, not 5.0); the
+    module docstring says why and which values take round instead."""
+    if not {*map(type, values)} <= {float}:
+        return [json.dumps(round(v, n)) for v in values]
+    text = (" " + f"%.{n}f " * len(values)) % tuple(values)
+    # strip up to n - 1 (odd) trailing zeros: two at a time, then one
+    for _ in range((n - 1) // 2):
+        text = text.replace("00 ", " ")
+    text = text.replace("0 ", " ")
+    spellings = text.split()
+    if "n" not in text and " 0.0000" not in text and " -0.0000" not in text \
+            and -1e9 < min(values, default=0) and max(values, default=0) < 1e9:
+        return spellings
+    return [s if -1e9 < v < 1e9 and not s.startswith(("0.0000", "-0.0000"))
+            else json.dumps(round(v, n)) for v, s in zip(values, spellings)]
+
+
 def export_trace(trace: SimulationTrace) -> str:
     """Line-delimited trace records: step, id, x, y, speed, heading, accel.
 
-    Each line is the JSON object json.dumps(record, sort_keys=True) writes,
-    formatted directly: repr is the float encoding json uses, and each id is
-    quoted once. A record holding a non-finite value goes through json.dumps,
-    which spells those NaN and Infinity.
+    Each line is what json.dumps(record, sort_keys=True) writes with the five
+    numbers rounded to 4 decimals. A float in (-1e9, 1e9) is spelled by one
+    '%.4f' conversion with its trailing zeros stripped, which is
+    repr(round(v, 4)); an int, NaN, infinity or larger float, by
+    json.dumps(round(v, 4)). Each id is quoted once.
     """
     lines = []
-    quoted: dict = {}
-    for k, states in enumerate(trace.steps):
-        for a in states:
-            accel = trace.accel_series.get(a.id, [])
-            acc = round(accel[k] if k < len(accel) else 0.0, 4)
-            x, y = round(a.x, 4), round(a.y, 4)
-            speed, heading = round(a.speed, 4), round(a.heading, 4)
-            # NaN unless all five are finite (a sum that overflows only
-            # sends a finite record the slow way)
-            if 0 * (acc + x + y + speed + heading) == 0:
-                if a.id not in quoted:
-                    quoted[a.id] = json.dumps(a.id)
-                lines.append(
-                    f'{{"accel": {acc!r}, "heading": {heading!r}, '
-                    f'"id": {quoted[a.id]}, "speed": {speed!r}, '
-                    f'"step": {k}, "x": {x!r}, "y": {y!r}}}')
-            else:
-                lines.append(json.dumps({
-                    "step": k, "id": a.id, "x": x, "y": y, "speed": speed,
-                    "heading": heading, "accel": acc}, sort_keys=True))
+    quote = functools.cache(json.dumps)
+    for first, batch in _batches(trace.steps):
+        values = []
+        for k, states in enumerate(batch, first):
+            for a in states:
+                accel = trace.accel_series.get(a.id, ())
+                values += (accel[k] if k < len(accel) else 0.0, a.heading,
+                           a.speed, a.x, a.y)
+        n = iter(_decimals(values, 4))
+        for k, states in enumerate(batch, first):
+            lines += [f'{{"accel": {next(n)}, "heading": {next(n)}, '
+                      f'"id": {quote(a.id)}, "speed": {next(n)}, '
+                      f'"step": {k}, "x": {next(n)}, "y": {next(n)}}}'
+                      for a in states]
     return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ These deliberately avoid the library's own helpers: lengths are recomputed
 from raw geometry and shortest paths use Floyd-Warshall over dense matrices,
 or networkx where a result must match the library bit for bit.
 """
+import hashlib
 import json
 import math
 
@@ -384,3 +385,18 @@ def export_trace_json(trace):
                 "speed": round(a.speed, 4), "heading": round(a.heading, 4),
                 "accel": round(acc, 4)}, sort_keys=True))
     return "\n".join(lines) + "\n"
+
+
+def trace_hash_json(trace):
+    """SimulationTrace.hash as one json.dumps(..., sort_keys=True) over every
+    step, with each number rounded by round(v, 6)."""
+    payload = []
+    for states in trace.steps:
+        payload.append([(a.id, round(a.x, 6), round(a.y, 6),
+                         round(a.speed, 6), round(a.heading, 6))
+                        for a in states])
+    blob = json.dumps({"dt": trace.dt, "steps": payload,
+                       "collisions": [(c.step, c.agent_a, c.agent_b)
+                                      for c in trace.collisions]},
+                      sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import random
 import statistics
@@ -173,6 +175,38 @@ def test_heading_validation_on_state():
     with pytest.raises(ValueError):
         compgen.AgentState("a", "Car", "AV", "e", 0, 0.0, -1.0, 0.0,
                            0.0, 0.0, 4.5, 1.8)
+
+
+def test_agent_state_is_a_frozen_dataclass():
+    """The hand-written __init__ keeps the dataclass contract: its
+    parameters are the fields, and the state stays frozen, equal, hashable
+    and validated through replace."""
+    fields = dataclasses.fields(compgen.AgentState)
+    params = inspect.signature(compgen.AgentState).parameters
+    assert list(params) == [f.name for f in fields]
+    assert params["color"].default is None
+    assert all(p.default is inspect.Parameter.empty
+               for name, p in params.items() if name != "color")
+    values = ("a", "Car", "BV", "e", 1, 2.0, 3.0, -90.0, 4.0, 5.0, 4.5, 1.8,
+              "red")
+    state = compgen.AgentState(*values)
+    by_name = compgen.AgentState(**{f.name: v for f, v in zip(fields, values)})
+    assert state == by_name and hash(state) == hash(by_name)
+    assert dataclasses.astuple(state) == values
+    assert dataclasses.asdict(state)["heading"] == -90.0
+    assert repr(state).startswith("AgentState(id='a', kind='Car'")
+    assert compgen.AgentState(*values[:-1]).color is None
+    assert dataclasses.replace(state, x=7.0) == \
+        compgen.AgentState(*values[:8], 7.0, *values[9:])
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, f.name, None)
+    with pytest.raises(ValueError):
+        dataclasses.replace(state, heading=181.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(state, speed=-1.0)
+    # a NaN speed passes the check, as the lane-change tests rely on
+    assert math.isnan(dataclasses.replace(state, speed=math.nan).speed)
 
 
 # ---------------------------------------------------------------------------

@@ -350,36 +350,6 @@ def test_format_comparison_table():
 
 
 # ---------------------------------------------------------------------------
-# cross-view similarity
-
-def test_cross_view_identical_pairs_score_one():
-    desc = make_desc(agents=(ir.AgentDescription("Car", "AV", color="red"),),
-                     objects=(ir.ObjectDescription("Cone", 3),))
-    table = evalkit.cross_view_similarity({"text": [(desc, desc)]},
-                                          HashingEmbedder())
-    for section in evalkit.SIMILARITY_SECTIONS:
-        mean, std = table[section]["text"]
-        assert mean == pytest.approx(1.0)
-        assert std == 0.0
-
-
-def test_cross_view_localizes_behavior_changes():
-    a = ir.AgentDescription("Car", "AV", intent="cruise", approx_speed=10.0,
-                            color="red")
-    changed = ir.AgentDescription("Car", "AV", intent="cut-in",
-                                  approx_speed=25.0, color="red")
-    desc = make_desc(agents=(a,), objects=(ir.ObjectDescription("Cone", 3),))
-    regen = make_desc(agents=(changed,),
-                      objects=(ir.ObjectDescription("Cone", 3),))
-    table = evalkit.cross_view_similarity({"v": [(desc, regen)]},
-                                          HashingEmbedder())
-    assert table["Net"]["v"][0] == pytest.approx(1.0)
-    assert table["Static object"]["v"][0] == pytest.approx(1.0)
-    assert table["Road User"]["v"][0] == pytest.approx(1.0)
-    assert table["Vehicle behavior"]["v"][0] < 1.0
-
-
-# ---------------------------------------------------------------------------
 # hint export
 
 def two_agent_trace(b_heading, b_x, b_y):
