@@ -9,7 +9,7 @@ import dataclasses
 import json
 import sys
 
-from . import compgen, evalkit, ir, netgen, pipeline, simcore
+from . import compgen, evalkit, ir, netgen, pipeline
 from .interpreter import MockProvider, default_knowledge_base, interpret
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import netgen
-from .ir import ObjectDescription, ScenarioDescription
+from .ir import ScenarioDescription
 
 VEHICLE_DIMS = {
     "Car": (4.5, 1.8),

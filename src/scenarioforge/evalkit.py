@@ -8,7 +8,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import compgen, netgen, simcore
+from . import compgen, simcore
 from .compgen import _mean_std
 from .ir import (AgentDescription, ObjectDescription, RoadDescription,
                  RoadSegment, ScenarioBundle, ScenarioDescription,

@@ -181,23 +181,19 @@ class HttpProvider:
 
 
 class LoggingProvider:
-    """Wraps a provider, writing every prompt/response pair to a directory."""
+    """Wraps a provider and keeps every exchange in memory, in call order:
+    {"prompt", "response"}, or {"prompt"} alone for a call that raised. The
+    pipeline writes them to the run's prompts.jsonl."""
 
-    def __init__(self, inner, log_dir: str):
+    def __init__(self, inner):
         self.inner = inner
-        self.log_dir = log_dir
-        self._n = 0
-        os.makedirs(log_dir, exist_ok=True)
+        self.exchanges: list[dict] = []
 
     def complete(self, prompt: str) -> str:
-        self._n += 1
-        stem = os.path.join(self.log_dir, f"{self._n:03d}")
-        with open(stem + "-prompt.txt", "w", encoding="utf-8") as fh:
-            fh.write(prompt)
-        text = self.inner.complete(prompt)
-        with open(stem + "-response.txt", "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return text
+        exchange = {"prompt": prompt}
+        self.exchanges.append(exchange)
+        exchange["response"] = self.inner.complete(prompt)
+        return exchange["response"]
 
 
 _NUMBER_WORDS = {"one": 1, "two": 2, "three": 3, "four": 4, "five": 5,

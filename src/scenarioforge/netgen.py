@@ -18,7 +18,7 @@ import heapq
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .ir import GpsBoundingBox, RoadDescription
 
@@ -106,13 +106,6 @@ class Edge:
         object.__setattr__(self, "num_lanes", int(self.num_lanes))
         object.__setattr__(self, "speed", float(self.speed))
         object.__setattr__(self, "lanes", tuple(self.lanes))
-
-
-class Connection(NamedTuple):
-    from_edge: str
-    to_edge: str
-    from_lane: int
-    to_lane: int
 
 
 @dataclass(frozen=True)
@@ -254,12 +247,7 @@ class LaneGraph:
                 self.lanes.setdefault((e.id, li), path)
         self.inventory = tuple(inventory)
 
-        # successors: the edges some lane of the edge connects to, sorted
-        connected: dict[str, set] = {eid: set() for eid in self.edges}
-        for c in derive_connections(net.nodes, net.edges):
-            connected[c.from_edge].add(c.to_edge)
-        self.successors: dict[str, tuple[str, ...]] = {
-            eid: tuple(sorted(out)) for eid, out in connected.items()}
+        self.successors = derive_connections(net.edges)
 
         # undirected adjacency: the declared nodes in order, then the
         # endpoints only edges name, in edge order (network_stats breaks
@@ -270,23 +258,21 @@ class LaneGraph:
             self.neighbors.setdefault(e.to_node, set()).add(e.from_node)
 
 
-def derive_connections(nodes, edges) -> tuple[Connection, ...]:
-    """Canonical lane-to-lane connections: at every shared node, connect each
-    incoming edge to each outgoing edge (excluding direct U-turns), pairing
-    lanes by index up to the smaller lane count."""
+def derive_connections(edges) -> dict[str, tuple[str, ...]]:
+    """Canonical connections, edge id -> the sorted ids of the edges it
+    connects to: at its end node, every other leaving edge except a direct
+    U-turn (lanes pair by index, so any two edges with a lane join)."""
     leaving: dict[str, list] = {}
     for e in edges:
         leaving.setdefault(e.from_node, []).append(e)
-    out = []
+    out: dict[str, set] = {}
     for e_in in edges:
-        for e_out in leaving.get(e_in.to_node, ()):
-            if e_in.id == e_out.id:
-                continue
-            if e_out.to_node == e_in.from_node and e_in.from_node != e_in.to_node:
-                continue  # skip U-turn back along the same corridor
-            for li in range(min(e_in.num_lanes, e_out.num_lanes)):
-                out.append(Connection(e_in.id, e_out.id, li, li))
-    return tuple(out)
+        loop = e_in.from_node == e_in.to_node
+        out.setdefault(e_in.id, set()).update(
+            e_out.id for e_out in leaving.get(e_in.to_node, ())
+            if e_out.id != e_in.id
+            and (loop or e_out.to_node != e_in.from_node))
+    return {eid: tuple(sorted(to)) for eid, to in out.items()}
 
 
 # ---------------------------------------------------------------------------

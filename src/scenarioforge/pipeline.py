@@ -1,8 +1,9 @@
 """Pipeline orchestration: interpret -> netgen -> compgen -> simulate -> eval.
 
-Each run owns a directory under <output_dir>/runs/ holding every artifact and
-all prompt/response logs; manifests record per-stage status in pipeline order
-so a failure pins the taxonomy class of the stage that died.
+Each run owns a directory under <output_dir>/runs/. run_pipeline alone writes
+it: every artifact, the prompt/response log (prompts.jsonl) included, is
+listed in the manifest, which records per-stage status in pipeline order so a
+failure pins the taxonomy class of the stage that died.
 """
 from __future__ import annotations
 
@@ -63,8 +64,13 @@ def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
     """Config from a JSON document plus environment credential overrides."""
     data = {}
     if path:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}")
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
         data.pop("format", None)
     data.update(overrides)
     try:
@@ -150,8 +156,8 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_json(path: str, data) -> None:
-    _write(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
+def _json(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
@@ -172,10 +178,24 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
     shutil.rmtree(run_dir, ignore_errors=True)
     os.makedirs(run_dir)
     kb = kb or default_knowledge_base()
-    provider = LoggingProvider(make_provider(cfg),
-                               os.path.join(run_dir, "prompts"))
+    provider = LoggingProvider(make_provider(cfg))
 
     manifest = RunManifest(run_id=run_id, seed=seed)
+
+    def put(name: str, filename: str, text: str) -> None:
+        """The one way a file enters the run directory: listed as written."""
+        path = os.path.join(run_dir, filename)
+        _write(path, text)
+        manifest.artifacts[name] = path
+
+    def finish() -> RunManifest:
+        put("prompts", "prompts.jsonl",
+            "".join(json.dumps(x, sort_keys=True) + "\n"
+                    for x in provider.exchanges))
+        # last, so its mtime marks the end of the run
+        _write(os.path.join(run_dir, "manifest.json"),
+               _json(manifest.to_dict()))
+        return manifest
 
     def fail(stage: str, exc: Exception) -> RunManifest:
         kind = classify_failure(exc)
@@ -183,9 +203,7 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
         manifest.failure = kind
         for later in STAGES[STAGES.index(stage) + 1:]:
             manifest.stages[later] = "skipped"
-        _write_json(os.path.join(run_dir, "manifest.json"),
-                    manifest.to_dict())
-        return manifest
+        return finish()
 
     def timed(stage, fn):
         t0 = time.monotonic()
@@ -200,9 +218,8 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
                      lambda: interpret(source, kb, provider, seed=seed))
     except Exception as exc:
         return fail("interpret", exc)
-    desc_path = os.path.join(run_dir, "description.json")
-    _write_json(desc_path, ir.description_to_dict(desc))
-    manifest.artifacts["description"] = desc_path
+    put("description", "description.json",
+        _json(ir.description_to_dict(desc)))
 
     # network
     try:
@@ -219,10 +236,9 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
         net = timed("netgen", build_net)
     except Exception as exc:
         return fail("netgen", exc)
-    nod_path, edg_path = netgen.write_sumo_xml(
-        net, os.path.join(run_dir, "network"))
-    manifest.artifacts["network_nodes"] = nod_path
-    manifest.artifacts["network_edges"] = edg_path
+    xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
+    put("network_nodes", "network.nod.xml", xml_nodes)
+    put("network_edges", "network.edg.xml", xml_edges)
 
     # placement
     try:
@@ -238,9 +254,7 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
     except Exception as exc:
         return fail("compgen", exc)
     manifest.bundle = bundle
-    bundle_path = os.path.join(run_dir, "bundle.json")
-    _write_json(bundle_path, _bundle_to_dict(bundle))
-    manifest.artifacts["bundle"] = bundle_path
+    put("bundle", "bundle.json", _json(_bundle_to_dict(bundle)))
 
     # simulation
     try:
@@ -248,9 +262,7 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
                       lambda: simcore.run(bundle, cfg.duration, cfg.dt))
     except Exception as exc:
         return fail("simulate", exc)
-    trace_path = os.path.join(run_dir, "trace.jsonl")
-    _write(trace_path, simcore.export_trace(trace))
-    manifest.artifacts["trace"] = trace_path
+    put("trace", "trace.jsonl", simcore.export_trace(trace))
 
     # evaluation
     try:
@@ -269,12 +281,8 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
         report = timed("evaluate", evaluate)
     except Exception as exc:
         return fail("evaluate", exc)
-    report_path = os.path.join(run_dir, "report.json")
-    _write_json(report_path, report)
-    manifest.artifacts["report"] = report_path
-
-    _write_json(os.path.join(run_dir, "manifest.json"), manifest.to_dict())
-    return manifest
+    put("report", "report.json", _json(report))
+    return finish()
 
 
 def run_batch(inputs, cfg: PipelineConfig) -> dict:
@@ -316,7 +324,7 @@ def run_batch(inputs, cfg: PipelineConfig) -> dict:
         table = evalkit.diversity_from_bundles(bundles)
         aggregate["diversity"] = {k: list(v) for k, v in table.items()}
         aggregate["diversity_table"] = evalkit.format_diversity_table(table)
-    _write_json(os.path.join(cfg.output_dir, "aggregate.json"), aggregate)
+    _write(os.path.join(cfg.output_dir, "aggregate.json"), _json(aggregate))
     return aggregate
 
 
@@ -351,7 +359,7 @@ def ablate(cfg: PipelineConfig) -> dict:
             ok += 1 if m.ok else 0
         rates[row] = ok / len(_ABLATION_FIXTURES)
     result = {"rows": list(ABLATION_ROWS), "success_rate": rates}
-    _write_json(os.path.join(cfg.output_dir, "ablation.json"), result)
+    _write(os.path.join(cfg.output_dir, "ablation.json"), _json(result))
     return result
 
 
@@ -404,5 +412,5 @@ def run_comparison(cfg: PipelineConfig, n_networks: int = 5,
            "baseline": {k: list(v) if v[1] is not None else [v[0]]
                         for k, v in report["baseline"].items()},
            "table": evalkit.format_comparison(report)}
-    _write_json(os.path.join(cfg.output_dir, "comparison.json"), out)
+    _write(os.path.join(cfg.output_dir, "comparison.json"), _json(out))
     return report

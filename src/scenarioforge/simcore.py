@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import netgen
-from .compgen import AgentState, PlacedObject
+from .compgen import AgentState
 from .ir import ScenarioBundle
 
 DEFAULT_DT = 0.1

@@ -208,19 +208,19 @@ def point_along_scan(polyline, s):
 
 
 def connections_brute_force(edges):
-    """(from_edge, to_edge, from_lane, to_lane) for every ordered edge pair
-    meeting at a node, U-turns excluded, lanes paired by index."""
-    out = []
+    """Edge id -> sorted ids of the edges it connects to, over every ordered
+    edge pair meeting at a node, U-turns excluded."""
+    out = {}
     for e_in in edges:
+        to = out.setdefault(e_in.id, set())
         for e_out in edges:
             if e_in.id == e_out.id or e_in.to_node != e_out.from_node:
                 continue
             if e_out.to_node == e_in.from_node and \
                     e_in.from_node != e_in.to_node:
                 continue
-            for li in range(min(e_in.num_lanes, e_out.num_lanes)):
-                out.append((e_in.id, e_out.id, li, li))
-    return out
+            to.add(e_out.id)
+    return {eid: tuple(sorted(to)) for eid, to in out.items()}
 
 
 # The successor reference takes the package's connections, which have their
@@ -231,9 +231,7 @@ def successors_scan(net, edge_id):
     edge leaving its end node that does not lead straight back."""
     from scenarioforge import netgen
     edge = next(e for e in net.edges if e.id == edge_id)
-    out = sorted({c.to_edge
-                  for c in netgen.derive_connections(net.nodes, net.edges)
-                  if c.from_edge == edge_id})
+    out = list(netgen.derive_connections(net.edges)[edge_id])
     if out:
         return out
     return sorted(e.id for e in net.edges

@@ -58,6 +58,21 @@ def test_run_without_input_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"{bad",
+                                     b"[1, 2]", b'"a string"'],
+                         ids=["missing", "not_utf8", "not_json",
+                              "json_list", "json_string"])
+def test_run_malformed_config_is_config_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    code = run_cli("run", "--text", "a car", "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_bbox_with_fixture(tmp_path, capsys):
     fixture = tmp_path / "extract.osm"
     fixture.write_text(OSM_FIXTURE)

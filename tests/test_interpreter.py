@@ -251,14 +251,12 @@ def test_http_provider_failures_are_unavailable(http_server, status, body,
     assert len(http_server.posts) == 1
 
 
-def test_logging_provider_writes_pairs(tmp_path, kb):
-    provider = interpreter.LoggingProvider(MockProvider(), str(tmp_path))
+def test_logging_provider_keeps_pairs(kb):
+    provider = interpreter.LoggingProvider(MockProvider())
     interpret(ir.TextRequest("a car on a road"), kb, provider)
-    prompts = sorted(p.name for p in tmp_path.glob("*-prompt.txt"))
-    responses = sorted(p.name for p in tmp_path.glob("*-response.txt"))
-    assert prompts == ["001-prompt.txt"]
-    assert responses == ["001-response.txt"]
-    assert "### TASK:" in (tmp_path / "001-prompt.txt").read_text()
+    (exchange,) = provider.exchanges
+    assert set(exchange) == {"prompt", "response"}
+    assert "### TASK:" in exchange["prompt"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from scenarioforge import compgen, ir, netgen, pipeline
+from scenarioforge import compgen, interpreter, ir, netgen, pipeline
 
 from test_netgen import OSM_FIXTURE
 
@@ -29,6 +30,11 @@ def count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
+def read_prompt_log(manifest) -> list:
+    with open(manifest.artifacts["prompts"], encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
 def test_run_pipeline_happy_path(tmp_path, monkeypatch):
     serialized = count_calls(monkeypatch, netgen, "serialize_sumo_xml")
     cfg = make_cfg(tmp_path)
@@ -40,12 +46,15 @@ def test_run_pipeline_happy_path(tmp_path, monkeypatch):
     assert len(serialized) == 2
     assert all(m.stages[s] == "ok" for s in pipeline.STAGES)
     assert set(m.artifacts) == {"description", "network_nodes",
-                                "network_edges", "bundle", "trace", "report"}
+                                "network_edges", "bundle", "trace", "report",
+                                "prompts"}
     for path in m.artifacts.values():
         assert os.path.exists(path)
     run_dir = tmp_path / "out" / "runs" / "t0-0"
     assert (run_dir / "manifest.json").exists()
-    assert list((run_dir / "prompts").glob("*-prompt.txt"))
+    exchanges = read_prompt_log(m)
+    assert exchanges
+    assert all(set(x) == {"prompt", "response"} for x in exchanges)
     report = json.loads((run_dir / "report.json").read_text())
     assert report["performance"]["route_completion"] >= 0.0
     assert report["behavior_model"]
@@ -125,7 +134,54 @@ def test_reused_run_id_replaces_the_earlier_run(tmp_path):
                      *second.artifacts.values()}
     # the prompt log holds the failed run's exchanges only: one for
     # interpret, then the first attempt and 3 retries of netgen
-    assert len(list((run_dir / "prompts").iterdir())) == 2 * 5
+    exchanges = read_prompt_log(second)
+    assert len(exchanges) == 5
+    assert all(set(x) == {"prompt", "response"} for x in exchanges)
+
+
+def _unavailable(provider, prompt):
+    raise interpreter.ProviderUnavailable("no route to the provider")
+
+
+@pytest.mark.parametrize("fault, kw, failed, artifacts", [
+    (None, {}, None, {"description", "network_nodes", "network_edges",
+                      "bundle", "trace", "report"}),
+    ("prose", {}, "interpret", set()),
+    ("unavailable", {}, "interpret", set()),
+    ("hash_ids", {}, "netgen", {"description"}),
+    (None, {"max_agents": 1}, "compgen",
+     {"description", "network_nodes", "network_edges"}),
+], ids=["ok", "prose", "unavailable", "hash_ids", "max_agents"])
+def test_run_directory_holds_exactly_its_manifest(tmp_path, monkeypatch,
+                                                  fault, kw, failed,
+                                                  artifacts):
+    raises = fault == "unavailable"
+    if raises:
+        monkeypatch.setattr(interpreter.MockProvider, "complete",
+                            _unavailable)
+        fault = None
+    calls = count_calls(monkeypatch, interpreter.MockProvider, "complete")
+    cfg = make_cfg(tmp_path, provider_fault=fault, **kw)
+    m = pipeline.run_pipeline(
+        ir.TextRequest("a car cuts in front of the ego vehicle"), cfg,
+        run_id="disk")
+    assert m.ok is (failed is None)
+    if failed:
+        assert m.stages[failed].startswith("error:")
+    assert set(m.artifacts) == artifacts | {"prompts"}
+    run_dir = tmp_path / "out" / "runs" / "disk-0"
+    assert json.loads((run_dir / "manifest.json").read_text()) == \
+        m.to_dict()
+    # no subdirectory and no unlisted file
+    assert all(p.is_file() for p in run_dir.iterdir())
+    assert sorted(run_dir.iterdir()) == sorted(
+        [run_dir / "manifest.json", *map(Path, m.artifacts.values())])
+    # one line per provider call, in call order; a call that raised has no
+    # response
+    exchanges = read_prompt_log(m)
+    assert [x["prompt"] for x in exchanges] == [c[1] for c in calls]
+    want = {"prompt"} if raises else {"prompt", "response"}
+    assert all(set(x) == want for x in exchanges)
 
 
 def test_run_id_with_a_path_is_rejected(tmp_path):
