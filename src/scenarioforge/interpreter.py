@@ -2,8 +2,9 @@
 
 A provider exposes one capability: complete(prompt) -> text. The shipped
 MockProvider is a deterministic keyword/template engine so the whole pipeline
-runs offline; HttpProvider talks to a remote completion endpoint. Structured
-output is re-prompted with the parse error appended, up to max_retries times.
+runs offline; HttpProvider talks to a remote completion endpoint. In every
+stage, an answer that does not parse is re-prompted with the rejection
+appended, up to MAX_RETRIES times (complete_until_valid).
 """
 from __future__ import annotations
 
@@ -15,13 +16,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import ir
-from .ir import (CrashReport, DescriptionError, GpsBoundingBox,
-                 ImageDescriptor, MultimodalInput, PromptKnowledgeBase,
-                 ScenarioDescription, TextRequest, VideoDescriptor,
-                 parse_description, serialize_description)
+from .ir import (CrashReport, GpsBoundingBox, ImageDescriptor,
+                 MultimodalInput, PromptKnowledgeBase, ScenarioDescription,
+                 TextRequest, VideoDescriptor, parse_description,
+                 serialize_description)
 
 SHORT_REQUEST_THRESHOLD = 120  # chars; shorter text is expanded
-DEFAULT_MAX_RETRIES = 3
+MAX_RETRIES = 3  # re-prompts after the first answer, per stage
 
 
 class InterpreterError(RuntimeError):
@@ -48,8 +49,7 @@ class NonPositiveDepth(ValueError):
 
 @dataclass(frozen=True)
 class ProviderResponse:
-    raw_text: str
-    parsed: Optional[ScenarioDescription]
+    parsed: ScenarioDescription
     attempt_count: int
 
 
@@ -496,26 +496,21 @@ def integrate_forward_distance(depth_samples) -> float:
                for i in range(len(samples) - 1))
 
 
-def _run_task(task: str, payload: str, kb: PromptKnowledgeBase, provider,
-              seed: int = 0,
-              max_retries: int = DEFAULT_MAX_RETRIES,
-              postcheck=None) -> ProviderResponse:
-    prompt = rendered = _render(kb, task, payload, seed)
-    if not rendered:
-        raise ValueError("rendered prompt must be non-empty")
-    last_error: Exception = UnparseableAfterRetries("no attempts")
-    raw = ""
-    for attempt in range(1, max_retries + 2):
-        raw = provider.complete(prompt)
+def complete_until_valid(provider, prompt: str, parse):
+    """Ask provider for an answer that parse accepts: (parse(answer), attempts).
+
+    An answer parse rejects with a ValueError is asked for again: prompt is
+    resent with only that rejection appended under ### PREVIOUS ERROR:. After
+    MAX_RETRIES such retries, raises UnparseableAfterRetries(last rejection).
+    """
+    request = prompt
+    for attempt in range(1, MAX_RETRIES + 2):
+        answer = provider.complete(request)
         try:
-            desc = parse_description(raw)
-            if postcheck is not None:
-                postcheck(desc)
-            return ProviderResponse(raw_text=raw, parsed=desc,
-                                    attempt_count=attempt)
-        except (DescriptionError, ValueError) as exc:
+            return parse(answer), attempt
+        except ValueError as exc:
             last_error = exc
-            prompt = rendered + f"\n### PREVIOUS ERROR:\n{exc}\n"
+            request = prompt + f"\n### PREVIOUS ERROR:\n{exc}\n"
     raise UnparseableAfterRetries(last_error)
 
 
@@ -525,9 +520,7 @@ def _require_agents(desc: ScenarioDescription):
 
 
 def interpret_response(source: MultimodalInput, kb: PromptKnowledgeBase,
-                       provider, seed: int = 0,
-                       max_retries: int = DEFAULT_MAX_RETRIES
-                       ) -> ProviderResponse:
+                       provider, seed: int = 0) -> ProviderResponse:
     """Like interpret() but returns the full ProviderResponse.
 
     Text shorter than SHORT_REQUEST_THRESHOLD and GPS boxes are expanded into
@@ -576,12 +569,19 @@ def interpret_response(source: MultimodalInput, kb: PromptKnowledgeBase,
                              sort_keys=True)
     else:
         raise TypeError(f"unsupported input: {type(source).__name__}")
-    return _run_task(task, payload, kb, provider, seed, max_retries,
-                     postcheck)
+    prompt = _render(kb, task, payload, seed)
+    if not prompt:
+        raise ValueError("rendered prompt must be non-empty")
+
+    def parse(answer: str) -> ScenarioDescription:
+        desc = parse_description(answer)
+        if postcheck is not None:
+            postcheck(desc)
+        return desc
+    return ProviderResponse(*complete_until_valid(provider, prompt, parse))
 
 
 def interpret(source: MultimodalInput, kb: PromptKnowledgeBase, provider,
-              seed: int = 0,
-              max_retries: int = DEFAULT_MAX_RETRIES) -> ScenarioDescription:
+              seed: int = 0) -> ScenarioDescription:
     """Map any multimodal input to a valid ScenarioDescription."""
-    return interpret_response(source, kb, provider, seed, max_retries).parsed
+    return interpret_response(source, kb, provider, seed).parsed

@@ -63,13 +63,6 @@ class FetchFailed(NetworkError):
     pass
 
 
-class CompileFailed(NetworkError):
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("network compilation failed: "
-                         + "; ".join(str(e) for e in self.errors))
-
-
 @dataclass(frozen=True)
 class Node:
     id: str
@@ -752,32 +745,28 @@ def build_network_blueprint(road: RoadDescription) -> RoadNetwork:
 NET_RESPONSE_SEPARATOR = "=== EDGES ==="
 
 
+def _parse_net_response(text: str) -> RoadNetwork:
+    xml_nodes, separator, xml_edges = text.partition(NET_RESPONSE_SEPARATOR)
+    if not separator:
+        raise NetworkValidationError([ValidationError(
+            "MalformedDocument", "document", "missing nodes/edges separator")])
+    return parse_sumo_xml(xml_nodes.strip(), xml_edges.strip())
+
+
 def compile_network(road: RoadDescription, kb, provider,
-                    max_retries: int = 3, seed: int = 0) -> RoadNetwork:
+                    seed: int = 0) -> RoadNetwork:
     """Compile a road description into a validated network via the provider.
 
-    The provider is prompted for SUMO plain-XML nodes/edges documents; its
-    output is validated against the failure taxonomy and re-prompted with the
-    validation errors appended, up to max_retries times.
+    The provider is prompted for SUMO plain-XML nodes/edges documents, and
+    its answer must pass parse_sumo_xml. A rejected answer is re-prompted by
+    interpreter.complete_until_valid, which raises UnparseableAfterRetries
+    carrying the last NetworkValidationError once its retries run out.
     """
-    from .interpreter import render_net_prompt
+    from .interpreter import complete_until_valid, render_net_prompt
 
-    prompt = render_net_prompt(kb, road, seed)
-    last_errors = None
-    for _ in range(max_retries + 1):
-        text = provider.complete(prompt)
-        if NET_RESPONSE_SEPARATOR not in text:
-            last_errors = [ValidationError("MalformedDocument", "document",
-                                           "missing nodes/edges separator")]
-        else:
-            xml_nodes, xml_edges = text.split(NET_RESPONSE_SEPARATOR, 1)
-            try:
-                return parse_sumo_xml(xml_nodes.strip(), xml_edges.strip())
-            except NetworkValidationError as exc:
-                last_errors = exc.errors
-        prompt = prompt + "\n### PREVIOUS ERRORS:\n" + \
-            "\n".join(str(e) for e in last_errors)
-    raise CompileFailed(last_errors)
+    net, _ = complete_until_valid(provider, render_net_prompt(kb, road, seed),
+                                  _parse_net_response)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -843,8 +832,9 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
     """Build a RoadNetwork from an OSM XML extract.
 
     Drivable ways are split at nodes shared between ways; two-way streets
-    become a directed edge pair. Coordinates are projected to local meters
-    (equirectangular about the bbox center).
+    become a directed edge pair, a oneway=-1 way only its reverse edge.
+    Coordinates are projected to local meters (equirectangular about the
+    bbox center).
     """
     lat0 = (bbox.min_lat + bbox.max_lat) / 2.0
     lon0 = (bbox.min_lon + bbox.max_lon) / 2.0
@@ -890,8 +880,16 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
                 speed = float(tags["maxspeed"].split()[0]) / 3.6
             except (ValueError, IndexError):  # blank counts as absent
                 pass
-        oneway = tags.get("oneway") in ("yes", "true", "1") or \
-            tags.get("highway") == "motorway"
+        # "" runs along the node order, "r" against it; motorways and
+        # roundabouts are one-way without the tag
+        if tags.get("oneway") == "-1":
+            directions = ("r",)
+        elif tags.get("oneway") in ("yes", "true", "1") or \
+                tags.get("highway") == "motorway" or \
+                tags.get("junction") == "roundabout":
+            directions = ("",)
+        else:
+            directions = ("", "r")
 
         # split the way at junction nodes (shared between >= 2 ways)
         cut = [0]
@@ -909,17 +907,13 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
                     x, y = coords[ref]
                     nodes[ref] = Node(f"osm{ref}", x, y)
             shape = tuple(coords[r] for r in part)
-            eid = f"w{way_id}s{k}"
-            lane_geom = tuple(Lane(index=i, shape=shape) for i in range(lanes))
-            edges.append(Edge(eid, f"osm{a}", f"osm{b}", num_lanes=lanes,
-                              speed=speed, spread_type="right",
-                              lanes=lane_geom))
-            if not oneway:
-                rev = tuple(reversed(shape))
+            for suffix in directions:
+                src, dst, axis = (b, a, shape[::-1]) if suffix else \
+                    (a, b, shape)
                 edges.append(Edge(
-                    eid + "r", f"osm{b}", f"osm{a}", num_lanes=lanes,
-                    speed=speed, spread_type="right",
-                    lanes=tuple(Lane(index=i, shape=rev)
+                    f"w{way_id}s{k}{suffix}", f"osm{src}", f"osm{dst}",
+                    num_lanes=lanes, speed=speed, spread_type="right",
+                    lanes=tuple(Lane(index=i, shape=axis)
                                 for i in range(lanes))))
 
     net = RoadNetwork(nodes.values(), edges)

@@ -117,12 +117,15 @@ class RunManifest:
 
 def classify_failure(exc: Exception) -> str:
     if isinstance(exc, UnparseableAfterRetries):
-        if isinstance(exc.last_error, ir.BlueprintReuse):
-            return "BlueprintReuse"
-        return "RuntimeError"
+        # classified by its last rejection; an answer that never became a
+        # description is a provider failure
+        exc = exc.last_error
+        if not isinstance(exc, (ir.BlueprintReuse,
+                                netgen.NetworkValidationError)):
+            return "RuntimeError"
     if isinstance(exc, ir.BlueprintReuse):
         return "BlueprintReuse"
-    if isinstance(exc, (netgen.CompileFailed, netgen.NetworkValidationError)):
+    if isinstance(exc, netgen.NetworkValidationError):
         kinds = {e.kind for e in exc.errors}
         if "MalformedKeyword" in kinds:
             return "MalformedKeyword"

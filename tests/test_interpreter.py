@@ -95,10 +95,9 @@ def test_retry_recovers_and_counts_attempts(kb):
 def test_persistent_prose_exhausts_retries(kb):
     provider = MockProvider(fault="prose")
     with pytest.raises(interpreter.UnparseableAfterRetries):
-        interpret(ir.TextRequest("a car on a road"), kb, provider,
-                  max_retries=2)
-    # initial attempt plus two retries
-    assert provider._calls == 3
+        interpret(ir.TextRequest("a car on a road"), kb, provider)
+    # initial attempt plus every retry
+    assert provider._calls == interpreter.MAX_RETRIES + 1
 
 
 def test_empty_request_fails_after_retries(kb, provider):
@@ -109,8 +108,7 @@ def test_empty_request_fails_after_retries(kb, provider):
 def test_blueprint_reuse_surfaces_as_last_error(kb):
     provider = MockProvider(fault="blueprint_reuse")
     with pytest.raises(interpreter.UnparseableAfterRetries) as exc:
-        interpret(ir.TextRequest("a car on a road"), kb, provider,
-                  max_retries=1)
+        interpret(ir.TextRequest("a car on a road"), kb, provider)
     assert isinstance(exc.value.last_error, ir.BlueprintReuse)
 
 
@@ -284,5 +282,4 @@ def test_strip_interpreter_keeps_only_netgen(kb):
 def test_ablated_interpreter_yields_prose(kb, provider):
     stripped = strip_knowledge(kb, no_interpreter=True)
     with pytest.raises(interpreter.UnparseableAfterRetries):
-        interpret(ir.TextRequest("a car on a road"), stripped, provider,
-                  max_retries=1)
+        interpret(ir.TextRequest("a car on a road"), stripped, provider)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scenarioforge import ir, netgen
-from scenarioforge.interpreter import MockProvider, default_knowledge_base
+from scenarioforge.interpreter import (MockProvider, UnparseableAfterRetries,
+                                      default_knowledge_base)
 
 from conftest import _random_edge, random_network
 from oracles import (connections_brute_force, network_stats_networkx,
@@ -594,20 +595,20 @@ def test_compile_network_happy_path():
 
 def test_compile_network_persistent_fault_fails():
     kb = default_knowledge_base()
-    with pytest.raises(netgen.CompileFailed) as exc:
+    with pytest.raises(UnparseableAfterRetries) as exc:
         netgen.compile_network(straight_road(), kb,
-                               MockProvider(fault="bad_spread"),
-                               max_retries=2)
+                               MockProvider(fault="bad_spread"))
     assert any(e.kind == "InvalidEnum" and "spreadType=left" in e.detail
-               for e in exc.value.errors)
+               for e in exc.value.last_error.errors)
 
 
 def test_compile_network_hash_ids_reported_as_malformed_keyword():
     kb = default_knowledge_base()
-    with pytest.raises(netgen.CompileFailed) as exc:
+    with pytest.raises(UnparseableAfterRetries) as exc:
         netgen.compile_network(straight_road(), kb,
-                               MockProvider(fault="hash_ids"), max_retries=1)
-    assert any(e.kind == "MalformedKeyword" for e in exc.value.errors)
+                               MockProvider(fault="hash_ids"))
+    assert any(e.kind == "MalformedKeyword"
+               for e in exc.value.last_error.errors)
 
 
 def test_compile_network_recovers_from_prose_once():
@@ -666,6 +667,23 @@ def test_ingest_osm_geometry_and_tags():
     # output passes its own validation
     xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
     assert netgen.validate_network(xml_nodes, xml_edges) == []
+
+
+@pytest.mark.parametrize("tag, edges", [
+    ('<tag k="oneway" v="yes"/>', [("w11s0", "osm4", "osm2")]),
+    ('<tag k="oneway" v="-1"/>', [("w11s0r", "osm2", "osm4")]),
+    ('<tag k="junction" v="roundabout"/>', [("w11s0", "osm4", "osm2")]),
+    ("", [("w11s0", "osm4", "osm2"), ("w11s0r", "osm2", "osm4")]),
+], ids=["oneway", "oneway_reverse", "roundabout", "two_way"])
+def test_ingest_osm_way_direction(tag, edges):
+    net = netgen.ingest_osm(BBOX, OSM_FIXTURE.replace(
+        '<tag k="oneway" v="yes"/>', tag))
+    way = [e for e in net.edges if e.id.startswith("w11")]
+    assert [(e.id, e.from_node, e.to_node) for e in way] == edges
+    # each lane runs from the edge's from-node to its to-node
+    ends = {n.id: (n.x, n.y) for n in net.nodes}
+    for e in way:
+        assert e.lanes[0].shape == (ends[e.from_node], ends[e.to_node])
 
 
 @pytest.mark.parametrize("blank", ["", " "])

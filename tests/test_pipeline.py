@@ -191,34 +191,64 @@ def test_run_id_with_a_path_is_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_pipeline_netgen_fault(tmp_path):
-    cfg = make_cfg(tmp_path, provider_fault="hash_ids")
-    m = pipeline.run_pipeline(ir.TextRequest("a car on a road"), cfg,
-                              run_id="t1")
-    assert not m.ok
-    assert m.stages["interpret"] == "ok"
-    assert m.stages["netgen"] == "error:MalformedKeyword"
-    assert m.stages["compgen"] == "skipped"
-    assert m.stages["simulate"] == "skipped"
-    assert m.failure == "MalformedKeyword"
-    assert m.bundle is None
+@pytest.mark.parametrize("fault, stage, failure, calls", [
+    (None, None, None, 2),
+    ("prose_once", None, None, 3),
+    ("prose", "interpret", "RuntimeError", 4),
+    ("blueprint_reuse", "interpret", "BlueprintReuse", 4),
+    ("hash_ids", "netgen", "MalformedKeyword", 5),
+    ("bad_spread", "netgen", "ValidationError", 5),
+    ("missing_shape", "netgen", "ValidationError", 5),
+    ("undeclared_attr", "netgen", "ValidationError", 5),
+], ids=["none", "prose_once", "prose", "blueprint_reuse", "hash_ids",
+        "bad_spread", "missing_shape", "undeclared_attr"])
+def test_every_provider_fault_through_the_pipeline(tmp_path, fault, stage,
+                                                   failure, calls):
+    m = pipeline.run_pipeline(ir.TextRequest("a car on a road"),
+                              make_cfg(tmp_path, provider_fault=fault),
+                              run_id="fault")
+    # the stages before the failed one ran, the ones after it did not
+    failed_at = pipeline.STAGES.index(stage) if stage else len(pipeline.STAGES)
+    assert m.to_dict()["stages"] == {
+        s: "ok" if i < failed_at else
+        f"error:{failure}" if i == failed_at else "skipped"
+        for i, s in enumerate(pipeline.STAGES)}
+    assert m.failure == failure
+    assert (m.bundle is None) is (stage is not None)
+    # one prompt log line per provider call: a failed stage makes the
+    # first call and every retry
+    assert len(read_prompt_log(m)) == calls
     # the manifest still lands on disk for failed runs
-    assert (tmp_path / "out" / "runs" / "t1-0" / "manifest.json").exists()
+    assert json.loads((tmp_path / "out" / "runs" / "fault-0" /
+                       "manifest.json").read_text()) == m.to_dict()
 
 
-def test_run_pipeline_interpret_fault(tmp_path):
-    cfg = make_cfg(tmp_path, provider_fault="prose")
-    m = pipeline.run_pipeline(ir.TextRequest("a car on a road"), cfg,
-                              run_id="t2")
-    assert m.stages["interpret"] == "error:RuntimeError"
-    assert m.failure == "RuntimeError"
+def _rejection(parse, answer: str) -> str:
+    with pytest.raises(ValueError) as exc:
+        parse(answer)
+    return str(exc.value)
 
 
-def test_run_pipeline_blueprint_reuse_fault(tmp_path):
-    cfg = make_cfg(tmp_path, provider_fault="blueprint_reuse")
-    m = pipeline.run_pipeline(ir.TextRequest("a car on a road"), cfg,
-                              run_id="t3")
-    assert m.failure == "BlueprintReuse"
+def _parse_net_answer(answer: str):
+    xml_nodes, xml_edges = answer.split(netgen.NET_RESPONSE_SEPARATOR)
+    return netgen.parse_sumo_xml(xml_nodes.strip(), xml_edges.strip())
+
+
+@pytest.mark.parametrize("fault, first, parse", [
+    ("prose", 0, ir.parse_description),
+    ("bad_spread", 1, _parse_net_answer),
+], ids=["interpret", "netgen"])
+def test_retry_prompt_carries_only_the_last_rejection(tmp_path, fault, first,
+                                                      parse):
+    m = pipeline.run_pipeline(ir.TextRequest("a car on a road"),
+                              make_cfg(tmp_path, provider_fault=fault),
+                              run_id="retry")
+    stage = read_prompt_log(m)[first:]
+    assert len(stage) == interpreter.MAX_RETRIES + 1
+    for previous, retry in zip(stage, stage[1:]):
+        assert retry["prompt"] == (
+            stage[0]["prompt"] + "\n### PREVIOUS ERROR:\n"
+            + _rejection(parse, previous["response"]) + "\n")
 
 
 def test_run_pipeline_gps_with_fixture(tmp_path, monkeypatch):
@@ -253,13 +283,15 @@ def test_run_pipeline_non_finite_maxspeed_fails_validation(tmp_path,
 
 
 def test_classify_failure():
-    err = netgen.CompileFailed([netgen.ValidationError("MalformedKeyword",
-                                                       "edge", "e#0")])
-    assert pipeline.classify_failure(err) == "MalformedKeyword"
-    err = netgen.CompileFailed([netgen.ValidationError("InvalidEnum", "edge",
-                                                       "spreadType=left")])
-    assert pipeline.classify_failure(err) == "ValidationError"
     from scenarioforge.interpreter import UnparseableAfterRetries
+    err = netgen.NetworkValidationError([netgen.ValidationError(
+        "MalformedKeyword", "edge", "e#0")])
+    assert pipeline.classify_failure(UnparseableAfterRetries(err)) == \
+        "MalformedKeyword"
+    err = netgen.NetworkValidationError([netgen.ValidationError(
+        "InvalidEnum", "edge", "spreadType=left")])
+    assert pipeline.classify_failure(UnparseableAfterRetries(err)) == \
+        "ValidationError"
     assert pipeline.classify_failure(
         UnparseableAfterRetries(ir.BlueprintReuse("kind", "Car.Car"))) == \
         "BlueprintReuse"
