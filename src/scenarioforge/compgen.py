@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import netgen
-from .ir import ScenarioDescription
+from .ir import ScenarioDescription, fold_sum
 
 VEHICLE_DIMS = {
     "Car": (4.5, 1.8),
@@ -152,8 +152,13 @@ def generate_agents(desc: ScenarioDescription, net: netgen.RoadNetwork,
     inv = graph.inventory
     if not inv:
         raise PlacementInfeasible("network has no lanes")
-    total_len = sum(path.length for *_, path in inv)
-    if total_len < len(agents) * constraints.min_gap:
+    # a float sum of lengths >= 0 never falls: stop measuring once they fit
+    need, total_len = len(agents) * constraints.min_gap, 0.0
+    for e, li in inv:
+        total_len += graph.lanes[(e.id, li)].length
+        if not total_len < need:
+            break
+    else:
         raise PlacementInfeasible(
             f"capacity {total_len:.1f} m < {len(agents)} agents "
             f"x min_gap {constraints.min_gap} m")
@@ -187,7 +192,8 @@ def generate_agents(desc: ScenarioDescription, net: netgen.RoadNetwork,
                             break
             else:
                 for _try in range(40):
-                    edge, li, path = inv[rng.randrange(len(inv))]
+                    edge, li = inv[rng.randrange(len(inv))]
+                    path = graph.lanes[(edge.id, li)]
                     margin = min(2.0, path.length / 4.0)
                     s = rng.uniform(margin, path.length - margin)
                     cand = _make_state(f"agent{idx}", agent, edge, li, path,
@@ -202,25 +208,23 @@ def generate_agents(desc: ScenarioDescription, net: netgen.RoadNetwork,
             states.append(placed)
         if ok:
             return states
-    return _even_spacing(agents, inv, gap)
+    return _even_spacing(agents, graph, gap)
 
 
-def _even_spacing(agents, inv, gap) -> list[AgentState]:
+def _even_spacing(agents, graph, gap) -> list[AgentState]:
     """Deterministic fallback: even spacing along concatenated lane arc
     length. Pairs on adjacent lanes may sit closer than gap; every pair keeps
     at least gap/2, or PlacementInfeasible is raised."""
     states = []
     spacing = gap * 1.25
-    cursor = gap / 2.0
-    lane_iter = 0
+    inv, path = iter(graph.inventory), None
     for idx, agent in enumerate(agents):
-        while lane_iter < len(inv) and \
-                cursor > inv[lane_iter][2].length - 1.0:
+        while path is None or cursor > path.length - 1.0:
             cursor = gap / 2.0
-            lane_iter += 1
-        if lane_iter >= len(inv):
-            raise PlacementInfeasible("could not satisfy gap constraints")
-        edge, li, path = inv[lane_iter]
+            edge, li = next(inv, (None, None))
+            if edge is None:
+                raise PlacementInfeasible("could not satisfy gap constraints")
+            path = graph.lanes[(edge.id, li)]
         states.append(_make_state(f"agent{idx}", agent, edge, li, path,
                                   cursor))
         cursor += spacing
@@ -233,19 +237,21 @@ def generate_objects(desc: ScenarioDescription, net: netgen.RoadNetwork,
                      constraints: PlacementConstraints) -> list[PlacedObject]:
     """Place static objects; cone taper hints produce an equally spaced,
     monotone-lateral-offset line closing one lane."""
-    inv = net.lane_graph.inventory
-    if not inv:
+    graph = net.lane_graph
+    if not graph.inventory:
         raise PlacementInfeasible("network has no lanes")
+    if not desc.objects:
+        return []
     rng = random.Random(constraints.seed ^ 0x5EED)
-    # prefer a multi-lane edge for closures
-    inv_sorted = sorted(inv, key=lambda t: (-t[0].num_lanes, t[0].id, t[1]))
+    # prefer a multi-lane edge for closures: (-lanes, edge id, lane index)
+    ranked = sorted((-e.num_lanes, e.id, li) for e, li in graph.inventory)
     out: list[PlacedObject] = []
     taper_anchor = None
 
     for obj in desc.objects:
         if obj.kind == "Cone" and any(k in obj.placement_hint.lower()
                                       for k in ("taper", "closure")):
-            edge, li, path = inv_sorted[0]
+            path = graph.lanes[ranked[0][1:]]
             L = path.length
             s0 = max(4.0, 0.3 * L)
             room = max(L - s0 - 2.0, 2.0)
@@ -268,7 +274,7 @@ def generate_objects(desc: ScenarioDescription, net: netgen.RoadNetwork,
             if taper_anchor is not None:
                 path, s0 = taper_anchor
             else:
-                edge, li, path = inv_sorted[0]
+                path = graph.lanes[ranked[0][1:]]
                 s0 = max(4.0, 0.3 * path.length)
             s = max(0.0, s0 - 15.0)
             x, y, hd = path.point_at(s)
@@ -277,7 +283,7 @@ def generate_objects(desc: ScenarioDescription, net: netgen.RoadNetwork,
                                         yaw=_wrap_heading(hd),
                                         footprint=(0.5, 0.5)))
         else:
-            edge, li, path = inv_sorted[rng.randrange(len(inv_sorted))]
+            path = graph.lanes[ranked[rng.randrange(len(ranked))][1:]]
             L = path.length
             base = rng.uniform(0.1 * L, 0.6 * L)
             step = min(5.0, max(L - base, 1.0) / max(obj.count, 1))
@@ -300,7 +306,8 @@ def random_trip_placement(net: netgen.RoadNetwork, n_agents: int,
     rng = random.Random(seed)
     out = []
     for i in range(n_agents):
-        edge, li, path = inv[rng.randrange(len(inv))]
+        edge, li = inv[rng.randrange(len(inv))]
+        path = net.lane_graph.lanes[(edge.id, li)]
         s = rng.uniform(0.0, path.length)
         x, y, heading = path.point_at(s)
         length, width = VEHICLE_DIMS["Car"]
@@ -317,10 +324,10 @@ def _mean_std(values) -> tuple[float, float]:
     n = len(vals)
     if n == 0:
         return 0.0, 0.0
-    mean = sum(vals) / n
+    mean = fold_sum(vals) / n
     if n == 1:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in vals) / (n - 1)
+    var = fold_sum((v - mean) ** 2 for v in vals) / (n - 1)
     return mean, math.sqrt(var)
 
 

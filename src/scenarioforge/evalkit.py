@@ -11,7 +11,7 @@ from typing import Optional
 from . import compgen, simcore
 from .compgen import _mean_std
 from .ir import (AgentDescription, ObjectDescription, RoadDescription,
-                 RoadSegment, ScenarioBundle, ScenarioDescription,
+                 RoadSegment, ScenarioBundle, ScenarioDescription, fold_sum,
                  serialize_description)
 
 FAILURE_KINDS = ("MalformedKeyword", "BlueprintReuse", "ValidationError",
@@ -66,7 +66,7 @@ class HashingEmbedder:
             idx = int.from_bytes(hashlib.sha256(tok.encode()).digest()[:8],
                                  "big") % self.dimension
             counts[idx] += 1.0
-        norm = math.sqrt(sum(c * c for c in counts))
+        norm = math.sqrt(fold_sum(c * c for c in counts))
         if norm > 0:
             counts = [c / norm for c in counts]
         return EmbeddingVector(tuple(counts), self.dimension)
@@ -75,11 +75,11 @@ class HashingEmbedder:
 def cosine_similarity(u: EmbeddingVector, v: EmbeddingVector) -> float:
     if u.dimension != v.dimension:
         raise DimensionMismatch(f"{u.dimension} vs {v.dimension}")
-    nu = math.sqrt(sum(c * c for c in u.components))
-    nv = math.sqrt(sum(c * c for c in v.components))
+    nu = math.sqrt(fold_sum(c * c for c in u.components))
+    nv = math.sqrt(fold_sum(c * c for c in v.components))
     if nu == 0 or nv == 0:
         raise ZeroVector("cosine similarity of a zero vector is undefined")
-    dot = sum(a * b for a, b in zip(u.components, v.components))
+    dot = fold_sum(a * b for a, b in zip(u.components, v.components))
     return max(-1.0, min(1.0, dot / (nu * nv)))
 
 
@@ -195,7 +195,7 @@ def _static_attr_acc(desc: ScenarioDescription, bundle: ScenarioBundle
     for k in kinds:
         a, b = want.get(k, 0), have.get(k, 0)
         scores.append(min(a, b) / max(a, b) if max(a, b) else 1.0)
-    return sum(scores) / len(scores)
+    return fold_sum(scores) / len(scores)
 
 
 def conformity(pairs, outcomes=None) -> ConformityReport:
@@ -224,7 +224,7 @@ def conformity(pairs, outcomes=None) -> ConformityReport:
             taxonomy[kind if kind in taxonomy else "RuntimeError"] += 1
 
     def avg(vals):
-        return sum(vals) / len(vals) if vals else 1.0
+        return fold_sum(vals) / len(vals) if vals else 1.0
 
     return ConformityReport(
         scene_type_acc=avg(scene_hits),
@@ -337,11 +337,11 @@ def performance(trace: simcore.SimulationTrace, route_len: float,
 
     speeds = [a.speed for states in trace.steps for a in states
               if a.id == av_id]
-    mean_speed = sum(speeds) / len(speeds) if speeds else 0.0
+    mean_speed = fold_sum(speeds) / len(speeds) if speeds else 0.0
     efficiency = min(1.0, mean_speed / speed_limit) if speed_limit > 0 else 0.0
 
     jerks = trace.jerk_series.get(av_id, [])
-    mean_jerk = sum(abs(j) for j in jerks) / len(jerks) if jerks else 0.0
+    mean_jerk = fold_sum(abs(j) for j in jerks) / len(jerks) if jerks else 0.0
     comfort = 1.0 - min(1.0, mean_jerk / JERK_REF)
 
     w_s, w_e, w_c = SCORE_WEIGHTS

@@ -18,7 +18,7 @@ from typing import Optional
 from . import ir
 from .ir import (CrashReport, GpsBoundingBox, ImageDescriptor,
                  MultimodalInput, PromptKnowledgeBase, ScenarioDescription,
-                 TextRequest, VideoDescriptor, parse_description,
+                 TextRequest, VideoDescriptor, fold_sum, parse_description,
                  serialize_description)
 
 SHORT_REQUEST_THRESHOLD = 120  # chars; shorter text is expanded
@@ -492,8 +492,8 @@ def integrate_forward_distance(depth_samples) -> float:
         raise InsufficientFrames(f"need >= 2 depth samples, got {len(samples)}")
     if any(d <= 0 for d in samples):
         raise NonPositiveDepth("depth samples must be positive")
-    return sum(max(0.0, samples[i] - samples[i + 1])
-               for i in range(len(samples) - 1))
+    return fold_sum(max(0.0, samples[i] - samples[i + 1])
+                    for i in range(len(samples) - 1))
 
 
 def complete_until_valid(provider, prompt: str, parse):

@@ -6,7 +6,9 @@ serialization is deterministic and machine-checkable.
 """
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -53,6 +55,11 @@ class BlueprintReuse(DescriptionError):
         self.field = field_name
         self.value = value
         super().__init__(f"blueprint name reuse in {field_name}: {value!r}")
+
+
+def fold_sum(values):
+    """sum() of floats as before Python 3.12, which compensates rounding."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def _check_enum(name: str, value, allowed):

@@ -16,11 +16,12 @@ import bisect
 import functools
 import heapq
 import math
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Optional
 
-from .ir import GpsBoundingBox, RoadDescription
+from .ir import GpsBoundingBox, RoadDescription, fold_sum
 
 DEFAULT_LANE_WIDTH = 3.2
 DEFAULT_SPEED = 13.89
@@ -101,6 +102,13 @@ class Edge:
         object.__setattr__(self, "lanes", tuple(self.lanes))
 
 
+def _typed(cls, **fields):
+    """A record from fields of their types already, without __post_init__."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
+
+
 @dataclass(frozen=True)
 class RoadNetwork:
     nodes: tuple[Node, ...]
@@ -132,8 +140,8 @@ class NetworkStats:
 # geometry helpers
 
 def _polyline_length(points) -> float:
-    return sum(math.dist(points[i], points[i + 1])
-               for i in range(len(points) - 1))
+    return fold_sum(math.dist(points[i], points[i + 1])
+                    for i in range(len(points) - 1))
 
 
 def edge_polyline(net: RoadNetwork, edge: Edge) -> tuple[tuple[float, float], ...]:
@@ -155,24 +163,28 @@ def lane_centerline(net: RoadNetwork, edge: Edge, lane_index: int):
     spreadType "right" puts lanes on the right of the axis (lane 0 nearest),
     "center"/"roadCenter" center the lane band on the axis.
     """
-    return _offset_axis(edge_polyline(net, edge), edge, lane_index)
+    axis = edge_polyline(net, edge)
+    return _offset_axis(axis, _right_normals(axis), edge, lane_index)
 
 
-def _offset_axis(axis, edge: Edge, lane_index: int):
+def _right_normals(axis) -> list:
+    """Per vertex of axis, the unit right normal of the segment leaving it;
+    the last vertex takes that of the segment entering it."""
+    normals = []
+    for (x0, y0), (x1, y1) in zip(axis, axis[1:]):
+        dx, dy = x1 - x0, y1 - y0
+        norm = math.hypot(dx, dy) or 1.0
+        normals.append((dy / norm, -dx / norm))
+    return normals + normals[-1:]
+
+
+def _offset_axis(axis, normals, edge: Edge, lane_index: int):
     if edge.spread_type == "right":
         off = (lane_index + 0.5) * DEFAULT_LANE_WIDTH
     else:
         off = (lane_index - (edge.num_lanes - 1) / 2.0) * DEFAULT_LANE_WIDTH
-    out = []
-    for i, (x, y) in enumerate(axis):
-        j = min(i, len(axis) - 2)
-        dx = axis[j + 1][0] - axis[j][0]
-        dy = axis[j + 1][1] - axis[j][1]
-        norm = math.hypot(dx, dy) or 1.0
-        # right normal of the travel direction
-        rx, ry = dy / norm, -dx / norm
-        out.append((x + rx * off, y + ry * off))
-    return tuple(out)
+    return tuple((x + rx * off, y + ry * off)
+                 for (x, y), (rx, ry) in zip(axis, normals))
 
 
 def point_along(polyline, s: float):
@@ -185,7 +197,7 @@ class LanePath:
     """A polyline measured once, for repeated point lookups."""
     points: tuple
     cum: tuple      # arc length at each vertex, summed left to right
-    length: float   # _polyline_length(points)
+    length: float   # cum[-1], which equals _polyline_length(points)
 
     @classmethod
     def measure(cls, points) -> LanePath:
@@ -193,7 +205,7 @@ class LanePath:
         cum = [0.0]
         for i in range(len(points) - 1):
             cum.append(cum[-1] + math.dist(points[i], points[i + 1]))
-        return cls(points, tuple(cum), _polyline_length(points))
+        return cls(points, tuple(cum), cum[-1])
 
     def point_at(self, s: float):
         """(x, y, heading_deg) at arc length s, clamped to the ends.
@@ -218,6 +230,8 @@ class LaneGraph:
 
     Read it as ``net.lane_graph``. In every dict keyed by a node id, an edge
     id or a lane, the first element of the network with that key wins.
+    ``inventory`` lists every lane as (edge, lane index), in network order;
+    ``lanes`` maps (edge id, lane index) to its LanePath, built on first use.
     """
 
     def __init__(self, net: RoadNetwork):
@@ -225,20 +239,14 @@ class LaneGraph:
         self.edges: dict[str, Edge] = {}
         for n in net.nodes:
             self.nodes.setdefault(n.id, n)
-        for e in net.edges:
-            self.edges.setdefault(e.id, e)
-        # (edge, lane index, path) for every lane, in network order
-        inventory = []
-        self.lanes: dict[tuple[str, int], LanePath] = {}
         self.edge_length: dict[str, float] = {}
         for e in net.edges:
-            axis = _edge_axis(e, self.nodes)
-            self.edge_length.setdefault(e.id, _polyline_length(axis))
-            for li in range(e.num_lanes):
-                path = LanePath.measure(_offset_axis(axis, e, li))
-                inventory.append((e, li, path))
-                self.lanes.setdefault((e.id, li), path)
-        self.inventory = tuple(inventory)
+            if self.edges.setdefault(e.id, e) is e:
+                self.edge_length[e.id] = _polyline_length(
+                    _edge_axis(e, self.nodes))
+        self.inventory = tuple((e, li) for e in net.edges
+                               for li in range(e.num_lanes))
+        self.lanes = _LanePaths(self.nodes, self.edges)
 
         self.successors = derive_connections(net.edges)
 
@@ -249,6 +257,28 @@ class LaneGraph:
         for e in net.edges:
             self.neighbors.setdefault(e.from_node, set()).add(e.to_node)
             self.neighbors.setdefault(e.to_node, set()).add(e.from_node)
+
+
+class _LanePaths(dict):
+    """LaneGraph.lanes: a lane of a known edge is measured on its first
+    lookup, from the edge's axis and normals, computed once per edge. It
+    holds the graph's dicts, not the graph, so no reference cycle delays
+    freeing a dropped network until the cyclic collector runs."""
+
+    def __init__(self, nodes: dict, edges: dict):
+        super().__init__()
+        self.nodes, self.edges, self.geometry = nodes, edges, {}
+
+    def __missing__(self, key):
+        edge = self.edges[key[0]]
+        if not 0 <= key[1] < edge.num_lanes:
+            raise KeyError(key)
+        if edge.id not in self.geometry:    # edge id -> (axis, normals)
+            axis = _edge_axis(edge, self.nodes)
+            self.geometry[edge.id] = axis, _right_normals(axis)
+        path = self[key] = LanePath.measure(
+            _offset_axis(*self.geometry[edge.id], edge, key[1]))
+        return path
 
 
 def derive_connections(edges) -> dict[str, tuple[str, ...]]:
@@ -270,10 +300,6 @@ def derive_connections(edges) -> dict[str, tuple[str, ...]]:
 
 # ---------------------------------------------------------------------------
 # validation
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
 
 def _validate_root(doc: str, tag: str, errors: list) -> Optional[ET.Element]:
     try:
@@ -423,7 +449,7 @@ def network_errors(net: RoadNetwork) -> list[ValidationError]:
         _edge_errors(e.id, (e.from_node, e.to_node), e.spread_type,
                      node_ids, edge_ids, errors)
         _number_errors("numLanes", e.num_lanes, e.num_lanes, errors)
-        _number_errors("speed", e.speed, _fmt(e.speed), errors)
+        _number_errors("speed", e.speed, e.speed, errors)   # str is repr
         for lane in e.lanes:
             if len(lane.shape) < 2:
                 errors.append(ValidationError(
@@ -453,16 +479,20 @@ def _parse_shape(text: str):
 # space inside attribute values
 _ATTR_ESCAPES = (("&", "&amp;"), ("<", "&lt;"), ('"', "&quot;"),
                  ("\t", "&#9;"), ("\n", "&#10;"), ("\r", "&#13;"))
+_NEEDS_ESCAPE = re.compile('[&<"\t\n\r]').search
 
 
 def _attr(value: str) -> str:
+    if _NEEDS_ESCAPE(value) is None:
+        return value
     for char, ref in _ATTR_ESCAPES:
         value = value.replace(char, ref)
     return value
 
 
+# the records hold floats (their constructors convert), spelled by repr
 def _shape_attr(shape) -> str:
-    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in shape)
+    return " ".join(f"{x!r},{y!r}" for x, y in shape)
 
 
 def serialize_sumo_xml(net: RoadNetwork) -> tuple[str, str]:
@@ -470,7 +500,7 @@ def serialize_sumo_xml(net: RoadNetwork) -> tuple[str, str]:
     nodes_lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<nodes>"]
     for n in net.nodes:
         nodes_lines.append(
-            f'    <node id="{_attr(n.id)}" x="{_fmt(n.x)}" y="{_fmt(n.y)}" '
+            f'    <node id="{_attr(n.id)}" x="{n.x!r}" y="{n.y!r}" '
             f'type="{_attr(n.node_type)}"/>')
     nodes_lines.append("</nodes>")
 
@@ -478,16 +508,19 @@ def serialize_sumo_xml(net: RoadNetwork) -> tuple[str, str]:
     for e in net.edges:
         head = (f'    <edge id="{_attr(e.id)}" from="{_attr(e.from_node)}" '
                 f'to="{_attr(e.to_node)}" '
-                f'numLanes="{e.num_lanes}" speed="{_fmt(e.speed)}" '
+                f'numLanes="{e.num_lanes}" speed="{e.speed!r}" '
                 f'spreadType="{_attr(e.spread_type)}"')
         if not e.lanes:
             edges_lines.append(head + "/>")
         else:
             edges_lines.append(head + ">")
+            # lanes share the text of a shared shape tuple only: 0.0 == -0.0
+            shape = text = None
             for lane in e.lanes:
+                if lane.shape is not shape:
+                    shape, text = lane.shape, _shape_attr(lane.shape)
                 edges_lines.append(
-                    f'        <lane index="{lane.index}" '
-                    f'shape="{_shape_attr(lane.shape)}"/>')
+                    f'        <lane index="{lane.index}" shape="{text}"/>')
             edges_lines.append("    </edge>")
     edges_lines.append("</edges>")
     return "\n".join(nodes_lines) + "\n", "\n".join(edges_lines) + "\n"
@@ -562,15 +595,18 @@ def network_stats(net: RoadNetwork) -> NetworkStats:
     net.nodes, then the endpoints only edges name, in edge order.
 
     route_length is the largest eccentricity ecc(v), the distance from v to
-    the farthest node it reaches, found without a Dijkstra from every node.
-    Each node v keeps an upper bound ub[v] >= ecc(v), infinite at first. The
-    node with the largest bound runs a forward Dijkstra, giving ecc(u), and a
-    backward one, giving d(v, u). A node that u reaches and that reaches u is
-    in u's strongly connected component, so it reaches the same node set as
-    u, and ecc(v) <= d(v, u) + ecc(u) bounds it. The search stops once the
-    largest bound left, scaled by 1 + 1e-9, is below the best ecc found: the
-    factor covers float rounding in a bound, so the value returned is always
-    the farthest distance of a Dijkstra that ran from the arg-max source.
+    the farthest node it reaches, found without a Dijkstra from every node
+    (BoundingDiameters, Takes and Kosters 2011). Each node v keeps bounds
+    0 <= lb[v] <= ecc(v) <= ub[v] <= inf. A source u runs a forward and a
+    backward Dijkstra, giving ecc(u), d(u, v) and d(v, u). A node v that u
+    reaches and that reaches u reaches the same nodes as u, so ecc(v) <=
+    d(v, u) + ecc(u), ecc(v) >= d(v, u) and ecc(v) >= ecc(u) - d(u, v). The
+    sources alternate between the largest ub and the smallest lb (a central
+    node, whose small ecc tightens the ub of its whole component), of equal
+    ones the lowest index. The search stops once the largest ub left, scaled
+    by 1 + 1e-9, is below the best ecc found: the factor covers float
+    rounding in a bound, so whatever the lb chose, the value returned is the
+    farthest distance of a Dijkstra that ran from the arg-max source.
     """
     adj = net.lane_graph.neighbors
     comp: set = set()
@@ -605,19 +641,25 @@ def network_stats(net: RoadNetwork) -> NetworkStats:
 
     n = len(succ)
     ub = [math.inf] * n
+    lb = [0.0] * n
     route_length = 0.0
+    central = False
     while n:
-        # the largest bound, of equal ones the lowest index; -inf marks done
+        # of equal bounds the lowest index; a done node has ub -inf, lb inf
         u = max(range(n), key=ub.__getitem__)
         if ub[u] * (1 + 1e-9) < route_length:
             break
+        if central:
+            u = min(range(n), key=lb.__getitem__)
+        central = not central
         fwd, ecc = _dijkstra(succ, u)
         route_length = max(route_length, ecc)
         bwd, _ = _dijkstra(pred, u)
         for v in range(n):
             if fwd[v] < math.inf and bwd[v] < math.inf:
                 ub[v] = min(ub[v], bwd[v] + ecc)
-        ub[u] = -math.inf
+                lb[v] = max(lb[v], bwd[v], ecc - fwd[v])
+        ub[u], lb[u] = -math.inf, math.inf
     return NetworkStats(total_lanes=sum(e.num_lanes for e in net.edges),
                         total_edges=len(net.edges), route_length=route_length)
 
@@ -632,7 +674,7 @@ def junction_distance(net: RoadNetwork) -> float:
     junctions = [(n.x, n.y) for n in net.nodes if degree.get(n.id, 0) >= 3]
     ds = [math.dist(a, b)
           for i, a in enumerate(junctions) for b in junctions[i + 1:]]
-    return sum(ds) / len(ds) if ds else 0.0
+    return fold_sum(ds) / len(ds) if ds else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -881,12 +923,13 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
             except (ValueError, IndexError):  # blank counts as absent
                 pass
         # "" runs along the node order, "r" against it; motorways and
-        # roundabouts are one-way without the tag
-        if tags.get("oneway") == "-1":
+        # roundabouts are one-way unless tagged oneway=no
+        oneway = tags.get("oneway")
+        if oneway == "-1":
             directions = ("r",)
-        elif tags.get("oneway") in ("yes", "true", "1") or \
-                tags.get("highway") == "motorway" or \
-                tags.get("junction") == "roundabout":
+        elif oneway in ("yes", "true", "1") or oneway != "no" and (
+                tags.get("highway") == "motorway" or
+                tags.get("junction") == "roundabout"):
             directions = ("",)
         else:
             directions = ("", "r")
@@ -906,14 +949,16 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
                 if ref not in nodes:
                     x, y = coords[ref]
                     nodes[ref] = Node(f"osm{ref}", x, y)
+            # float pairs already, one tuple for all lanes of an edge
             shape = tuple(coords[r] for r in part)
             for suffix in directions:
                 src, dst, axis = (b, a, shape[::-1]) if suffix else \
                     (a, b, shape)
-                edges.append(Edge(
-                    f"w{way_id}s{k}{suffix}", f"osm{src}", f"osm{dst}",
-                    num_lanes=lanes, speed=speed, spread_type="right",
-                    lanes=tuple(Lane(index=i, shape=axis)
+                edges.append(_typed(
+                    Edge, id=f"w{way_id}s{k}{suffix}", from_node=f"osm{src}",
+                    to_node=f"osm{dst}", num_lanes=lanes, speed=speed,
+                    spread_type="right",
+                    lanes=tuple(_typed(Lane, index=i, shape=axis)
                                 for i in range(lanes))))
 
     net = RoadNetwork(nodes.values(), edges)

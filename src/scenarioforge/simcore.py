@@ -35,7 +35,7 @@ from typing import Optional
 
 from . import netgen
 from .compgen import AgentState
-from .ir import ScenarioBundle
+from .ir import ScenarioBundle, fold_sum
 
 DEFAULT_DT = 0.1
 TTC_BRAKE_THRESHOLD = 3.0   # s; AV braking onset
@@ -317,11 +317,13 @@ def _next_edge(graph: netgen.LaneGraph, route: tuple[str, ...],
 def _project_objects(net: netgen.RoadNetwork, objects) -> list:
     """Snap blocking objects (cones, barriers) onto the nearest lane point."""
     out = []
+    graph = net.lane_graph
     for obj in objects:
         if obj.kind not in ("Cone", "Barrier"):
             continue
         best = None
-        for e, li, path in net.lane_graph.inventory:
+        for e, li in graph.inventory:
+            path = graph.lanes[(e.id, li)]
             L = path.length
             n_samples = max(2, int(L / 2.0))
             for k in range(n_samples + 1):
@@ -587,7 +589,7 @@ def plan_route(net: netgen.RoadNetwork, start_edge: str) -> tuple[str, ...]:
 
 
 def route_length(net: netgen.RoadNetwork, route) -> float:
-    return sum(net.lane_graph.edge_length[eid] for eid in route)
+    return fold_sum(net.lane_graph.edge_length[eid] for eid in route)
 
 
 def run(bundle: ScenarioBundle, duration: float, dt: float = DEFAULT_DT,

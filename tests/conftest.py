@@ -97,6 +97,36 @@ def _random_edge(rng, eid, a, b):
                        lanes=lanes)
 
 
+def street_grid_network(rng: random.Random, size: int = 20
+                        ) -> netgen.RoadNetwork:
+    """ingest_osm of a size x size street grid extract: every row and column
+    is one way through size jittered nodes, split at every crossing. Half of
+    the ways are two-way with lanes=2, half one-way with lanes=3; at size 20
+    that is 1140 edges and 2660 lanes."""
+    spacing = 0.0009
+    lines = ['<osm version="0.6">']
+    for r in range(size):
+        for c in range(size):
+            lat = (r + rng.uniform(-0.1, 0.1)) * spacing
+            lon = (c + rng.uniform(-0.1, 0.1)) * spacing
+            lines.append(f'<node id="{r * size + c}" lat="{lat:.7f}" '
+                         f'lon="{lon:.7f}"/>')
+    ways = [[r * size + c for c in range(size)] for r in range(size)]
+    ways += [[r * size + c for r in range(size)] for c in range(size)]
+    oneway = [i % 2 == 1 for i in range(len(ways))]
+    rng.shuffle(oneway)
+    for i, refs in enumerate(ways):
+        tags = '<tag k="oneway" v="yes"/><tag k="lanes" v="3"/>' \
+            if oneway[i] else '<tag k="lanes" v="2"/>'
+        lines.append(f'<way id="{i}">' +
+                     "".join(f'<nd ref="{ref}"/>' for ref in refs) +
+                     f'<tag k="highway" v="residential"/>{tags}</way>')
+    lines.append("</osm>")
+    bbox = ir.GpsBoundingBox(-spacing, -spacing, size * spacing,
+                             size * spacing)
+    return netgen.ingest_osm(bbox, "\n".join(lines))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

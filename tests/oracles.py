@@ -398,3 +398,151 @@ def trace_hash_json(trace):
                                       for c in trace.collisions]},
                       sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# The references below are the network code as it was before the lane
+# geometry was built lazily and the serializer shared lane text, kept to pin
+# the new code to the old bytes and floats.
+
+_ATTR_ESCAPES = (("&", "&amp;"), ("<", "&lt;"), ('"', "&quot;"),
+                 ("\t", "&#9;"), ("\n", "&#10;"), ("\r", "&#13;"))
+
+
+def _attr(value):
+    for char, ref in _ATTR_ESCAPES:
+        value = value.replace(char, ref)
+    return value
+
+
+def _fmt(v):
+    return repr(float(v))
+
+
+def serialize_sumo_xml_reference(net):
+    """(nodes document, edges document): every attribute escaped with six
+    replace calls, every number through repr(float(v)), and every lane
+    shape spelled on its own."""
+    nodes_lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<nodes>"]
+    for n in net.nodes:
+        nodes_lines.append(
+            f'    <node id="{_attr(n.id)}" x="{_fmt(n.x)}" y="{_fmt(n.y)}" '
+            f'type="{_attr(n.node_type)}"/>')
+    nodes_lines.append("</nodes>")
+    edges_lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<edges>"]
+    for e in net.edges:
+        head = (f'    <edge id="{_attr(e.id)}" from="{_attr(e.from_node)}" '
+                f'to="{_attr(e.to_node)}" '
+                f'numLanes="{e.num_lanes}" speed="{_fmt(e.speed)}" '
+                f'spreadType="{_attr(e.spread_type)}"')
+        if not e.lanes:
+            edges_lines.append(head + "/>")
+        else:
+            edges_lines.append(head + ">")
+            for lane in e.lanes:
+                shape = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in lane.shape)
+                edges_lines.append(
+                    f'        <lane index="{lane.index}" shape="{shape}"/>')
+            edges_lines.append("    </edge>")
+    edges_lines.append("</edges>")
+    return "\n".join(nodes_lines) + "\n", "\n".join(edges_lines) + "\n"
+
+
+def _fold_length(points):
+    total = 0
+    for i in range(len(points) - 1):
+        total += math.dist(points[i], points[i + 1])
+    return total
+
+
+def _offset_axis(axis, edge, lane_index, lane_width=3.2):
+    """One lane's centerline, with the segment normals computed anew for
+    every lane."""
+    if edge.spread_type == "right":
+        off = (lane_index + 0.5) * lane_width
+    else:
+        off = (lane_index - (edge.num_lanes - 1) / 2.0) * lane_width
+    out = []
+    for i, (x, y) in enumerate(axis):
+        j = min(i, len(axis) - 2)
+        dx = axis[j + 1][0] - axis[j][0]
+        dy = axis[j + 1][1] - axis[j][1]
+        norm = math.hypot(dx, dy) or 1.0
+        rx, ry = dy / norm, -dx / norm
+        out.append((x + rx * off, y + ry * off))
+    return tuple(out)
+
+
+def lane_graph_reference(net):
+    """(lanes, edge_length) of the eager LaneGraph build: lanes maps
+    (edge id, lane index) to (points, vertex arc lengths, length) for every
+    lane, each offset on its own; the first edge with an id wins."""
+    nodes = {}
+    for n in net.nodes:
+        nodes.setdefault(n.id, n)
+    lanes, edge_length = {}, {}
+    for e in net.edges:
+        if e.lanes and len(e.lanes[0].shape) >= 2:
+            axis = e.lanes[0].shape
+        else:
+            a, b = nodes[e.from_node], nodes[e.to_node]
+            axis = ((a.x, a.y), (b.x, b.y))
+        edge_length.setdefault(e.id, _fold_length(axis))
+        for li in range(e.num_lanes):
+            points = _offset_axis(axis, e, li)
+            cum = [0.0]
+            for i in range(len(points) - 1):
+                cum.append(cum[-1] + math.dist(points[i], points[i + 1]))
+            lanes.setdefault((e.id, li),
+                             (points, tuple(cum), _fold_length(points)))
+    return lanes, edge_length
+
+
+def route_length_argmax(net):
+    """(route_length, Dijkstra count) of network_stats when every source is
+    the node with the largest upper bound: the loop without lower bounds."""
+    from scenarioforge import netgen
+    adj = net.lane_graph.neighbors
+    comp: set = set()
+    seen: set = set()
+    for start in adj:
+        if start not in seen:
+            found, stack = {start}, [start]
+            while stack:
+                new = adj[stack.pop()] - found
+                found |= new
+                stack += new
+            seen |= found
+            if len(found) > len(comp):
+                comp = found
+    index = {v: i for i, v in enumerate(v for v in adj if v in comp)}
+    shortest = [{} for _ in index]
+    edge_length = net.lane_graph.edge_length
+    for e in net.edges:
+        if e.from_node in comp:
+            out, to = shortest[index[e.from_node]], index[e.to_node]
+            length = edge_length[e.id]
+            if to not in out or out[to] > length:
+                out[to] = length
+    succ = [tuple(out.items()) for out in shortest]
+    pred = [[] for _ in index]
+    for v, out in enumerate(succ):
+        for to, length in out:
+            pred[to].append((v, length))
+
+    n = len(succ)
+    ub = [math.inf] * n
+    route_length = 0.0
+    runs = 0
+    while n:
+        u = max(range(n), key=ub.__getitem__)
+        if ub[u] * (1 + 1e-9) < route_length:
+            break
+        fwd, ecc = netgen._dijkstra(succ, u)
+        route_length = max(route_length, ecc)
+        bwd, _ = netgen._dijkstra(pred, u)
+        runs += 1
+        for v in range(n):
+            if fwd[v] < math.inf and bwd[v] < math.inf:
+                ub[v] = min(ub[v], bwd[v] + ecc)
+        ub[u] = -math.inf
+    return route_length, runs

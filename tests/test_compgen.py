@@ -8,6 +8,8 @@ import pytest
 
 from scenarioforge import compgen, ir, netgen
 
+from conftest import street_grid_network
+
 
 def make_net(length=200.0, fwd=2, back=0, speed=13.89):
     road = ir.RoadDescription(
@@ -84,14 +86,15 @@ def test_even_spacing_fallback_keeps_half_gap_floor():
         rng = random.Random(seed)
         gap = rng.uniform(1.0, 8.0)
         net = make_net(length=rng.uniform(4.0, 60.0), fwd=rng.randint(1, 4))
-        inv = net.lane_graph.inventory
+        graph = net.lane_graph
         n = rng.randint(2, 16)
-        if sum(path.length for *_, path in inv) < n * gap:
+        if sum(graph.lanes[(e.id, li)].length
+               for e, li in graph.inventory) < n * gap:
             continue  # generate_agents rejects it before any placement
         agents = [ir.AgentDescription("Car", "AV" if i == 0 else "BV")
                   for i in range(n)]
         try:
-            states = compgen._even_spacing(agents, inv, gap)
+            states = compgen._even_spacing(agents, graph, gap)
         except compgen.PlacementInfeasible:
             continue
         assert len(states) == n
@@ -99,6 +102,20 @@ def test_even_spacing_fallback_keeps_half_gap_floor():
         assert shortest >= gap / 2.0 - 1e-9
         below_gap += shortest < gap
     assert below_gap > 0
+
+
+def test_placement_on_street_grid_measures_few_lanes(rng):
+    net = street_grid_network(rng)
+    graph = net.lane_graph
+    cons = compgen.PlacementConstraints(seed=5)
+    desc = make_desc(CUT_IN_AGENTS + (ir.AgentDescription("Car", "BV"),))
+    assert compgen.generate_objects(desc, net, cons) == []
+    assert len(graph.lanes) == 0
+    states = compgen.generate_agents(desc, net, cons)
+    assert len(states) == 4
+    # lanes are measured on first lookup: the capacity check stops once
+    # the agents fit, and the search reads only the lanes it draws
+    assert 0 < len(graph.lanes) < len(graph.inventory)
 
 
 def test_generate_agents_deterministic():

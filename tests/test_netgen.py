@@ -10,9 +10,11 @@ from scenarioforge import ir, netgen
 from scenarioforge.interpreter import (MockProvider, UnparseableAfterRetries,
                                       default_knowledge_base)
 
-from conftest import _random_edge, random_network
-from oracles import (connections_brute_force, network_stats_networkx,
-                     point_along_scan, stats_oracle, successors_scan)
+from conftest import _random_edge, random_network, street_grid_network
+from oracles import (connections_brute_force, lane_graph_reference,
+                     network_stats_networkx, point_along_scan,
+                     route_length_argmax, serialize_sumo_xml_reference,
+                     stats_oracle, successors_scan)
 from validator_cases import CASES, GOOD_EDGES, GOOD_NODES
 
 
@@ -170,13 +172,17 @@ def test_lane_graph_matches_per_call_geometry(rng):
         assert net.lane_graph is graph  # compiled once per network
         # first wins: a dict built from the reversed nodes keeps the first
         assert graph.nodes == {n.id: n for n in reversed(net.nodes)}
-        assert [(e, li) for e, li, _ in graph.inventory] == \
+        assert list(graph.inventory) == \
             [(e, li) for e in net.edges for li in range(e.num_lanes)]
-        for e, li, path in graph.inventory:
+        assert len(graph.lanes) == 0  # no lane is measured before a lookup
+        for e, li in graph.inventory:
+            path = graph.lanes[(e.id, li)]
             line = netgen.lane_centerline(net, e, li)
             assert path.points == line
             assert path.length == netgen._polyline_length(line)
             assert graph.lanes[(e.id, li)] is path
+            with pytest.raises(KeyError):
+                graph.lanes[(e.id, e.num_lanes)]
         for e in net.edges:
             assert graph.edges[e.id] is e
             assert graph.edge_length[e.id] == \
@@ -251,6 +257,45 @@ def test_lane_centerline_center_spread_is_symmetric():
     lane0 = netgen.lane_centerline(net, net.edges[0], 0)
     lane1 = netgen.lane_centerline(net, net.edges[0], 1)
     assert lane0[0][1] == pytest.approx(-lane1[0][1])
+
+
+# few distinct values make signed zeros, zero-length segments and repeated
+# points likely
+SHAPE_COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.25]),
+                        st.floats(-1e4, 1e4, allow_nan=False))
+SHAPES = st.lists(st.tuples(SHAPE_COORD, SHAPE_COORD), min_size=2,
+                  max_size=5).map(tuple)
+
+
+@st.composite
+def shaped_networks(draw):
+    """Networks with unique edge ids, every spread type, 1 to 4 lanes, and
+    axes that are node-to-node or a drawn multi-segment lane-0 shape."""
+    nodes = tuple(netgen.Node(f"n{i}", draw(SHAPE_COORD), draw(SHAPE_COORD))
+                  for i in range(draw(st.integers(1, 4))))
+    ids = st.sampled_from([n.id for n in nodes])
+    edges = tuple(netgen.Edge(
+        f"e{k}", draw(ids), draw(ids), num_lanes=draw(st.integers(1, 4)),
+        spread_type=draw(st.sampled_from(netgen.SPREAD_TYPES)),
+        lanes=(netgen.Lane(0, draw(SHAPES)),) if draw(st.booleans()) else ())
+        for k in range(draw(st.integers(1, 5))))
+    return netgen.RoadNetwork(nodes, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=shaped_networks(), data=st.data())
+def test_lane_graph_equals_per_lane_reference(net, data):
+    """Lanes measured on lookup, from normals computed once per edge, are
+    bit for bit the lanes the eager per-lane build made, in any lookup
+    order."""
+    lanes, edge_length = lane_graph_reference(net)
+    graph = net.lane_graph
+    assert repr(graph.edge_length) == repr(edge_length)
+    keys = [(e.id, li) for e, li in graph.inventory]
+    for key in data.draw(st.permutations(keys)):
+        path = graph.lanes[key]
+        assert repr((path.points, path.cum, path.length)) == repr(lanes[key])
+    assert len(graph.lanes) == len(lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +436,51 @@ def test_lane_shapes_survive_round_trip():
     xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
     parsed = netgen.parse_sumo_xml(xml_nodes, xml_edges)
     assert parsed.edges[0].lanes[0].shape == lane.shape
+
+
+def _flip_zeros(shape):
+    """shape with the sign of every zero coordinate flipped: equal to shape,
+    but spelled differently."""
+    return tuple(tuple(-v if v == 0 else v for v in point) for point in shape)
+
+
+@st.composite
+def lane_sets(draw):
+    """The lanes of one edge. Lane 0 has a drawn shape; each later lane
+    shares that tuple (as ingest_osm builds lanes), holds an equal copy, a
+    copy with the signs of its zeros flipped, or a shape of its own."""
+    shape = draw(SHAPES)
+    lanes = [netgen._typed(netgen.Lane, index=0, shape=shape)]
+    for i in range(1, draw(st.integers(1, 4))):
+        other = draw(st.sampled_from(["shared", "copy", "flipped", "own"]))
+        if other == "shared":
+            lanes.append(netgen._typed(netgen.Lane, index=i, shape=shape))
+        else:
+            lanes.append(netgen.Lane(i, {
+                "copy": shape, "flipped": _flip_zeros(shape),
+                "own": draw(SHAPES)}[other]))
+    return tuple(lanes)
+
+
+@settings(max_examples=200, deadline=None)
+@example(net=netgen.RoadNetwork((netgen.Node("a", 0, 0),), (netgen.Edge(
+    "e", "a", "a", num_lanes=2, lanes=(
+        netgen._typed(netgen.Lane, index=0, shape=((0.0, 1.0), (2.0, 0.0))),
+        netgen.Lane(1, ((-0.0, 1.0), (2.0, -0.0))))),)))
+@given(net=st.builds(
+    netgen.RoadNetwork,
+    st.lists(st.builds(netgen.Node, XML_SPECIAL_IDS, SHAPE_COORD,
+                       SHAPE_COORD, st.sampled_from(netgen.NODE_TYPES)),
+             max_size=3),
+    st.lists(st.builds(netgen.Edge, XML_SPECIAL_IDS, XML_SPECIAL_IDS,
+                       XML_SPECIAL_IDS, st.integers(1, 4), SHAPE_COORD,
+                       st.sampled_from(netgen.SPREAD_TYPES),
+                       lane_sets() | st.just(())),
+             min_size=1, max_size=4)))
+def test_serialize_equals_per_lane_reference(net):
+    """Shared lane text, the escape fast path and repr without float() give
+    the bytes of the serializer that spelled every lane on its own."""
+    assert netgen.serialize_sumo_xml(net) == serialize_sumo_xml_reference(net)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +673,29 @@ def test_stats_route_length_equals_all_sources(net):
         network_stats_networkx(net)[2]
 
 
+@settings(max_examples=200, deadline=None)
+@given(net=grid_networks() | stats_networks())
+def test_stats_route_length_equals_argmax_sources(net):
+    """Sources chosen by lower bounds too, on networks with several strongly
+    connected components, give bit for bit the route length of the loop
+    that always runs the largest upper bound."""
+    assert repr(netgen.network_stats(net).route_length) == \
+        repr(route_length_argmax(net)[0])
+
+
+def test_stats_on_street_grid_take_fewer_dijkstras(rng, monkeypatch):
+    net = street_grid_network(rng)
+    route_length, argmax_runs = route_length_argmax(net)
+    calls = []
+    dijkstra = netgen._dijkstra
+    monkeypatch.setattr(netgen, "_dijkstra",
+                        lambda graph, source: calls.append(source) or
+                        dijkstra(graph, source))
+    assert netgen.network_stats(net).route_length == route_length
+    # a forward and a backward Dijkstra per source
+    assert len(calls) // 2 < argmax_runs
+
+
 # ---------------------------------------------------------------------------
 # provider-backed compilation
 
@@ -684,6 +797,28 @@ def test_ingest_osm_way_direction(tag, edges):
     ends = {n.id: (n.x, n.y) for n in net.nodes}
     for e in way:
         assert e.lanes[0].shape == (ends[e.from_node], ends[e.to_node])
+
+
+ONE_WAY = [("w11s0", "osm4", "osm2")]
+TWO_WAY = ONE_WAY + [("w11s0r", "osm2", "osm4")]
+
+
+@pytest.mark.parametrize("tags, edges", [
+    ('<tag k="highway" v="motorway"/><tag k="oneway" v="no"/>', TWO_WAY),
+    ('<tag k="highway" v="residential"/><tag k="junction" v="roundabout"/>'
+     '<tag k="oneway" v="no"/>', TWO_WAY),
+    ('<tag k="highway" v="motorway"/>', ONE_WAY),
+    ('<tag k="highway" v="residential"/><tag k="junction" v="roundabout"/>',
+     ONE_WAY),
+], ids=["motorway_oneway_no", "roundabout_oneway_no", "motorway",
+        "roundabout"])
+def test_ingest_osm_oneway_no_gives_both_directions(tags, edges):
+    way_11 = '<tag k="highway" v="residential"/>\n    ' \
+        '<tag k="oneway" v="yes"/>'
+    assert OSM_FIXTURE.count(way_11) == 1
+    net = netgen.ingest_osm(BBOX, OSM_FIXTURE.replace(way_11, tags))
+    assert [(e.id, e.from_node, e.to_node) for e in net.edges
+            if e.id.startswith("w11")] == edges
 
 
 @pytest.mark.parametrize("blank", ["", " "])
