@@ -106,7 +106,8 @@ def cmd_compare(args) -> int:
     report = pipeline.run_comparison(cfg, n_networks=args.networks,
                                      n_inits=args.inits)
     print(evalkit.format_comparison(report))
-    return 0
+    failures = report["failures"].values()
+    return 1 if any(any(arm.values()) for arm in failures) else 0
 
 
 def cmd_eval(args) -> int:

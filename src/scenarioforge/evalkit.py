@@ -1,12 +1,11 @@
 """Scenario-set evaluation: conformity, diversity, embedding similarity,
-AV-performance scoring, pipeline comparison, and collision-hint export."""
+AV-performance scoring and pipeline comparison."""
 from __future__ import annotations
 
 import hashlib
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import compgen, simcore
 from .compgen import _mean_std
@@ -377,13 +376,16 @@ def distance_steps_to_complete(trace, av_id, route_len) -> int:
 # ---------------------------------------------------------------------------
 # pipeline comparison (six-row side-by-side table)
 
-def compare_pipelines(ours: list[PerformanceReport],
-                      baseline: list[PerformanceReport]) -> dict:
-    """Per-metric mean/std for both arms plus collision rates."""
-    if len(ours) != len(baseline):
-        raise ValueError("arms must have equal run counts")
+def compare_pipelines(ours: list, baseline: list) -> dict:
+    """Per-metric mean/std for both arms plus collision rates.
 
-    def column(runs):
+    An arm lists one entry per run: the PerformanceReport of a completed
+    run, or the failure taxonomy kind of a failed one. The score rows cover
+    the completed runs only, so the arms may differ in size; an arm with no
+    completed run reads 0 on every row. "failures" counts the failed runs of
+    each arm by kind."""
+    def column(arm):
+        runs = [r for r in arm if isinstance(r, PerformanceReport)]
         return {
             "Route completion": _mean_std([r.route_completion for r in runs]),
             "Driving score": _mean_std([r.driving_score for r in runs]),
@@ -392,13 +394,18 @@ def compare_pipelines(ours: list[PerformanceReport],
             "Success rate": _mean_std([1.0 if r.success else 0.0
                                        for r in runs]),
             "Collision rate": (sum(1 for r in runs if r.collision)
-                               / len(runs), None),
+                               / max(len(runs), 1), None),
         }
-    return {"rows": list(TABLE5_ROWS), "ours": column(ours),
-            "baseline": column(baseline)}
+    arms = {"ours": ours, "baseline": baseline}
+    return {"rows": list(TABLE5_ROWS),
+            **{name: column(arm) for name, arm in arms.items()},
+            "failures": {name: {k: arm.count(k) for k in FAILURE_KINDS}
+                         for name, arm in arms.items()}}
 
 
 def format_comparison(report: dict) -> str:
+    """The six-row table, plus a row of failed-run counts when a run
+    failed."""
     width = max(len(r) for r in report["rows"]) + 2
     lines = [f"{'Scenario'.ljust(width)}{'Ours'.ljust(18)}RandomTrip"]
     for row in report["rows"]:
@@ -408,52 +415,9 @@ def format_comparison(report: dict) -> str:
             cells.append(f"{mean:.2f}" if std is None
                          else format_pm(mean, std))
         lines.append(f"{row.ljust(width)}{cells[0].ljust(18)}{cells[1]}")
+    failed = [sum(report["failures"][arm].values())
+              for arm in ("ours", "baseline")]
+    if any(failed):
+        lines.append(f"{'Failed runs'.ljust(width)}"
+                     f"{str(failed[0]).ljust(18)}{failed[1]}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# collision hint export
-
-@dataclass(frozen=True)
-class HintRecord:
-    scenario_id: str
-    collision_step: int
-    window: tuple[int, int]
-    context: str
-    hint: str
-
-
-def _classify_collision(trace: simcore.SimulationTrace,
-                        event: simcore.CollisionEvent) -> str:
-    states = trace.steps[min(event.step, len(trace.steps) - 1)]
-    a = next((s for s in states if s.id == event.agent_a), None)
-    b = next((s for s in states if s.id == event.agent_b), None)
-    if a is None or b is None:
-        return "DecelerateEarlier"
-    dh = abs((a.heading - b.heading + 180.0) % 360.0 - 180.0)
-    rad = math.radians(a.heading)
-    dx, dy = b.x - a.x, b.y - a.y
-    along = abs(dx * math.cos(rad) + dy * math.sin(rad))
-    lateral = abs(-dx * math.sin(rad) + dy * math.cos(rad))
-    if dh < 30.0 and along >= lateral:
-        return "DecelerateEarlier"
-    return "SaferLane"
-
-
-def export_hints(traces: dict, prompts: Optional[dict] = None,
-                 window: int = 20) -> list[HintRecord]:
-    """One hint record per collision: pre-collision window plus a suggested
-    mitigation tag.
-
-    traces: scenario id -> SimulationTrace. prompts: scenario id -> prompt or
-    decision context captured during the run.
-    """
-    records = []
-    for sid, trace in traces.items():
-        for ev in trace.collisions:
-            records.append(HintRecord(
-                scenario_id=sid, collision_step=ev.step,
-                window=(max(0, ev.step - window), ev.step),
-                context=(prompts or {}).get(sid, ""),
-                hint=_classify_collision(trace, ev)))
-    return records

@@ -1,9 +1,11 @@
 """Pipeline orchestration: interpret -> netgen -> compgen -> simulate -> eval.
 
-Each run owns a directory under <output_dir>/runs/. run_pipeline alone writes
-it: every artifact, the prompt/response log (prompts.jsonl) included, is
-listed in the manifest, which records per-stage status in pipeline order so a
-failure pins the taxonomy class of the stage that died.
+run_stages is the one stage chain. It runs in memory, keeps what each stage
+produced and records per-stage status in pipeline order, so a failure pins
+the taxonomy class of the stage that died. run_pipeline (also for run_batch
+and ablate) writes that record to the run's own directory under
+<output_dir>/runs/, every artifact listed in the manifest, prompts.jsonl
+included. run_comparison runs the chain per placement arm, in memory only.
 """
 from __future__ import annotations
 
@@ -101,8 +103,13 @@ class RunManifest:
     artifacts: dict = field(default_factory=dict)  # name -> path
     timing: dict = field(default_factory=dict)     # stage -> seconds
     failure: Optional[str] = None                  # taxonomy kind
-    # the in-memory bundle, set once compgen succeeds; not serialized
+    # what the stages produced: in memory only, not serialized
+    description: Optional[ir.ScenarioDescription] = field(default=None,
+                                                          repr=False)
+    network: Optional[netgen.RoadNetwork] = field(default=None, repr=False)
     bundle: Optional[ir.ScenarioBundle] = field(default=None, repr=False)
+    trace: Optional[simcore.SimulationTrace] = field(default=None, repr=False)
+    report: Optional[dict] = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -142,17 +149,6 @@ def _bundle_to_dict(bundle: ir.ScenarioBundle) -> dict:
             "objects": [dataclasses.asdict(o) for o in bundle.objects]}
 
 
-def _score_av(bundle: ir.ScenarioBundle, trace: simcore.SimulationTrace
-              ) -> evalkit.PerformanceReport:
-    """AV performance of one simulated bundle along its planned route."""
-    net = bundle.network
-    av = next(a for a in bundle.agents if a.role == "AV")
-    route = simcore.plan_route(net, av.edge_id)
-    return evalkit.performance(
-        trace, simcore.route_length(net, route),
-        max(e.speed for e in net.edges), av_id=av.id)
-
-
 def _write(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -161,6 +157,78 @@ def _write(path: str, text: str) -> None:
 
 def _json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _build_network(rec: RunManifest, source, cfg: PipelineConfig, kb,
+                   provider) -> netgen.RoadNetwork:
+    if not isinstance(source, ir.GpsBoundingBox):
+        return netgen.compile_network(rec.description.road, kb, provider,
+                                      seed=rec.seed)
+    if not cfg.osm_fixture:
+        return netgen.ingest_osm(
+            source, netgen.fetch_osm_extract(source, cfg.osm_cache_dir))
+    with open(cfg.osm_fixture, encoding="utf-8") as fh:
+        return netgen.ingest_osm(source, fh.read())
+
+
+def _evaluate(bundle: ir.ScenarioBundle, trace: simcore.SimulationTrace
+              ) -> dict:
+    """report.json: AV performance and distance from the description."""
+    net = bundle.network
+    av = next(a for a in bundle.agents if a.role == "AV")
+    route = simcore.plan_route(net, av.edge_id)
+    perf = evalkit.performance(trace, simcore.route_length(net, route),
+                               max(e.speed for e in net.edges), av_id=av.id)
+    dist = evalkit.objective_distance(bundle.description, bundle,
+                                      evalkit.HashingEmbedder())
+    return {
+        "behavior_model": "parametric car-following substitute",
+        "objective_distance": round(dist, 6),
+        "performance": dataclasses.asdict(perf),
+        "scene_class": evalkit.classify_bundle(bundle),
+        "trace_hash": trace.hash(),
+        "collisions": len(trace.collisions),
+    }
+
+
+def run_stages(rec: RunManifest, source: Optional[ir.MultimodalInput],
+               cfg: PipelineConfig, kb: ir.PromptKnowledgeBase, provider,
+               stages=STAGES, place=None) -> RunManifest:
+    """The one stage chain, in memory: run `stages`, a contiguous part of
+    STAGES, keeping what each produces in rec. The first stage that raises
+    records its taxonomy kind, and every later stage is skipped. place(desc,
+    net, constraints) places the agents (default compgen.generate_agents)."""
+    for stage in stages:
+        t0 = time.monotonic()
+        try:
+            if stage == "interpret":
+                rec.description = interpret(source, kb, provider, rec.seed)
+            elif stage == "netgen":
+                rec.network = _build_network(rec, source, cfg, kb, provider)
+            elif stage == "compgen":
+                desc, net = rec.description, rec.network
+                constraints = compgen.PlacementConstraints(
+                    min_gap=cfg.min_gap, max_agents=cfg.max_agents,
+                    seed=rec.seed)
+                agents = (place or compgen.generate_agents)(desc, net,
+                                                            constraints)
+                objects = compgen.generate_objects(desc, net, constraints)
+                rec.bundle = ir.ScenarioBundle(
+                    description=desc, network=net, agents=tuple(agents),
+                    objects=tuple(objects), seed=rec.seed)
+            elif stage == "simulate":
+                rec.trace = simcore.run(rec.bundle, cfg.duration, cfg.dt)
+            else:
+                rec.report = _evaluate(rec.bundle, rec.trace)
+        except Exception as exc:
+            rec.failure = classify_failure(exc)
+            rec.stages[stage] = f"error:{rec.failure}"
+            for later in STAGES[STAGES.index(stage) + 1:]:
+                rec.stages[later] = "skipped"
+            return rec
+        rec.timing[stage] = round(time.monotonic() - t0, 4)
+        rec.stages[stage] = "ok"
+    return rec
 
 
 def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
@@ -180,112 +248,38 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
     # removed makes makedirs fail rather than mix into the new run
     shutil.rmtree(run_dir, ignore_errors=True)
     os.makedirs(run_dir)
-    kb = kb or default_knowledge_base()
     provider = LoggingProvider(make_provider(cfg))
-
-    manifest = RunManifest(run_id=run_id, seed=seed)
+    rec = run_stages(RunManifest(run_id=run_id, seed=seed), source, cfg,
+                     kb or default_knowledge_base(), provider)
 
     def put(name: str, filename: str, text: str) -> None:
         """The one way a file enters the run directory: listed as written."""
         path = os.path.join(run_dir, filename)
         _write(path, text)
-        manifest.artifacts[name] = path
+        rec.artifacts[name] = path
 
-    def finish() -> RunManifest:
-        put("prompts", "prompts.jsonl",
-            "".join(json.dumps(x, sort_keys=True) + "\n"
-                    for x in provider.exchanges))
-        # last, so its mtime marks the end of the run
-        _write(os.path.join(run_dir, "manifest.json"),
-               _json(manifest.to_dict()))
-        return manifest
-
-    def fail(stage: str, exc: Exception) -> RunManifest:
-        kind = classify_failure(exc)
-        manifest.stages[stage] = f"error:{kind}"
-        manifest.failure = kind
-        for later in STAGES[STAGES.index(stage) + 1:]:
-            manifest.stages[later] = "skipped"
-        return finish()
-
-    def timed(stage, fn):
-        t0 = time.monotonic()
-        result = fn()
-        manifest.timing[stage] = round(time.monotonic() - t0, 4)
-        manifest.stages[stage] = "ok"
-        return result
-
-    # interpret
-    try:
-        desc = timed("interpret",
-                     lambda: interpret(source, kb, provider, seed=seed))
-    except Exception as exc:
-        return fail("interpret", exc)
-    put("description", "description.json",
-        _json(ir.description_to_dict(desc)))
-
-    # network
-    try:
-        def build_net():
-            if isinstance(source, ir.GpsBoundingBox):
-                if cfg.osm_fixture:
-                    with open(cfg.osm_fixture, encoding="utf-8") as fh:
-                        extract = fh.read()
-                else:
-                    extract = netgen.fetch_osm_extract(source,
-                                                       cfg.osm_cache_dir)
-                return netgen.ingest_osm(source, extract)
-            return netgen.compile_network(desc.road, kb, provider, seed=seed)
-        net = timed("netgen", build_net)
-    except Exception as exc:
-        return fail("netgen", exc)
-    xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
-    put("network_nodes", "network.nod.xml", xml_nodes)
-    put("network_edges", "network.edg.xml", xml_edges)
-
-    # placement
-    try:
-        def place():
-            constraints = compgen.PlacementConstraints(
-                min_gap=cfg.min_gap, max_agents=cfg.max_agents, seed=seed)
-            agents = compgen.generate_agents(desc, net, constraints)
-            objects = compgen.generate_objects(desc, net, constraints)
-            return ir.ScenarioBundle(description=desc, network=net,
-                                     agents=tuple(agents),
-                                     objects=tuple(objects), seed=seed)
-        bundle = timed("compgen", place)
-    except Exception as exc:
-        return fail("compgen", exc)
-    manifest.bundle = bundle
-    put("bundle", "bundle.json", _json(_bundle_to_dict(bundle)))
-
-    # simulation
-    try:
-        trace = timed("simulate",
-                      lambda: simcore.run(bundle, cfg.duration, cfg.dt))
-    except Exception as exc:
-        return fail("simulate", exc)
-    put("trace", "trace.jsonl", simcore.export_trace(trace))
-
-    # evaluation
-    try:
-        def evaluate():
-            perf = _score_av(bundle, trace)
-            embedder = evalkit.HashingEmbedder()
-            dist = evalkit.objective_distance(desc, bundle, embedder)
-            return {
-                "behavior_model": "parametric car-following substitute",
-                "objective_distance": round(dist, 6),
-                "performance": dataclasses.asdict(perf),
-                "scene_class": evalkit.classify_bundle(bundle),
-                "trace_hash": trace.hash(),
-                "collisions": len(trace.collisions),
-            }
-        report = timed("evaluate", evaluate)
-    except Exception as exc:
-        return fail("evaluate", exc)
-    put("report", "report.json", _json(report))
-    return finish()
+    if rec.description is not None:
+        put("description", "description.json",
+            _json(ir.description_to_dict(rec.description)))
+    if rec.network is not None:
+        xml_nodes, xml_edges = netgen.serialize_sumo_xml(rec.network)
+        put("network_nodes", "network.nod.xml", xml_nodes)
+        put("network_edges", "network.edg.xml", xml_edges)
+    if rec.bundle is not None:
+        put("bundle", "bundle.json", _json(_bundle_to_dict(rec.bundle)))
+    if rec.trace is not None:
+        put("trace", "trace.jsonl", simcore.export_trace(rec.trace))
+    if rec.report is not None:
+        put("report", "report.json", _json(rec.report))
+    put("prompts", "prompts.jsonl",
+        "".join(json.dumps(x, sort_keys=True) + "\n"
+                for x in provider.exchanges))
+    # last, so its mtime marks the end of the run
+    _write(os.path.join(run_dir, "manifest.json"), _json(rec.to_dict()))
+    # run_batch keeps every manifest until the batch ends: of what the
+    # stages produced, only the bundle stays in memory
+    return dataclasses.replace(rec, description=None, network=None,
+                               trace=None, report=None)
 
 
 def run_batch(inputs, cfg: PipelineConfig) -> dict:
@@ -386,34 +380,39 @@ _COMPARISON_FIXTURES = (
 def run_comparison(cfg: PipelineConfig, n_networks: int = 5,
                    n_inits: int = 5) -> dict:
     """A/B harness: guided placement vs the RandomTrip-style baseline on the
-    same networks, n_networks x n_inits runs per arm."""
+    same networks, n_networks x n_inits runs per arm. Each network is built
+    once; each init runs the later stages once per arm, with that arm's
+    placement. A failed network or placement is a failed run of its arm,
+    counted by taxonomy kind; the scores cover the completed runs."""
+    if n_networks < 1 or n_inits < 1:
+        raise ConfigError(f"compare needs >= 1 network and init, got "
+                          f"{n_networks} and {n_inits}")
     kb = default_knowledge_base()
     provider = make_provider(cfg)
-    ours, baseline = [], []
+    arms = {"ours": None,
+            "baseline": lambda desc, net, c: compgen.random_trip_placement(
+                net, len(desc.agents), seed=c.seed)}
+    runs = {arm: [] for arm in arms}
     for ni in range(n_networks):
         text = _COMPARISON_FIXTURES[ni % len(_COMPARISON_FIXTURES)]
-        desc = interpret(ir.TextRequest(text), kb, provider, seed=ni)
-        net = netgen.compile_network(desc.road, kb, provider, seed=ni)
+        built = run_stages(RunManifest(run_id=f"compare-n{ni}", seed=ni),
+                           ir.TextRequest(text), cfg, kb, provider,
+                           stages=STAGES[:2])
         for vi in range(n_inits):
-            seed = cfg.global_seed + ni * 100 + vi
-            constraints = compgen.PlacementConstraints(
-                min_gap=cfg.min_gap, max_agents=cfg.max_agents, seed=seed)
-            objects = tuple(compgen.generate_objects(desc, net, constraints))
-            for runs, agents in (
-                    (ours, compgen.generate_agents(desc, net, constraints)),
-                    (baseline, compgen.random_trip_placement(
-                        net, len(desc.agents), seed=seed))):
-                bundle = ir.ScenarioBundle(
-                    description=desc, network=net, agents=tuple(agents),
-                    objects=objects, seed=seed)
-                trace = simcore.run(bundle, cfg.duration, cfg.dt)
-                runs.append(_score_av(bundle, trace))
-    report = evalkit.compare_pipelines(ours, baseline)
-    out = {"rows": report["rows"],
-           "ours": {k: list(v) if v[1] is not None else [v[0]]
-                    for k, v in report["ours"].items()},
-           "baseline": {k: list(v) if v[1] is not None else [v[0]]
-                        for k, v in report["baseline"].items()},
-           "table": evalkit.format_comparison(report)}
+            for arm, place in arms.items():
+                # each run records its own stages on a copy of the network's
+                rec = dataclasses.replace(
+                    built, seed=cfg.global_seed + ni * 100 + vi,
+                    stages=dict(built.stages), timing=dict(built.timing))
+                if rec.failure is None:
+                    run_stages(rec, None, cfg, kb, provider,
+                               stages=STAGES[2:], place=place)
+                runs[arm].append(rec.failure or evalkit.PerformanceReport(
+                    **rec.report["performance"]))
+    report = evalkit.compare_pipelines(runs["ours"], runs["baseline"])
+    out = {arm: {row: [mean] if std is None else [mean, std]
+                 for row, (mean, std) in report[arm].items()} for arm in arms}
+    out.update(rows=report["rows"], failures=report["failures"],
+               table=evalkit.format_comparison(report))
     _write(os.path.join(cfg.output_dir, "comparison.json"), _json(out))
     return report

@@ -2,8 +2,8 @@
 
 Background vehicles follow an IDM car-following law with a threshold-based
 lane-change rule; the vehicle under test runs a rule policy with a TTC-based
-braking onset that hint tags can move earlier. Collisions are oriented
-bounding-box overlaps (separating axis test) recorded per step.
+braking onset. Collisions are oriented bounding-box overlaps (separating axis
+test) recorded per step.
 
 Lane geometry comes from the network's compiled LaneGraph. Each step indexes
 the active vehicles by lane, sorted by arc length, so leader and follower
@@ -208,7 +208,6 @@ class _Vehicle:
     state: AgentState
     params: BehaviorParams
     active: bool = True
-    hints: tuple[str, ...] = ()
     route: tuple[str, ...] = ()
     lane_change_cooldown: float = 0.0
 
@@ -367,8 +366,7 @@ def _leader_gap(world: World, lanes: _LaneIndex, veh: _Vehicle,
     return best_gap, best_speed
 
 
-def av_policy(observation: dict, hints: tuple[str, ...] = ()
-              ) -> tuple[float, int]:
+def av_policy(observation: dict) -> tuple[float, int]:
     """Rule policy for the vehicle under test.
 
     observation: speed, desired_speed, gap, leader_speed, max_accel,
@@ -383,10 +381,6 @@ def av_policy(observation: dict, hints: tuple[str, ...] = ()
     b = observation["comfortable_decel"]
     s0 = observation["min_gap"]
 
-    ttc_threshold = TTC_BRAKE_THRESHOLD
-    if "DecelerateEarlier" in hints:
-        ttc_threshold *= 2.0
-
     closing = v - lead_v
     ttc = gap / closing if (closing > 0 and not math.isinf(gap)) else math.inf
 
@@ -395,12 +389,11 @@ def av_policy(observation: dict, hints: tuple[str, ...] = ()
         options = observation.get("lane_options", [])
         prefer = [o for o in options if o["gap"] > gap + 2.0 * s0
                   and o["rear_gap"] > s0]
-        if prefer and ("SaferLane" in hints or gap < 2.0 * s0 + v * 1.0
-                       or ttc < ttc_threshold):
+        if prefer and (gap < 2.0 * s0 + v * 1.0 or ttc < TTC_BRAKE_THRESHOLD):
             prefer.sort(key=lambda o: -o["gap"])
             lane_change = prefer[0]["direction"]
 
-    if ttc < ttc_threshold or (not math.isinf(gap) and gap < s0):
+    if ttc < TTC_BRAKE_THRESHOLD or (not math.isinf(gap) and gap < s0):
         return -b, lane_change
     accel = idm_accel(BehaviorParams(desired_speed=v0, max_accel=a_max,
                                      comfortable_decel=b, min_gap=s0),
@@ -531,7 +524,7 @@ def step(world: World, dt: float) -> World:
                    "comfortable_decel": veh.params.comfortable_decel,
                    "min_gap": veh.params.min_gap,
                    "lane_options": _lane_options(world, lanes, veh)}
-            controls[vid] = av_policy(obs, veh.hints)
+            controls[vid] = av_policy(obs)
         else:
             controls[vid] = _bv_control(world, lanes, veh)
 
@@ -556,20 +549,14 @@ def _default_params(kind: str, edge_speed: float) -> BehaviorParams:
     return BehaviorParams(desired_speed=max(edge_speed, 0.5))
 
 
-def build_world(bundle: ScenarioBundle,
-                params_overrides: Optional[dict] = None,
-                hints: tuple[str, ...] = ()) -> World:
+def build_world(bundle: ScenarioBundle) -> World:
     net = bundle.network
     vehicles = {}
     for a in bundle.agents:
         edge = net.lane_graph.edges[a.edge_id]
-        params = (params_overrides or {}).get(a.id) or \
-            _default_params(a.kind, edge.speed)
-        route = ()
-        if a.role == "AV":
-            route = plan_route(net, a.edge_id)
-        vehicles[a.id] = _Vehicle(state=a, params=params, route=route,
-                                  hints=hints if a.role == "AV" else ())
+        vehicles[a.id] = _Vehicle(
+            state=a, params=_default_params(a.kind, edge.speed),
+            route=plan_route(net, a.edge_id) if a.role == "AV" else ())
     return World(net=net, vehicles=vehicles,
                  obstacles=_project_objects(net, bundle.objects))
 
@@ -592,11 +579,10 @@ def route_length(net: netgen.RoadNetwork, route) -> float:
     return fold_sum(net.lane_graph.edge_length[eid] for eid in route)
 
 
-def run(bundle: ScenarioBundle, duration: float, dt: float = DEFAULT_DT,
-        params_overrides: Optional[dict] = None,
-        hints: tuple[str, ...] = ()) -> SimulationTrace:
+def run(bundle: ScenarioBundle, duration: float, dt: float = DEFAULT_DT
+        ) -> SimulationTrace:
     """Closed-loop run: ceil(duration/dt) steps, deterministic per bundle."""
-    world = build_world(bundle, params_overrides, hints)
+    world = build_world(bundle)
     n_steps = math.ceil(duration / dt)
     trace = SimulationTrace(dt=dt)
     prev_speed = {vid: v.state.speed for vid, v in world.vehicles.items()}

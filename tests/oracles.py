@@ -546,3 +546,45 @@ def route_length_argmax(net):
                 ub[v] = min(ub[v], bwd[v] + ecc)
         ub[u] = -math.inf
     return route_length, runs
+
+
+def run_comparison_reference(cfg, n_networks, n_inits):
+    """The comparison report from direct calls of the layer functions, the
+    way the harness ran before it went through the pipeline's stage chain:
+    each network interpreted and built once, each init placed by both arms,
+    and the AV scored along its planned route."""
+    from scenarioforge import (compgen, evalkit, interpreter, ir, netgen,
+                               pipeline, simcore)
+
+    def score_av(bundle, trace):
+        net = bundle.network
+        av = next(a for a in bundle.agents if a.role == "AV")
+        route = simcore.plan_route(net, av.edge_id)
+        return evalkit.performance(
+            trace, simcore.route_length(net, route),
+            max(e.speed for e in net.edges), av_id=av.id)
+
+    kb = interpreter.default_knowledge_base()
+    provider = pipeline.make_provider(cfg)
+    fixtures = pipeline._COMPARISON_FIXTURES
+    ours, baseline = [], []
+    for ni in range(n_networks):
+        text = fixtures[ni % len(fixtures)]
+        desc = interpreter.interpret(ir.TextRequest(text), kb, provider,
+                                     seed=ni)
+        net = netgen.compile_network(desc.road, kb, provider, seed=ni)
+        for vi in range(n_inits):
+            seed = cfg.global_seed + ni * 100 + vi
+            constraints = compgen.PlacementConstraints(
+                min_gap=cfg.min_gap, max_agents=cfg.max_agents, seed=seed)
+            objects = tuple(compgen.generate_objects(desc, net, constraints))
+            for runs, agents in (
+                    (ours, compgen.generate_agents(desc, net, constraints)),
+                    (baseline, compgen.random_trip_placement(
+                        net, len(desc.agents), seed=seed))):
+                bundle = ir.ScenarioBundle(
+                    description=desc, network=net, agents=tuple(agents),
+                    objects=objects, seed=seed)
+                trace = simcore.run(bundle, cfg.duration, cfg.dt)
+                runs.append(score_av(bundle, trace))
+    return evalkit.compare_pipelines(ours, baseline)

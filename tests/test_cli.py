@@ -138,6 +138,28 @@ def test_compare_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Collision rate" in out
     assert "RandomTrip" in out
+    assert "Failed runs" not in out
+
+
+def test_compare_counts_failed_runs(tmp_path, capsys):
+    # every interpret call answers prose: each run of both arms fails, the
+    # table and comparison.json still come out, and the exit code says so
+    code = run_cli("compare", "--provider-fault", "prose", "--networks", "2",
+                   "--inits", "2", "--output-dir", str(tmp_path),
+                   "--duration", "5")
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].split() == ["Failed", "runs", "4", "4"]
+    assert (tmp_path / "comparison.json").exists()
+
+
+@pytest.mark.parametrize("count", [["--networks", "0"], ["--inits", "0"],
+                                   ["--networks=-1"], ["--inits=-3"]])
+def test_compare_rejects_counts_below_one(tmp_path, capsys, count):
+    code = run_cli("compare", *count, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "comparison.json").exists()
 
 
 def test_eval_reprints_aggregate(tmp_path, capsys):

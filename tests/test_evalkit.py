@@ -336,9 +336,24 @@ def test_compare_pipelines_rows_and_rates():
     assert report["baseline"]["Success rate"][0] == pytest.approx(0.0)
 
 
-def test_compare_pipelines_requires_equal_counts():
-    with pytest.raises(ValueError):
-        evalkit.compare_pipelines([perf()], [perf(), perf()])
+def test_compare_pipelines_drops_failed_runs():
+    # unequal numbers of completed runs; the baseline completed none
+    report = evalkit.compare_pipelines(
+        [perf(score=60.0), "RuntimeError", perf(score=80.0)],
+        ["MalformedKeyword", "RuntimeError", "RuntimeError"])
+    assert report["ours"]["Driving score"] == \
+        pytest.approx((70.0, math.sqrt(200.0)))
+    assert report["ours"]["Collision rate"] == (0.0, None)
+    assert report["baseline"] == {
+        row: (0.0, None) if row == "Collision rate" else (0.0, 0.0)
+        for row in evalkit.TABLE5_ROWS}
+    assert report["failures"] == {
+        "ours": {"MalformedKeyword": 0, "BlueprintReuse": 0,
+                 "ValidationError": 0, "RuntimeError": 1},
+        "baseline": {"MalformedKeyword": 1, "BlueprintReuse": 0,
+                     "ValidationError": 0, "RuntimeError": 2}}
+    assert evalkit.format_comparison(report).splitlines()[-1].split() == \
+        ["Failed", "runs", "1", "3"]
 
 
 def test_format_comparison_table():
@@ -347,36 +362,5 @@ def test_format_comparison_table():
     assert "Ours" in text and "RandomTrip" in text
     for row in evalkit.TABLE5_ROWS:
         assert row in text
-
-
-# ---------------------------------------------------------------------------
-# hint export
-
-def two_agent_trace(b_heading, b_x, b_y):
-    trace = simcore.SimulationTrace(dt=0.1)
-    a = agent_state(0, role="AV", x=0.0, speed=10.0)
-    b = compgen.AgentState(
-        id="b", kind="Car", role="BV", edge_id="e", lane_index=0, s=b_x,
-        speed=5.0, heading=b_heading, x=b_x, y=b_y, length=4.5, width=1.8)
-    trace.steps.append([a, b])
-    trace.collisions.append(simcore.CollisionEvent(0, "a0", "b", 0.3))
-    return trace
-
-
-def test_export_hints_rear_end():
-    records = evalkit.export_hints({"s1": two_agent_trace(0.0, 4.0, 0.0)},
-                                   prompts={"s1": "rear end scene"})
-    assert len(records) == 1
-    assert records[0].hint == "DecelerateEarlier"
-    assert records[0].context == "rear end scene"
-    assert records[0].window == (0, 0)
-
-
-def test_export_hints_side_swipe():
-    records = evalkit.export_hints({"s2": two_agent_trace(90.0, 1.0, 2.0)})
-    assert records[0].hint == "SaferLane"
-
-
-def test_export_hints_empty():
-    assert evalkit.export_hints({"clean": simcore.SimulationTrace(dt=0.1)}) \
-        == []
+    # no run failed: the six rows alone
+    assert "Failed runs" not in text

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from scenarioforge import compgen, interpreter, ir, netgen, pipeline
+from scenarioforge import (compgen, evalkit, interpreter, ir, netgen,
+                           pipeline)
 
+from oracles import run_comparison_reference
 from test_netgen import OSM_FIXTURE
 
 
@@ -423,6 +426,48 @@ def test_run_comparison_small(tmp_path):
     for arm in ("ours", "baseline"):
         assert set(report[arm]) == set(report["rows"])
     assert os.path.exists(tmp_path / "out" / "comparison.json")
+
+
+@pytest.mark.parametrize("global_seed", [0, 3])
+def test_run_comparison_matches_direct_calls(tmp_path, global_seed):
+    cfg = make_cfg(tmp_path, global_seed=global_seed)
+    assert pipeline.run_comparison(cfg, n_networks=2, n_inits=2) == \
+        run_comparison_reference(cfg, n_networks=2, n_inits=2)
+
+
+NO_FAILURES = dict.fromkeys(evalkit.FAILURE_KINDS, 0)
+
+
+@pytest.mark.parametrize("kw, ours, baseline, calls", [
+    # interpret fails for both networks, after 1 + 3 calls each
+    ({"provider_fault": "prose"}, {"RuntimeError": 4}, {"RuntimeError": 4},
+     8),
+    # the one provider fails once in all, and every run completes
+    ({"provider_fault": "prose_once"}, {}, {}, 5),
+    # netgen fails for both networks, after 1 + 3 calls each
+    ({"provider_fault": "hash_ids"}, {"MalformedKeyword": 4},
+     {"MalformedKeyword": 4}, 10),
+    # guided placement refuses every fixture; the baseline places them all
+    ({"max_agents": 1}, {"RuntimeError": 4}, {}, 4),
+], ids=["prose", "prose_once", "hash_ids", "max_agents"])
+def test_run_comparison_counts_failed_runs_per_arm(tmp_path, monkeypatch, kw,
+                                                   ours, baseline, calls):
+    made = count_calls(monkeypatch, interpreter.MockProvider, "complete")
+    cfg = make_cfg(tmp_path, **kw)
+    report = pipeline.run_comparison(cfg, n_networks=2, n_inits=2)
+    failures = {"ours": {**NO_FAILURES, **ours},
+                "baseline": {**NO_FAILURES, **baseline}}
+    assert report["failures"] == failures
+    assert len(made) == calls
+    data = json.loads((tmp_path / "out" / "comparison.json").read_text())
+    assert data["failures"] == failures
+    assert data["table"] == evalkit.format_comparison(report)
+    if not baseline:
+        # the completed arm scores as it does when no run fails
+        clean = dataclasses.replace(cfg, provider_fault=None,
+                                    max_agents=32)
+        assert report["baseline"] == \
+            run_comparison_reference(clean, 2, 2)["baseline"]
 
 
 RUNTIME_IMPORTS_SCRIPT = """

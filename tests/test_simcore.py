@@ -236,25 +236,6 @@ def test_av_policy_brakes_below_ttc_threshold():
     assert accel == pytest.approx(-2.0)
 
 
-def test_av_policy_hint_moves_braking_onset_earlier():
-    # TTC = 4 s: beyond the default threshold, inside the hinted one
-    obs = _obs(gap=40.0, leader_speed=0.0)
-    plain, _ = simcore.av_policy(obs)
-    hinted, _ = simcore.av_policy(obs, hints=("DecelerateEarlier",))
-    assert hinted == pytest.approx(-2.0)
-    assert hinted < plain
-
-
-def test_av_policy_safer_lane_hint_eases_lane_change():
-    option = {"direction": 1, "lane_index": 1, "gap": 100.0,
-              "leader_speed": 10.0, "rear_gap": 50.0, "follower": None}
-    obs = _obs(gap=20.0, leader_speed=10.0, lane_options=[option])
-    _, lc_plain = simcore.av_policy(obs)
-    _, lc_hinted = simcore.av_policy(obs, hints=("SaferLane",))
-    assert lc_plain == 0
-    assert lc_hinted == 1
-
-
 def test_av_policy_never_exceeds_limits():
     rng = random.Random(3)
     for _ in range(200):
@@ -365,13 +346,17 @@ def test_bv_changes_lane_past_slow_leader():
     slow = place(net, "e0f", 0, 100.0, "slow", kind="Truck", speed=2.0)
     fast = place(net, "e0f", 0, 40.0, "fast", speed=13.0)
     av = place(net, "e0f", 1, 5.0, "av", role="AV", speed=5.0)
-    overrides = {"slow": simcore.BehaviorParams(desired_speed=2.0)}
-    trace = simcore.run(make_bundle(net, [av, slow, fast]), duration=20.0,
-                        dt=0.1, params_overrides=overrides)
-    lanes_used = {a.lane_index for states in trace.steps for a in states
-                  if a.id == "fast"}
+    world = simcore.build_world(make_bundle(net, [av, slow, fast]))
+    # the truck keeps to 2 m/s instead of 90 % of the speed limit
+    world.vehicles["slow"].params = simcore.BehaviorParams(desired_speed=2.0)
+    lanes_used, collisions = set(), []
+    for k in range(200):
+        simcore.step(world, 0.1)
+        states = [v.state for v in world.vehicles.values() if v.active]
+        lanes_used |= {a.lane_index for a in states if a.id == "fast"}
+        collisions += simcore.detect_collisions(states, step=k)
     assert 1 in lanes_used  # overtook via the left lane
-    assert trace.collisions == []
+    assert collisions == []
 
 
 def test_route_planner_and_length():
