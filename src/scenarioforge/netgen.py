@@ -3,7 +3,8 @@
 Networks are immutable value graphs of nodes and edges; their LaneGraph derives
 the lane connections from them, as netconvert does. XML serialization is
 netconvert-compatible (node: id/x/y/type, edge: id/from/to/numLanes/speed/
-spreadType with optional lane children carrying index/shape).
+spreadType/shape, the one axis all lanes are offset from). Parsing still reads
+a provider's lane children: the first one's shape is an unshaped edge's axis.
 
 validate_network checks a document pair (provider output, files on disk): its
 XML structure, and per element the value and reference checks that
@@ -30,7 +31,7 @@ NODE_TYPES = ("priority", "traffic_light", "unregulated")
 SPREAD_TYPES = ("right", "center", "roadCenter")
 
 _NODE_ATTRS = {"id", "x", "y", "type"}
-_EDGE_ATTRS = {"id", "from", "to", "numLanes", "speed", "spreadType"}
+_EDGE_ATTRS = {"id", "from", "to", "numLanes", "speed", "spreadType", "shape"}
 _LANE_ATTRS = {"index", "shape"}
 
 
@@ -77,16 +78,6 @@ class Node:
 
 
 @dataclass(frozen=True)
-class Lane:
-    index: int
-    shape: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "shape",
-                           tuple((float(x), float(y)) for x, y in self.shape))
-
-
-@dataclass(frozen=True)
 class Edge:
     id: str
     from_node: str
@@ -94,12 +85,13 @@ class Edge:
     num_lanes: int = 1
     speed: float = DEFAULT_SPEED
     spread_type: str = "right"
-    lanes: tuple[Lane, ...] = ()
+    shape: tuple[tuple[float, float], ...] = ()   # axis; () is node to node
 
     def __post_init__(self):
         object.__setattr__(self, "num_lanes", int(self.num_lanes))
         object.__setattr__(self, "speed", float(self.speed))
-        object.__setattr__(self, "lanes", tuple(self.lanes))
+        object.__setattr__(self, "shape",
+                           tuple((float(x), float(y)) for x, y in self.shape))
 
 
 def _typed(cls, **fields):
@@ -145,14 +137,14 @@ def _polyline_length(points) -> float:
 
 
 def edge_polyline(net: RoadNetwork, edge: Edge) -> tuple[tuple[float, float], ...]:
-    """Edge axis geometry: lane-0 shape when present, else node-to-node."""
+    """Edge axis geometry: its shape of 2 points or more, else node-to-node."""
     return _edge_axis(edge, net.lane_graph.nodes)
 
 
 def _edge_axis(edge: Edge, nodes: dict) -> tuple[tuple[float, float], ...]:
     """edge_polyline with nodes (id -> Node) as the node lookup."""
-    if edge.lanes and len(edge.lanes[0].shape) >= 2:
-        return edge.lanes[0].shape
+    if len(edge.shape) >= 2:
+        return edge.shape
     a, b = nodes[edge.from_node], nodes[edge.to_node]
     return ((a.x, a.y), (b.x, b.y))
 
@@ -346,11 +338,25 @@ def _edge_errors(eid, ends, spread, node_ids: set, edge_ids: set,
                                       f"spreadType={spread}"))
 
 
-def _number_errors(attr: str, value, text, errors: list) -> None:
-    """A numLanes or speed that is not a positive finite number, spelled as
-    text."""
-    if not 0 < value < math.inf:
-        errors.append(ValidationError("InvalidEnum", "edge", f"{attr}={text}"))
+def _number_errors(tag: str, attr: str, value, text, errors: list) -> None:
+    """A node x or y that is not a finite number, or an edge numLanes or
+    speed that is not a positive finite one, spelled as text."""
+    if not (-math.inf if tag == "node" else 0) < value < math.inf:
+        errors.append(ValidationError("InvalidEnum", tag, f"{attr}={text}"))
+
+
+def _is_line(points) -> bool:
+    """At least 2 points, every coordinate finite."""
+    return len(points) >= 2 and all(math.isfinite(x) and math.isfinite(y)
+                                    for x, y in points)
+
+
+def _shape_errors(el: ET.Element, errors: list) -> None:
+    """A shape attribute of el that does not spell a line."""
+    shape = el.get("shape")
+    if shape is not None and not _is_line(_parse_shape(shape)):
+        errors.append(ValidationError("MalformedKeyword", el.tag,
+                                      f"shape={shape}"))
 
 
 def _attr_errors(el: ET.Element, declared, required, errors: list) -> None:
@@ -390,7 +396,9 @@ def _read_documents(xml_nodes: str, xml_edges: str):
         _attr_errors(el, _NODE_ATTRS, ("id", "x", "y"), errors)
         _node_errors(el.get("id"), el.get("type"), node_ids, errors)
         for attr in ("x", "y"):
-            _number(el, attr, float, errors)
+            value = _number(el, attr, float, errors)
+            if value is not None:
+                _number_errors("node", attr, value, el.get(attr), errors)
 
     edge_ids: set[str] = set()
     n_edges = 0
@@ -406,19 +414,15 @@ def _read_documents(xml_nodes: str, xml_edges: str):
         for attr, kind in (("numLanes", int), ("speed", float)):
             value = _number(el, attr, kind, errors)
             if value is not None:
-                _number_errors(attr, value, el.get(attr), errors)
+                _number_errors("edge", attr, value, el.get(attr), errors)
+        _shape_errors(el, errors)
         for child in el:
             if child.tag != "lane":
                 errors.append(ValidationError("UndeclaredAttribute", "edge",
                                               f"unexpected child <{child.tag}>"))
                 continue
             _attr_errors(child, _LANE_ATTRS, ("shape",), errors)
-            shape = child.get("shape")
-            if shape is not None:
-                pts = _parse_shape(shape)
-                if pts is None or len(pts) < 2:
-                    errors.append(ValidationError("MalformedKeyword", "lane",
-                                                  f"shape={shape}"))
+            _shape_errors(child, errors)
             if "index" not in child.attrib:
                 errors.append(ValidationError("MissingAttribute", "lane", "index"))
             _number(child, "index", int, errors)
@@ -444,31 +448,30 @@ def network_errors(net: RoadNetwork) -> list[ValidationError]:
     node_ids: set[str] = set()
     for n in net.nodes:
         _node_errors(n.id, n.node_type, node_ids, errors)
+        _number_errors("node", "x", n.x, repr(n.x), errors)
+        _number_errors("node", "y", n.y, repr(n.y), errors)
     edge_ids: set[str] = set()
     for e in net.edges:
         _edge_errors(e.id, (e.from_node, e.to_node), e.spread_type,
                      node_ids, edge_ids, errors)
-        _number_errors("numLanes", e.num_lanes, e.num_lanes, errors)
-        _number_errors("speed", e.speed, e.speed, errors)   # str is repr
-        for lane in e.lanes:
-            if len(lane.shape) < 2:
-                errors.append(ValidationError(
-                    "MalformedKeyword", "lane",
-                    f"shape={_shape_attr(lane.shape)}"))
+        _number_errors("edge", "numLanes", e.num_lanes, e.num_lanes, errors)
+        # str of a float is its repr
+        _number_errors("edge", "speed", e.speed, e.speed, errors)
+        if e.shape and not _is_line(e.shape):
+            errors.append(ValidationError(
+                "MalformedKeyword", "edge", f"shape={_shape_attr(e.shape)}"))
     if not net.edges:
         errors.append(ValidationError("EmptyNetwork", "document", "no edges"))
     return errors
 
 
-def _parse_shape(text: str):
+def _parse_shape(text: str) -> tuple:
+    """The points a shape attribute spells; () when it is malformed."""
     try:
-        pts = []
-        for chunk in text.split():
-            x, y = chunk.split(",")
-            pts.append((float(x), float(y)))
-        return pts
-    except (ValueError, AttributeError):
-        return None
+        return tuple((float(x), float(y))
+                     for x, y in (chunk.split(",") for chunk in text.split()))
+    except ValueError:
+        return ()
 
 
 # ---------------------------------------------------------------------------
@@ -506,22 +509,12 @@ def serialize_sumo_xml(net: RoadNetwork) -> tuple[str, str]:
 
     edges_lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<edges>"]
     for e in net.edges:
-        head = (f'    <edge id="{_attr(e.id)}" from="{_attr(e.from_node)}" '
-                f'to="{_attr(e.to_node)}" '
-                f'numLanes="{e.num_lanes}" speed="{e.speed!r}" '
-                f'spreadType="{_attr(e.spread_type)}"')
-        if not e.lanes:
-            edges_lines.append(head + "/>")
-        else:
-            edges_lines.append(head + ">")
-            # lanes share the text of a shared shape tuple only: 0.0 == -0.0
-            shape = text = None
-            for lane in e.lanes:
-                if lane.shape is not shape:
-                    shape, text = lane.shape, _shape_attr(lane.shape)
-                edges_lines.append(
-                    f'        <lane index="{lane.index}" shape="{text}"/>')
-            edges_lines.append("    </edge>")
+        shape = f' shape="{_shape_attr(e.shape)}"' if e.shape else ""
+        edges_lines.append(
+            f'    <edge id="{_attr(e.id)}" from="{_attr(e.from_node)}" '
+            f'to="{_attr(e.to_node)}" '
+            f'numLanes="{e.num_lanes}" speed="{e.speed!r}" '
+            f'spreadType="{_attr(e.spread_type)}"{shape}/>')
     edges_lines.append("</edges>")
     return "\n".join(nodes_lines) + "\n", "\n".join(edges_lines) + "\n"
 
@@ -549,16 +542,14 @@ def parse_sumo_xml(xml_nodes: str, xml_edges: str) -> RoadNetwork:
         for el in nodes_root)
     edges = []
     for el in edges_root:
-        lanes = tuple(
-            Lane(index=int(c.get("index")),
-                 shape=tuple(_parse_shape(c.get("shape"))))
-            for c in el)
+        # the edge's own shape, else its first lane's (valid lanes have one)
+        shape = el.get("shape") or next((c.get("shape") for c in el), "")
         edges.append(Edge(
             id=el.get("id"), from_node=el.get("from"), to_node=el.get("to"),
             num_lanes=int(el.get("numLanes", "1")),
             speed=float(el.get("speed", str(DEFAULT_SPEED))),
             spread_type=el.get("spreadType", "right"),
-            lanes=lanes))
+            shape=_parse_shape(shape)))
     return RoadNetwork(nodes=nodes, edges=edges)
 
 
@@ -906,6 +897,13 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
 
     if not ways:
         raise EmptyExtract("no drivable highway ways in extract")
+    # a non-finite coordinate fails as its node, before the axes carry it
+    errors: list[ValidationError] = []
+    for ref in dict.fromkeys(ref for _, refs, _ in ways for ref in refs):
+        for attr, value in zip("xy", coords[ref]):
+            _number_errors("node", attr, value, repr(value), errors)
+    if errors:
+        raise NetworkValidationError(errors)
 
     nodes: dict[str, Node] = {}
     edges: list[Edge] = []
@@ -949,17 +947,14 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
                 if ref not in nodes:
                     x, y = coords[ref]
                     nodes[ref] = Node(f"osm{ref}", x, y)
-            # float pairs already, one tuple for all lanes of an edge
-            shape = tuple(coords[r] for r in part)
+            shape = tuple(coords[r] for r in part)   # float pairs already
             for suffix in directions:
                 src, dst, axis = (b, a, shape[::-1]) if suffix else \
                     (a, b, shape)
                 edges.append(_typed(
                     Edge, id=f"w{way_id}s{k}{suffix}", from_node=f"osm{src}",
                     to_node=f"osm{dst}", num_lanes=lanes, speed=speed,
-                    spread_type="right",
-                    lanes=tuple(_typed(Lane, index=i, shape=axis)
-                                for i in range(lanes))))
+                    spread_type="right", shape=axis))
 
     net = RoadNetwork(nodes.values(), edges)
     errors = network_errors(net)

@@ -81,20 +81,18 @@ def random_network(rng: random.Random, max_nodes: int = 12
 
 
 def _random_edge(rng, eid, a, b):
-    lanes = ()
+    shape = ()
     num_lanes = rng.randint(1, 3)
     if rng.random() < 0.3:
-        # explicit lane geometry with a midpoint wiggle
+        # explicit edge geometry with a midpoint wiggle
         mx = (a.x + b.x) / 2 + round(rng.uniform(-10, 10), 2)
         my = (a.y + b.y) / 2 + round(rng.uniform(-10, 10), 2)
-        lanes = tuple(netgen.Lane(index=i, shape=((a.x, a.y), (mx, my),
-                                                  (b.x, b.y)))
-                      for i in range(num_lanes))
+        shape = ((a.x, a.y), (mx, my), (b.x, b.y))
     return netgen.Edge(id=eid, from_node=a.id, to_node=b.id,
                        num_lanes=num_lanes,
                        speed=round(rng.uniform(5.0, 33.0), 2),
                        spread_type=rng.choice(netgen.SPREAD_TYPES),
-                       lanes=lanes)
+                       shape=shape)
 
 
 def street_grid_network(rng: random.Random, size: int = 20

@@ -10,8 +10,8 @@ import math
 
 
 def _edge_len(net, edge) -> float:
-    if edge.lanes and len(edge.lanes[0].shape) >= 2:
-        pts = edge.lanes[0].shape
+    if len(edge.shape) >= 2:
+        pts = edge.shape
     else:
         by_id = {n.id: n for n in net.nodes}
         a, b = by_id[edge.from_node], by_id[edge.to_node]
@@ -145,8 +145,8 @@ def network_stats_networkx(net):
         return next(n for n in net.nodes if n.id == node_id)
 
     def edge_length(e):
-        if e.lanes and len(e.lanes[0].shape) >= 2:
-            pts = e.lanes[0].shape
+        if len(e.shape) >= 2:
+            pts = e.shape
         else:
             a, b = node(e.from_node), node(e.to_node)
             pts = ((a.x, a.y), (b.x, b.y))
@@ -350,8 +350,8 @@ def follower_scan(world, me_id, edge_id, lane_index, s):
 
 
 def _lane_line(net, edge, lane_index, lane_width=3.2):
-    if edge.lanes and len(edge.lanes[0].shape) >= 2:
-        axis = edge.lanes[0].shape
+    if len(edge.shape) >= 2:
+        axis = edge.shape
     else:
         by_id = {n.id: n for n in net.nodes}
         a, b = by_id[edge.from_node], by_id[edge.to_node]
@@ -400,9 +400,9 @@ def trace_hash_json(trace):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-# The references below are the network code as it was before the lane
-# geometry was built lazily and the serializer shared lane text, kept to pin
-# the new code to the old bytes and floats.
+# The references below are the network code without the lazy lane geometry
+# and the serializer's fast paths, kept to pin the new code to their bytes
+# and floats.
 
 _ATTR_ESCAPES = (("&", "&amp;"), ("<", "&lt;"), ('"', "&quot;"),
                  ("\t", "&#9;"), ("\n", "&#10;"), ("\r", "&#13;"))
@@ -420,8 +420,8 @@ def _fmt(v):
 
 def serialize_sumo_xml_reference(net):
     """(nodes document, edges document): every attribute escaped with six
-    replace calls, every number through repr(float(v)), and every lane
-    shape spelled on its own."""
+    replace calls, every number through repr(float(v)), and an edge's shape
+    written as its last attribute when it has one."""
     nodes_lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<nodes>"]
     for n in net.nodes:
         nodes_lines.append(
@@ -434,15 +434,10 @@ def serialize_sumo_xml_reference(net):
                 f'to="{_attr(e.to_node)}" '
                 f'numLanes="{e.num_lanes}" speed="{_fmt(e.speed)}" '
                 f'spreadType="{_attr(e.spread_type)}"')
-        if not e.lanes:
-            edges_lines.append(head + "/>")
-        else:
-            edges_lines.append(head + ">")
-            for lane in e.lanes:
-                shape = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in lane.shape)
-                edges_lines.append(
-                    f'        <lane index="{lane.index}" shape="{shape}"/>')
-            edges_lines.append("    </edge>")
+        if len(e.shape) > 0:
+            shape = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in e.shape)
+            head += f' shape="{shape}"'
+        edges_lines.append(head + "/>")
     edges_lines.append("</edges>")
     return "\n".join(nodes_lines) + "\n", "\n".join(edges_lines) + "\n"
 
@@ -481,8 +476,8 @@ def lane_graph_reference(net):
         nodes.setdefault(n.id, n)
     lanes, edge_length = {}, {}
     for e in net.edges:
-        if e.lanes and len(e.lanes[0].shape) >= 2:
-            axis = e.lanes[0].shape
+        if len(e.shape) >= 2:
+            axis = e.shape
         else:
             a, b = nodes[e.from_node], nodes[e.to_node]
             axis = ((a.x, a.y), (b.x, b.y))

@@ -232,6 +232,10 @@ def test_netgen_validate(tmp_path, capsys):
                                         'spreadType="left"'))
     assert run_cli("netgen", "validate", str(good_n), str(bad_e)) == 1
     assert "InvalidEnum" in capsys.readouterr().out
+    nan_n = tmp_path / "nan.xml"
+    nan_n.write_text(GOOD_NODES.replace('x="100.0"', 'x="nan"'))
+    assert run_cli("netgen", "validate", str(nan_n), str(good_e)) == 1
+    assert "InvalidEnum(node: x=nan)" in capsys.readouterr().out
 
 
 def test_netgen_osm_from_extract(tmp_path, capsys):

@@ -265,19 +265,23 @@ SHAPE_COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.5, -2.25]),
                         st.floats(-1e4, 1e4, allow_nan=False))
 SHAPES = st.lists(st.tuples(SHAPE_COORD, SHAPE_COORD), min_size=2,
                   max_size=5).map(tuple)
+# edge shapes: none, a single point (which no valid document holds, and
+# which the axis ignores), or a drawn multi-segment line
+EDGE_SHAPES = st.just(()) | st.tuples(st.tuples(SHAPE_COORD, SHAPE_COORD)) \
+    | SHAPES
 
 
 @st.composite
 def shaped_networks(draw):
     """Networks with unique edge ids, every spread type, 1 to 4 lanes, and
-    axes that are node-to-node or a drawn multi-segment lane-0 shape."""
+    axes that are node-to-node or a drawn multi-segment edge shape."""
     nodes = tuple(netgen.Node(f"n{i}", draw(SHAPE_COORD), draw(SHAPE_COORD))
                   for i in range(draw(st.integers(1, 4))))
     ids = st.sampled_from([n.id for n in nodes])
     edges = tuple(netgen.Edge(
         f"e{k}", draw(ids), draw(ids), num_lanes=draw(st.integers(1, 4)),
         spread_type=draw(st.sampled_from(netgen.SPREAD_TYPES)),
-        lanes=(netgen.Lane(0, draw(SHAPES)),) if draw(st.booleans()) else ())
+        shape=draw(EDGE_SHAPES))
         for k in range(draw(st.integers(1, 5))))
     return netgen.RoadNetwork(nodes, edges)
 
@@ -331,14 +335,12 @@ def typed_networks(draw):
     nodes = tuple(netgen.Node(nid, draw(COORDS), draw(COORDS), draw(kinds))
                   for nid in node_ids)
     ends = st.sampled_from(node_ids) | XML_TEXT if node_ids else XML_TEXT
-    lanes = st.builds(netgen.Lane, index=st.integers(-1, 2), shape=st.lists(
-        st.tuples(COORDS, COORDS), max_size=3))
     edges = tuple(netgen.Edge(
         draw(XML_TEXT), draw(ends), draw(ends),
         num_lanes=draw(st.integers(-1, 3)),
         speed=draw(COORDS | st.sampled_from([0.0, -0.0, math.nan, math.inf])),
         spread_type=draw(st.sampled_from(netgen.SPREAD_TYPES + ("left",))),
-        lanes=draw(st.lists(lanes, max_size=2)))
+        shape=draw(st.lists(st.tuples(COORDS, COORDS), max_size=3)))
         for _ in range(draw(st.integers(0, 4))))
     return netgen.RoadNetwork(nodes, edges)
 
@@ -347,6 +349,10 @@ def typed_networks(draw):
 @given(net=typed_networks())
 @example(net=netgen.build_network_blueprint(ir.RoadDescription(
     "CrossIntersection", (ir.RoadSegment(80.0, 1, 1, 13.89),))))
+@example(net=netgen.RoadNetwork(
+    (netgen.Node("a", math.nan, -0.0), netgen.Node("b", 1.0, math.inf)),
+    (netgen.Edge("e", "a", "b", shape=((0.0, -0.0),)),
+     netgen.Edge("f", "b", "a", shape=((0.0, 1.0), (math.inf, 2.0))))))
 def test_network_errors_equal_validator_on_serialized_network(net):
     assert netgen.network_errors(net) == \
         netgen.validate_network(*netgen.serialize_sumo_xml(net))
@@ -369,6 +375,56 @@ def test_parse_rejects_a_non_integer_lane_index():
         netgen.parse_sumo_xml(GOOD_NODES, edges)
     assert exc.value.errors == [
         netgen.ValidationError("MalformedKeyword", "lane", "index=first")]
+
+
+def test_provider_lane_shape_is_the_axis():
+    """An edges document with lane children, as a provider may write it: the
+    first lane's curved shape is the edge's axis, and every lane, the second
+    one too, is offset from it."""
+    nodes = GOOD_NODES.replace('x="100.0"', 'x="61.0"')
+    edges = GOOD_EDGES.replace('numLanes="1"', 'numLanes="2"').replace(
+        'spreadType="right"/>',
+        'spreadType="center">\n'
+        '        <lane index="0" shape="0.0,0.0 30.5,4.25 61.0,0.0"/>\n'
+        '        <lane index="1" shape="0.0,-3.2 61.0,-3.2"/>\n'
+        '    </edge>')
+    net = netgen.parse_sumo_xml(nodes, edges)
+    assert net.edges[0].shape == ((0.0, 0.0), (30.5, 4.25), (61.0, 0.0))
+    graph = net.lane_graph
+    assert graph.edge_length["e0"] == 61.58936596523786
+    assert graph.lanes[("e0", 0)].points == (
+        (-0.220817340572658, 1.5846891499920164),
+        (30.72081734057266, 5.834689149992016),
+        (61.22081734057266, 1.5846891499920164))
+    assert graph.lanes[("e0", 1)].points == (
+        (0.220817340572658, -1.5846891499920164),
+        (30.27918265942734, 2.665310850007984),
+        (60.77918265942734, -1.5846891499920164))
+    # written back, the axis is the edge's shape and the lanes are gone
+    xml_edges = netgen.serialize_sumo_xml(net)[1]
+    assert '<lane' not in xml_edges
+    assert 'shape="0.0,0.0 30.5,4.25 61.0,0.0"/>' in xml_edges
+    assert netgen.parse_sumo_xml(nodes, xml_edges) == net
+
+
+def test_edge_shape_wins_over_lane_children():
+    edges = GOOD_EDGES.replace(
+        'spreadType="right"/>',
+        'spreadType="right" shape="0.0,0.0 50.0,9.0 100.0,0.0">'
+        '<lane index="0" shape="0.0,0.0 100.0,0.0"/></edge>')
+    net = netgen.parse_sumo_xml(GOOD_NODES, edges)
+    assert net.edges[0].shape == ((0.0, 0.0), (50.0, 9.0), (100.0, 0.0))
+
+
+@pytest.mark.parametrize("shape", ["", "1.0,2.0", "0,0 1", "0,0 nan,1",
+                                   "0,0 1e999,1"])
+def test_parse_rejects_an_edge_shape_that_is_no_line(shape):
+    edges = GOOD_EDGES.replace('spreadType="right"',
+                               f'spreadType="right" shape="{shape}"')
+    with pytest.raises(netgen.NetworkValidationError) as exc:
+        netgen.parse_sumo_xml(GOOD_NODES, edges)
+    assert exc.value.errors == [
+        netgen.ValidationError("MalformedKeyword", "edge", f"shape={shape}")]
 
 
 def test_parse_raises_with_all_errors():
@@ -417,56 +473,31 @@ XML_SPECIAL_IDS = st.text(alphabet="&<>\"'\t\n\r ;n1", min_size=1,
 
 
 @settings(max_examples=100, deadline=None)
-@given(ids=st.lists(XML_SPECIAL_IDS, min_size=3, max_size=3, unique=True))
-def test_round_trip_xml_special_ids(ids):
+@example(ids=["a", "b", "e"], shape=((-0.0, 0.0), (50.0, -0.0)))
+@example(ids=["a", "b", "e"], shape=((1.5, -0.0),))
+@given(ids=st.lists(XML_SPECIAL_IDS, min_size=3, max_size=3, unique=True),
+       shape=EDGE_SHAPES)
+def test_round_trip_xml_special_ids(ids, shape):
     a, b, edge_id = ids
     nodes = (netgen.Node(a, 0, 0), netgen.Node(b, 50, 0))
-    edges = (netgen.Edge(edge_id, a, b, num_lanes=2),
+    edges = (netgen.Edge(edge_id, a, b, num_lanes=2, shape=shape),
              netgen.Edge(edge_id + "r", b, a))
     net = netgen.RoadNetwork(nodes, edges)
     xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
-    assert netgen.parse_sumo_xml(xml_nodes, xml_edges) == net
-
-
-def test_lane_shapes_survive_round_trip():
-    lane = netgen.Lane(0, ((0.0, 0.0), (30.5, 4.25), (61.0, 0.0)))
-    net = netgen.RoadNetwork(
-        (netgen.Node("a", 0, 0), netgen.Node("b", 61, 0)),
-        (netgen.Edge("e", "a", "b", num_lanes=1, lanes=(lane,)),))
-    xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
+    if len(shape) == 1:
+        with pytest.raises(netgen.NetworkValidationError) as exc:
+            netgen.parse_sumo_xml(xml_nodes, xml_edges)
+        (x, y), = shape
+        assert exc.value.errors == [netgen.ValidationError(
+            "MalformedKeyword", "edge", f"shape={x!r},{y!r}")]
+        return
     parsed = netgen.parse_sumo_xml(xml_nodes, xml_edges)
-    assert parsed.edges[0].lanes[0].shape == lane.shape
-
-
-def _flip_zeros(shape):
-    """shape with the sign of every zero coordinate flipped: equal to shape,
-    but spelled differently."""
-    return tuple(tuple(-v if v == 0 else v for v in point) for point in shape)
-
-
-@st.composite
-def lane_sets(draw):
-    """The lanes of one edge. Lane 0 has a drawn shape; each later lane
-    shares that tuple (as ingest_osm builds lanes), holds an equal copy, a
-    copy with the signs of its zeros flipped, or a shape of its own."""
-    shape = draw(SHAPES)
-    lanes = [netgen._typed(netgen.Lane, index=0, shape=shape)]
-    for i in range(1, draw(st.integers(1, 4))):
-        other = draw(st.sampled_from(["shared", "copy", "flipped", "own"]))
-        if other == "shared":
-            lanes.append(netgen._typed(netgen.Lane, index=i, shape=shape))
-        else:
-            lanes.append(netgen.Lane(i, {
-                "copy": shape, "flipped": _flip_zeros(shape),
-                "own": draw(SHAPES)}[other]))
-    return tuple(lanes)
+    assert parsed == net
+    # the signs of zeros, which == does not see, survive too
+    assert repr(parsed.edges[0].shape) == repr(net.edges[0].shape)
 
 
 @settings(max_examples=200, deadline=None)
-@example(net=netgen.RoadNetwork((netgen.Node("a", 0, 0),), (netgen.Edge(
-    "e", "a", "a", num_lanes=2, lanes=(
-        netgen._typed(netgen.Lane, index=0, shape=((0.0, 1.0), (2.0, 0.0))),
-        netgen.Lane(1, ((-0.0, 1.0), (2.0, -0.0))))),)))
 @given(net=st.builds(
     netgen.RoadNetwork,
     st.lists(st.builds(netgen.Node, XML_SPECIAL_IDS, SHAPE_COORD,
@@ -474,12 +505,11 @@ def lane_sets(draw):
              max_size=3),
     st.lists(st.builds(netgen.Edge, XML_SPECIAL_IDS, XML_SPECIAL_IDS,
                        XML_SPECIAL_IDS, st.integers(1, 4), SHAPE_COORD,
-                       st.sampled_from(netgen.SPREAD_TYPES),
-                       lane_sets() | st.just(())),
+                       st.sampled_from(netgen.SPREAD_TYPES), EDGE_SHAPES),
              min_size=1, max_size=4)))
-def test_serialize_equals_per_lane_reference(net):
-    """Shared lane text, the escape fast path and repr without float() give
-    the bytes of the serializer that spelled every lane on its own."""
+def test_serialize_equals_reference(net):
+    """The escape fast path and repr without float() give the bytes of the
+    serializer that escaped every attribute and converted every number."""
     assert netgen.serialize_sumo_xml(net) == serialize_sumo_xml_reference(net)
 
 
@@ -506,8 +536,8 @@ STATS_COORD = st.one_of(st.sampled_from([0.0, 0.1, 2.7]),
 @st.composite
 def stats_networks(draw):
     """Networks with isolated nodes, equally large components, parallel and
-    zero-length edges, self-loops, lane shapes, and endpoints that only
-    lane-shaped edges name ("u0" to "u3"). In half of them every edge
+    zero-length edges, self-loops, edge shapes, and endpoints that only
+    shaped edges name ("u0" to "u3"). In half of them every edge
     points to a later id or loops, so most nodes of a component cannot
     reach one another."""
     n_nodes = draw(st.integers(0, 9))
@@ -520,20 +550,18 @@ def stats_networks(draw):
         pairs = [tuple(sorted(pair, key=ids.index)) for pair in pairs]
     edges = []
     for k, (a, b) in enumerate(pairs):
-        lanes = ()
+        shape = ()
         if "u" in a + b or draw(st.booleans()):
             shape = draw(st.lists(st.tuples(STATS_COORD, STATS_COORD),
                                   min_size=2, max_size=4))
-            lanes = (netgen.Lane(0, shape),)
         edges.append(netgen.Edge(f"e{k}", a, b,
                                  num_lanes=draw(st.integers(1, 3)),
-                                 lanes=lanes))
+                                 shape=shape))
     return netgen.RoadNetwork(nodes, tuple(edges))
 
 
 def _shaped(eid, a, b, length):
-    lane = netgen.Lane(0, ((0.0, 0.0), (length, 0.0)))
-    return netgen.Edge(eid, a, b, lanes=(lane,))
+    return netgen.Edge(eid, a, b, shape=((0.0, 0.0), (length, 0.0)))
 
 
 # two equally large components with different route lengths: one with
@@ -580,7 +608,7 @@ def test_stats_relabel_invariance(rng):
                   for n in net.nodes)
     edges = tuple(
         netgen.Edge(f"edge-{i}", mapping[e.from_node], mapping[e.to_node],
-                    e.num_lanes, e.speed, e.spread_type, e.lanes)
+                    e.num_lanes, e.speed, e.spread_type, e.shape)
         for i, e in enumerate(net.edges))
     relabeled = netgen.RoadNetwork(nodes, edges)
     s1, s2 = netgen.network_stats(net), netgen.network_stats(relabeled)
@@ -592,9 +620,9 @@ def test_stats_relabel_invariance(rng):
 
 def test_parallel_edges_use_shorter():
     nodes = (netgen.Node("a", 0, 0), netgen.Node("b", 100, 0))
-    lane = netgen.Lane(0, ((0.0, 0.0), (50.0, 80.0), (100.0, 0.0)))
     edges = (netgen.Edge("straight", "a", "b"),
-             netgen.Edge("detour", "a", "b", lanes=(lane,)))
+             netgen.Edge("detour", "a", "b",
+                         shape=((0.0, 0.0), (50.0, 80.0), (100.0, 0.0))))
     net = netgen.RoadNetwork(nodes, edges)
     assert netgen.network_stats(net).route_length == pytest.approx(100.0)
 
@@ -611,7 +639,7 @@ def grid_networks(draw):
     drawn column cuts, so the blocks between cuts form separate strongly
     connected components. One-way spurs lead into and out of dead ends,
     spacings of 0 make zero-length edges, and some streets get a parallel
-    lane-shaped edge of a drawn length."""
+    shaped edge of a drawn length."""
     rows = draw(st.integers(2, 5))
     cols = draw(st.integers(-(-10 // rows), 40 // rows))
     xs, ys = [0.0], [0.0]
@@ -793,10 +821,10 @@ def test_ingest_osm_way_direction(tag, edges):
         '<tag k="oneway" v="yes"/>', tag))
     way = [e for e in net.edges if e.id.startswith("w11")]
     assert [(e.id, e.from_node, e.to_node) for e in way] == edges
-    # each lane runs from the edge's from-node to its to-node
+    # each axis runs from the edge's from-node to its to-node
     ends = {n.id: (n.x, n.y) for n in net.nodes}
     for e in way:
-        assert e.lanes[0].shape == (ends[e.from_node], ends[e.to_node])
+        assert e.shape == (ends[e.from_node], ends[e.to_node])
 
 
 ONE_WAY = [("w11s0", "osm4", "osm2")]
@@ -828,6 +856,16 @@ def test_ingest_osm_blank_maxspeed_is_absent(blank):
     assert {e.speed for e in net.edges} == {netgen.DEFAULT_SPEED}
 
 
+def test_ingested_grid_writes_each_axis_once(rng):
+    net = street_grid_network(rng, size=6)
+    xml_nodes, xml_edges = netgen.serialize_sumo_xml(net)
+    assert "<lane" not in xml_edges
+    assert xml_edges.count(" shape=") == len(net.edges)
+    parsed = netgen.parse_sumo_xml(xml_nodes, xml_edges)
+    assert parsed == net
+    assert [e.shape for e in parsed.edges] == [e.shape for e in net.edges]
+
+
 def test_ingest_osm_rejects_undrivable_extract():
     only_footway = """<osm><node id="1" lat="0" lon="0.0005"/>
       <node id="2" lat="0.001" lon="0.0005"/>
@@ -852,8 +890,12 @@ def test_ingest_osm_rejects_garbage():
      [("InvalidEnum", "edge", "speed=nan")] * 4),
     ('<tag k="maxspeed" v="50"/>', '<tag k="maxspeed" v="inf mph"/>',
      [("InvalidEnum", "edge", "speed=inf")] * 4),
+    # node 4 fails, and the axis of way 11, which starts there, is not read
+    ('<node id="4" lat="0.001"', '<node id="4" lat="nan"',
+     [("InvalidEnum", "node", "y=nan")]),
+    ('lon="0.001"/>', 'lon="-inf"/>', [("InvalidEnum", "node", "x=-inf")]),
 ], ids=["hash_in_way_id", "repeated_way_id", "zero_maxspeed",
-        "nan_maxspeed", "inf_maxspeed"])
+        "nan_maxspeed", "inf_maxspeed", "nan_lat", "inf_lon"])
 def test_ingest_osm_rejects_invalid_ways(old, new, errors):
     with pytest.raises(netgen.NetworkValidationError) as exc:
         netgen.ingest_osm(BBOX, OSM_FIXTURE.replace(old, new))

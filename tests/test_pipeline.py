@@ -285,6 +285,22 @@ def test_run_pipeline_non_finite_maxspeed_fails_validation(tmp_path,
     assert "report" not in m.artifacts
 
 
+def test_run_pipeline_nan_latitude_fails_at_netgen(tmp_path):
+    fixture = tmp_path / "extract.osm"
+    fixture.write_text(OSM_FIXTURE.replace('<node id="4" lat="0.001"',
+                                           '<node id="4" lat="nan"'),
+                       encoding="utf-8")
+    assert fixture.read_text() != OSM_FIXTURE
+    m = pipeline.run_pipeline(ir.GpsBoundingBox(-0.001, -0.001, 0.003, 0.002),
+                              make_cfg(tmp_path, osm_fixture=str(fixture)),
+                              run_id="nan")
+    assert m.stages["netgen"] == "error:ValidationError"
+    assert m.failure == "ValidationError"
+    assert not {"network_nodes", "network_edges"} & set(m.artifacts)
+    run_dir = tmp_path / "out" / "runs" / "nan-0"
+    assert not list(run_dir.glob("network.*"))
+
+
 def test_classify_failure():
     from scenarioforge.interpreter import UnparseableAfterRetries
     err = netgen.NetworkValidationError([netgen.ValidationError(

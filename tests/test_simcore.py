@@ -341,21 +341,28 @@ def test_vehicle_deactivates_at_network_end():
     assert trace.odometry["av"] < 10.0 * 5.0
 
 
-def test_bv_changes_lane_past_slow_leader():
+@pytest.mark.parametrize("truck_params, overtakes", [
+    (simcore.BehaviorParams(desired_speed=2.0), True),
+    # the car's own desired speed, the speed limit
+    (simcore.BehaviorParams(), False),
+], ids=["slow_truck", "cruising_truck"])
+def test_bv_changes_lane_past_slow_leader(truck_params, overtakes):
+    # truck and car start at one speed, 60 m apart: only the truck's
+    # params decide whether the car has a slow leader to pass
     net = straight_net(length=500.0, fwd=2)
-    slow = place(net, "e0f", 0, 100.0, "slow", kind="Truck", speed=2.0)
+    truck = place(net, "e0f", 0, 100.0, "truck", kind="Truck", speed=13.0)
     fast = place(net, "e0f", 0, 40.0, "fast", speed=13.0)
     av = place(net, "e0f", 1, 5.0, "av", role="AV", speed=5.0)
-    world = simcore.build_world(make_bundle(net, [av, slow, fast]))
-    # the truck keeps to 2 m/s instead of 90 % of the speed limit
-    world.vehicles["slow"].params = simcore.BehaviorParams(desired_speed=2.0)
+    world = simcore.build_world(make_bundle(net, [av, truck, fast]))
+    world.vehicles["truck"].params = truck_params
     lanes_used, collisions = set(), []
     for k in range(200):
         simcore.step(world, 0.1)
         states = [v.state for v in world.vehicles.values() if v.active]
         lanes_used |= {a.lane_index for a in states if a.id == "fast"}
         collisions += simcore.detect_collisions(states, step=k)
-    assert 1 in lanes_used  # overtook via the left lane
+    # overtaking uses the left lane; otherwise fast keeps to lane 0
+    assert lanes_used == ({0, 1} if overtakes else {0})
     assert collisions == []
 
 

@@ -32,6 +32,16 @@ _EDGES_LANE_OK = """<edges>
     </edge>
 </edges>"""
 
+_EDGES_LANE_INF = _EDGES_LANE_OK.replace('100.0,0.0', 'inf,0.0')
+
+_EDGES_SHAPE_OK = GOOD_EDGES.replace(
+    'spreadType="right"',
+    'spreadType="right" shape="0.0,0.0 50.0,8.5 100.0,0.0"')
+
+_EDGES_SHAPE_MALFORMED = _EDGES_SHAPE_OK.replace("50.0,8.5", "50.0")
+
+_EDGES_SHAPE_NAN = _EDGES_SHAPE_OK.replace("50.0,8.5", "nan,8.5")
+
 _EDGES_BAD_SPREAD = GOOD_EDGES.replace('spreadType="right"', 'spreadType="left"')
 
 _EDGES_UNDECLARED = GOOD_EDGES.replace(
@@ -47,6 +57,10 @@ _NODES_DUPLICATE = """<nodes>
 </nodes>"""
 
 _EDGES_EMPTY = "<edges>\n</edges>"
+
+_NODES_X_NAN = GOOD_NODES.replace('x="100.0"', 'x="nan"')
+
+_NODES_Y_INF = GOOD_NODES.replace('y="0.0" type', 'y="-inf" type', 1)
 
 CASES = [
     ("lane missing shape", "MissingAttribute",
@@ -65,4 +79,14 @@ CASES = [
      _NODES_DUPLICATE, GOOD_EDGES, GOOD_NODES, GOOD_EDGES),
     ("network without edges", "EmptyNetwork",
      GOOD_NODES, _EDGES_EMPTY, GOOD_NODES, GOOD_EDGES),
+    ("lane shape not finite", "MalformedKeyword",
+     GOOD_NODES, _EDGES_LANE_INF, GOOD_NODES, _EDGES_LANE_OK),
+    ("edge shape malformed", "MalformedKeyword",
+     GOOD_NODES, _EDGES_SHAPE_MALFORMED, GOOD_NODES, _EDGES_SHAPE_OK),
+    ("edge shape not finite", "MalformedKeyword",
+     GOOD_NODES, _EDGES_SHAPE_NAN, GOOD_NODES, _EDGES_SHAPE_OK),
+    ("node x not finite", "InvalidEnum",
+     _NODES_X_NAN, GOOD_EDGES, GOOD_NODES, GOOD_EDGES),
+    ("node y not finite", "InvalidEnum",
+     _NODES_Y_INF, GOOD_EDGES, GOOD_NODES, GOOD_EDGES),
 ]
