@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import netgen
-from .ir import ScenarioDescription, fold_sum
+from .ir import VRU_KINDS, ScenarioDescription, fold_sum
 
 VEHICLE_DIMS = {
     "Car": (4.5, 1.8),
@@ -339,7 +339,7 @@ def placement_diversity(scenarios: list[list[AgentState]]) -> dict:
     counts = [len(sc) for sc in scenarios]
     shortest = [_min_pair_dist(sc) for sc in scenarios if len(sc) >= 2]
     yaws = [a.heading for sc in scenarios for a in sc
-            if a.kind not in ("Pedestrian", "Cyclist")]
+            if a.kind not in VRU_KINDS]
     return {
         "agent_count": _mean_std(counts),
         "shortest_distance": _mean_std(shortest),

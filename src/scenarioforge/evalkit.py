@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 from . import compgen, simcore
 from .compgen import _mean_std
-from .ir import (AgentDescription, ObjectDescription, RoadDescription,
-                 RoadSegment, ScenarioBundle, ScenarioDescription, fold_sum,
-                 serialize_description)
+from .ir import (VRU_KINDS, AgentDescription, ObjectDescription,
+                 RoadDescription, RoadSegment, ScenarioBundle,
+                 ScenarioDescription, fold_sum, serialize_description)
 
 FAILURE_KINDS = ("MalformedKeyword", "BlueprintReuse", "ValidationError",
                  "RuntimeError")
@@ -152,10 +152,8 @@ class ConformityReport:
 
 def _vehicle_attr_acc(desc: ScenarioDescription, bundle: ScenarioBundle
                       ) -> float:
-    desc_agents = [a for a in desc.agents if a.kind not in
-                   ("Pedestrian", "Cyclist")]
-    bundle_agents = [a for a in bundle.agents if a.kind not in
-                     ("Pedestrian", "Cyclist")]
+    desc_agents = [a for a in desc.agents if a.kind not in VRU_KINDS]
+    bundle_agents = [a for a in bundle.agents if a.kind not in VRU_KINDS]
     if not desc_agents and not bundle_agents:
         return 1.0
     pool: list = list(bundle_agents)
@@ -297,16 +295,17 @@ class PerformanceReport:
     collision: bool
 
 
-def _min_ttc(trace: simcore.SimulationTrace, av_id: str) -> float:
+def _min_ttc(trace: simcore.SimulationTrace, avs: list) -> float:
+    """Smallest time to contact with an agent ahead of the AV in its lane;
+    avs holds the AV's state per step, None where it is absent."""
     best = math.inf
-    for states in trace.steps:
-        av = next((a for a in states if a.id == av_id), None)
+    for states, av in zip(trace.steps, avs):
         if av is None:
             continue
         rad = math.radians(av.heading)
         fx, fy = math.cos(rad), math.sin(rad)
         for other in states:
-            if other.id == av_id:
+            if other.id == av.id:
                 continue
             dx, dy = other.x - av.x, other.y - av.y
             ahead = dx * fx + dy * fy
@@ -323,23 +322,41 @@ def _min_ttc(trace: simcore.SimulationTrace, av_id: str) -> float:
 def performance(trace: simcore.SimulationTrace, route_len: float,
                 speed_limit: float, av_id: str) -> PerformanceReport:
     """Driving score (safety/efficiency/comfort mix), route completion,
-    and their product as total score, of the agent av_id."""
-    if av_id not in trace.odometry:
-        raise AVNotFound(f"trace contains no agent {av_id!r}")
+    and their product as total score, of the agent av_id.
 
-    distance = trace.odometry[av_id]
+    One pass over the steps derives the AV's distance (speed * dt summed),
+    the first step that completes the route, its accel (speed change per dt
+    from its start speed) and jerk (accel change per dt). A step the AV is
+    absent from, once it has left the network, counts as speed 0.0; the mean
+    speed covers the steps it is present in."""
+    if av_id not in trace.start_speed:
+        raise AVNotFound(f"trace contains no agent {av_id!r}")
+    dt = trace.dt
+    avs, jerks = [], []
+    distance, done_at = 0.0, None
+    prev_speed, prev_accel = trace.start_speed[av_id], None
+    for k, states in enumerate(trace.steps):
+        av = next((a for a in states if a.id == av_id), None)
+        avs.append(av)
+        v = 0.0 if av is None else av.speed
+        distance += v * dt
+        if done_at is None and distance >= route_len - 1e-9:
+            done_at = k + 1
+        accel = (v - prev_speed) / dt
+        if prev_accel is not None:
+            jerks.append((accel - prev_accel) / dt)
+        prev_speed, prev_accel = v, accel
+
     route_completion = max(0.0, min(1.0, distance / route_len)) \
         if route_len > 0 else 0.0
 
-    min_ttc = _min_ttc(trace, av_id)
+    min_ttc = _min_ttc(trace, avs)
     safety = 1.0 if math.isinf(min_ttc) else min(1.0, min_ttc / TTC_REF)
 
-    speeds = [a.speed for states in trace.steps for a in states
-              if a.id == av_id]
+    speeds = [av.speed for av in avs if av is not None]
     mean_speed = fold_sum(speeds) / len(speeds) if speeds else 0.0
     efficiency = min(1.0, mean_speed / speed_limit) if speed_limit > 0 else 0.0
 
-    jerks = trace.jerk_series.get(av_id, [])
     mean_jerk = fold_sum(abs(j) for j in jerks) / len(jerks) if jerks else 0.0
     comfort = 1.0 - min(1.0, mean_jerk / JERK_REF)
 
@@ -350,27 +367,14 @@ def performance(trace: simcore.SimulationTrace, route_len: float,
     collision = any(av_id in (c.agent_a, c.agent_b)
                     for c in trace.collisions)
     completed = route_len > 0 and distance >= route_len - 1e-9
-    if completed:
-        # first step at which the route was done
-        use_time = (distance_steps_to_complete(trace, av_id, route_len)
-                    * trace.dt)
-    else:
-        use_time = len(trace.steps) * trace.dt
+    # the first step at which the route was done; an empty trace has none
+    use_time = (done_at if completed and done_at is not None
+                else len(trace.steps)) * dt
     return PerformanceReport(route_completion=route_completion,
                              driving_score=driving_score,
                              total_score=total_score, use_time=use_time,
                              success=completed and not collision,
                              collision=collision)
-
-
-def distance_steps_to_complete(trace, av_id, route_len) -> int:
-    acc = 0.0
-    for k, states in enumerate(trace.steps):
-        av = next((a for a in states if a.id == av_id), None)
-        acc += (av.speed if av else 0.0) * trace.dt
-        if acc >= route_len - 1e-9:
-            return k + 1
-    return len(trace.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import ir
@@ -135,13 +135,7 @@ def _render(kb: PromptKnowledgeBase, name: str, payload: str, seed: int) -> str:
 
 
 def render_net_prompt(kb: PromptKnowledgeBase, road, seed: int = 0) -> str:
-    payload = json.dumps({
-        "layout": road.layout,
-        "junction_notes": road.junction_notes,
-        "segments": [{"length": s.length, "lanes_forward": s.lanes_forward,
-                      "lanes_backward": s.lanes_backward,
-                      "speed_limit": s.speed_limit} for s in road.segments],
-    }, sort_keys=True)
+    payload = json.dumps(asdict(road), sort_keys=True)
     return _render(kb, "netgen", payload, seed)
 
 

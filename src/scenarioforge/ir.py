@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 FORMAT_HEADER = "usd-v1"
@@ -278,35 +278,7 @@ class ScenarioBundle:
 
 def description_to_dict(d: ScenarioDescription) -> dict:
     """The canonical document of a description as JSON-ready data."""
-    return {
-        "format": FORMAT_HEADER,
-        "scene_type": d.scene_type,
-        "narrative": d.narrative,
-        "road": {
-            "layout": d.road.layout,
-            "junction_notes": d.road.junction_notes,
-            "segments": [
-                {"length": s.length, "lanes_forward": s.lanes_forward,
-                 "lanes_backward": s.lanes_backward, "speed_limit": s.speed_limit}
-                for s in d.road.segments
-            ],
-        },
-        "objects": [
-            {"kind": o.kind, "count": o.count, "placement_hint": o.placement_hint}
-            for o in d.objects
-        ],
-        "agents": [
-            {"kind": a.kind, "role": a.role, "color": a.color, "intent": a.intent,
-             "approx_speed": a.approx_speed, "relative_position": a.relative_position}
-            for a in d.agents
-        ],
-        "weather": {
-            "precipitation": d.weather.precipitation,
-            "fog_density": d.weather.fog_density,
-            "sun_altitude": d.weather.sun_altitude,
-            "time_of_day": d.weather.time_of_day,
-        },
-    }
+    return {"format": FORMAT_HEADER, **asdict(d)}
 
 
 def serialize_description(d: ScenarioDescription) -> str:
@@ -314,16 +286,27 @@ def serialize_description(d: ScenarioDescription) -> str:
     return json.dumps(description_to_dict(d), sort_keys=True, indent=2) + "\n"
 
 
-def _req(obj: dict, key: str):
-    if key not in obj:
+def _req(obj: dict, key: str, kind=object):
+    """obj[key]; MissingSection(key) when it is absent or not a kind."""
+    if key not in obj or not isinstance(obj[key], kind):
         raise MissingSection(key)
     return obj[key]
+
+
+def _records(obj: dict, key: str) -> list:
+    """obj[key] as a list of JSON objects."""
+    items = _req(obj, key, list)
+    if not all(isinstance(item, dict) for item in items):
+        raise MissingSection(key)
+    return items
 
 
 def parse_description(doc: str) -> ScenarioDescription:
     """Parse a canonical document back into a ScenarioDescription.
 
-    Raises MissingSection / InvalidEnum / RangeViolation on structural faults.
+    Raises MissingSection / InvalidEnum / RangeViolation on structural faults;
+    a section of the wrong JSON type (road or weather not an object, segments,
+    objects or agents not a list of objects) is a MissingSection.
     """
     try:
         data = json.loads(doc)
@@ -334,9 +317,9 @@ def parse_description(doc: str) -> ScenarioDescription:
     if data.get("format") != FORMAT_HEADER:
         raise MissingSection("format")
 
-    road_d = _req(data, "road")
+    road_d = _req(data, "road", dict)
     segments = []
-    for s in _req(road_d, "segments"):
+    for s in _records(road_d, "segments"):
         segments.append(RoadSegment(
             length=_req(s, "length"),
             lanes_forward=_req(s, "lanes_forward"),
@@ -349,15 +332,15 @@ def parse_description(doc: str) -> ScenarioDescription:
     objects = tuple(
         ObjectDescription(kind=_req(o, "kind"), count=_req(o, "count"),
                           placement_hint=o.get("placement_hint", ""))
-        for o in _req(data, "objects"))
+        for o in _records(data, "objects"))
     agents = tuple(
         AgentDescription(kind=_req(a, "kind"), role=_req(a, "role"),
                          color=a.get("color"), intent=a.get("intent", ""),
                          approx_speed=a.get("approx_speed", 0.0),
                          relative_position=a.get("relative_position", ""))
-        for a in _req(data, "agents"))
+        for a in _records(data, "agents"))
 
-    w = _req(data, "weather")
+    w = _req(data, "weather", dict)
     weather = WeatherDescription(
         precipitation=_req(w, "precipitation"),
         fog_density=_req(w, "fog_density"),

@@ -816,6 +816,15 @@ _EARTH_RADIUS = 6_371_000.0
 OVERPASS_URL = "https://overpass-api.de/api/interpreter"
 
 
+def _coordinate(text) -> float:
+    """An OSM lat or lon attribute; NaN when absent or unparseable, which
+    fails only a node that a drivable way uses."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def _project(lat: float, lon: float, lat0: float, lon0: float):
     x = _EARTH_RADIUS * math.radians(lon - lon0) * math.cos(math.radians(lat0))
     y = _EARTH_RADIUS * math.radians(lat - lat0)
@@ -878,8 +887,8 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
 
     coords = {}
     for el in root.findall("node"):
-        coords[el.get("id")] = _project(float(el.get("lat")),
-                                        float(el.get("lon")), lat0, lon0)
+        coords[el.get("id")] = _project(_coordinate(el.get("lat")),
+                                        _coordinate(el.get("lon")), lat0, lon0)
 
     ways = []
     node_use: dict[str, int] = {}

@@ -260,7 +260,7 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
 
     if rec.description is not None:
         put("description", "description.json",
-            _json(ir.description_to_dict(rec.description)))
+            ir.serialize_description(rec.description))
     if rec.network is not None:
         xml_nodes, xml_edges = netgen.serialize_sumo_xml(rec.network)
         put("network_nodes", "network.nod.xml", xml_nodes)

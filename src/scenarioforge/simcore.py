@@ -35,7 +35,7 @@ from typing import Optional
 
 from . import netgen
 from .compgen import AgentState
-from .ir import ScenarioBundle, fold_sum
+from .ir import VRU_KINDS, ScenarioBundle, fold_sum
 
 DEFAULT_DT = 0.1
 TTC_BRAKE_THRESHOLD = 3.0   # s; AV braking onset
@@ -72,12 +72,14 @@ class CollisionEvent:
 
 @dataclass
 class SimulationTrace:
+    """What the simulator observed: each agent's speed before step 0, the
+    active agents' states after every step (an agent that left the network
+    is absent from then on) and the first contact of each pair. Distances,
+    accelerations and jerks derive from the speeds."""
     dt: float
     steps: list = field(default_factory=list)        # list[list[AgentState]]
     collisions: list = field(default_factory=list)   # list[CollisionEvent]
-    odometry: dict = field(default_factory=dict)     # id -> meters
-    accel_series: dict = field(default_factory=dict)  # id -> list[m/s^2]
-    jerk_series: dict = field(default_factory=dict)   # id -> list[m/s^3]
+    start_speed: dict = field(default_factory=dict)  # id -> m/s
 
     def hash(self) -> str:
         """sha256 of json.dumps({"dt", "steps": [[id, x, y, speed, heading] per
@@ -513,7 +515,7 @@ def step(world: World, dt: float) -> World:
         if not veh.active:
             continue
         me = veh.state
-        if me.kind in ("Pedestrian", "Cyclist"):
+        if me.kind in VRU_KINDS:
             controls[vid] = None
         elif me.role == "AV":
             gap, lead_v = _leader_gap(world, lanes, veh, me.edge_id,
@@ -584,14 +586,8 @@ def run(bundle: ScenarioBundle, duration: float, dt: float = DEFAULT_DT
     """Closed-loop run: ceil(duration/dt) steps, deterministic per bundle."""
     world = build_world(bundle)
     n_steps = math.ceil(duration / dt)
-    trace = SimulationTrace(dt=dt)
-    prev_speed = {vid: v.state.speed for vid, v in world.vehicles.items()}
-    prev_accel: dict = {}
-    for vid in world.vehicles:
-        trace.odometry[vid] = 0.0
-        trace.accel_series[vid] = []
-        trace.jerk_series[vid] = []
-
+    trace = SimulationTrace(dt=dt, start_speed={
+        vid: v.state.speed for vid, v in world.vehicles.items()})
     seen_contacts: set = set()
     for k in range(n_steps):
         step(world, dt)
@@ -602,15 +598,6 @@ def run(bundle: ScenarioBundle, duration: float, dt: float = DEFAULT_DT
             if key not in seen_contacts:
                 seen_contacts.add(key)
                 trace.collisions.append(ev)
-        for vid, veh in world.vehicles.items():
-            v_now = veh.state.speed if veh.active else 0.0
-            trace.odometry[vid] += v_now * dt
-            accel = (v_now - prev_speed[vid]) / dt
-            trace.accel_series[vid].append(accel)
-            if vid in prev_accel:
-                trace.jerk_series[vid].append((accel - prev_accel[vid]) / dt)
-            prev_accel[vid] = accel
-            prev_speed[vid] = v_now
     return trace
 
 
@@ -650,6 +637,8 @@ def _decimals(values: list, n: int) -> list[str]:
 def export_trace(trace: SimulationTrace) -> str:
     """Line-delimited trace records: step, id, x, y, speed, heading, accel.
 
+    A state's accel is (speed - previous speed) / dt, the previous speed
+    being the agent's speed in the step before, or its start speed at step 0.
     Each line is what json.dumps(record, sort_keys=True) writes with the five
     numbers rounded to 4 decimals. A float in (-1e9, 1e9) is spelled by one
     '%.4f' conversion with its trailing zeros stripped, which is
@@ -658,13 +647,14 @@ def export_trace(trace: SimulationTrace) -> str:
     """
     lines = []
     quote = functools.cache(json.dumps)
+    last_speed = dict(trace.start_speed)
     for first, batch in _batches(trace.steps):
         values = []
-        for k, states in enumerate(batch, first):
+        for states in batch:
             for a in states:
-                accel = trace.accel_series.get(a.id, ())
-                values += (accel[k] if k < len(accel) else 0.0, a.heading,
-                           a.speed, a.x, a.y)
+                values += ((a.speed - last_speed[a.id]) / trace.dt,
+                           a.heading, a.speed, a.x, a.y)
+                last_speed[a.id] = a.speed
         n = iter(_decimals(values, 4))
         for k, states in enumerate(batch, first):
             lines += [f'{{"accel": {next(n)}, "heading": {next(n)}, '

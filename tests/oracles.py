@@ -370,19 +370,31 @@ def _lane_line(net, edge, lane_index, lane_width=3.2):
     return out
 
 
-def export_trace_json(trace):
-    """Trace records with one json.dumps(..., sort_keys=True) per record: the
-    encoding export_trace formats directly."""
+def _records_json(steps, accel):
+    """One json.dumps(..., sort_keys=True) per state, accel(k, state) giving
+    the accel of the state at step k."""
     lines = []
-    for k, states in enumerate(trace.steps):
+    for k, states in enumerate(steps):
         for a in states:
-            accel = trace.accel_series.get(a.id, [])
-            acc = accel[k] if k < len(accel) else 0.0
             lines.append(json.dumps({
                 "step": k, "id": a.id, "x": round(a.x, 4), "y": round(a.y, 4),
                 "speed": round(a.speed, 4), "heading": round(a.heading, 4),
-                "accel": round(acc, 4)}, sort_keys=True))
+                "accel": round(accel(k, a), 4)}, sort_keys=True))
     return "\n".join(lines) + "\n"
+
+
+def export_trace_json(trace):
+    """Trace records with one json.dumps(..., sort_keys=True) per record: the
+    encoding export_trace formats directly. A record's accel is the speed
+    change per dt since the agent's previous record, or since its start
+    speed."""
+    last = dict(trace.start_speed)
+
+    def accel(k, a):
+        acc = (a.speed - last[a.id]) / trace.dt
+        last[a.id] = a.speed
+        return acc
+    return _records_json(trace.steps, accel)
 
 
 def trace_hash_json(trace):
@@ -583,3 +595,107 @@ def run_comparison_reference(cfg, n_networks, n_inits):
                 trace = simcore.run(bundle, cfg.duration, cfg.dt)
                 runs.append(score_av(bundle, trace))
     return evalkit.compare_pipelines(ours, baseline)
+
+
+# The simulator once kept these series for every vehicle at every step, and
+# the trace export and the AV scoring read them. They are kept here as the
+# reference that both, which now derive everything from the trace's speeds,
+# must equal bit for bit.
+
+def run_with_series(bundle, duration, dt):
+    """simcore.run plus the per-vehicle bookkeeping: a namespace of dt, steps,
+    collisions, odometry (id -> m), accel_series (id -> m/s^2 per step) and
+    jerk_series (id -> m/s^3 from the second step on). A vehicle that left
+    the network counts 0.0 m/s at every later step."""
+    from types import SimpleNamespace
+
+    from scenarioforge import simcore
+    world = simcore.build_world(bundle)
+    ref = SimpleNamespace(dt=dt, steps=[], collisions=[],
+                          odometry=dict.fromkeys(world.vehicles, 0.0),
+                          accel_series={vid: [] for vid in world.vehicles},
+                          jerk_series={vid: [] for vid in world.vehicles})
+    prev_speed = {vid: v.state.speed for vid, v in world.vehicles.items()}
+    prev_accel = {}
+    seen = set()
+    for k in range(math.ceil(duration / dt)):
+        simcore.step(world, dt)
+        states = [v.state for v in world.vehicles.values() if v.active]
+        ref.steps.append(states)
+        for ev in simcore.detect_collisions(states, step=k):
+            if (ev.agent_a, ev.agent_b) not in seen:
+                seen.add((ev.agent_a, ev.agent_b))
+                ref.collisions.append(ev)
+        for vid, veh in world.vehicles.items():
+            v_now = veh.state.speed if veh.active else 0.0
+            ref.odometry[vid] += v_now * dt
+            accel = (v_now - prev_speed[vid]) / dt
+            ref.accel_series[vid].append(accel)
+            if vid in prev_accel:
+                ref.jerk_series[vid].append((accel - prev_accel[vid]) / dt)
+            prev_accel[vid] = accel
+            prev_speed[vid] = v_now
+    return ref
+
+
+def export_series_json(ref):
+    """The trace records of a run_with_series run, accel read from its
+    series."""
+    return _records_json(ref.steps, lambda k, a: ref.accel_series[a.id][k])
+
+
+def performance_series(ref, route_len, speed_limit, av_id):
+    """evalkit.performance read from the series of a run_with_series run:
+    distance from the odometry, jerks from the jerk series, and the route
+    finished at the first step whose summed distance reaches it."""
+    from scenarioforge import evalkit
+    from scenarioforge.ir import fold_sum
+    distance = ref.odometry[av_id]
+    route_completion = max(0.0, min(1.0, distance / route_len)) \
+        if route_len > 0 else 0.0
+    min_ttc = math.inf
+    for states in ref.steps:
+        av = next((a for a in states if a.id == av_id), None)
+        if av is None:
+            continue
+        rad = math.radians(av.heading)
+        fx, fy = math.cos(rad), math.sin(rad)
+        for other in states:
+            if other.id == av_id:
+                continue
+            dx, dy = other.x - av.x, other.y - av.y
+            ahead = dx * fx + dy * fy
+            lateral = abs(-dx * fy + dy * fx)
+            if ahead <= 0 or lateral > 2.0:
+                continue
+            gap = ahead - (av.length + other.length) / 2.0
+            closing = av.speed - other.speed
+            if gap > 0 and closing > 0:
+                min_ttc = min(min_ttc, gap / closing)
+    safety = 1.0 if math.isinf(min_ttc) else min(1.0,
+                                                  min_ttc / evalkit.TTC_REF)
+    speeds = [a.speed for states in ref.steps for a in states
+              if a.id == av_id]
+    mean_speed = fold_sum(speeds) / len(speeds) if speeds else 0.0
+    efficiency = min(1.0, mean_speed / speed_limit) if speed_limit > 0 else 0.0
+    jerks = ref.jerk_series[av_id]
+    mean_jerk = fold_sum(abs(j) for j in jerks) / len(jerks) if jerks else 0.0
+    comfort = 1.0 - min(1.0, mean_jerk / evalkit.JERK_REF)
+    w_s, w_e, w_c = evalkit.SCORE_WEIGHTS
+    driving_score = 100.0 * (w_s * safety + w_e * efficiency + w_c * comfort)
+    collision = any(av_id in (c.agent_a, c.agent_b) for c in ref.collisions)
+    completed = route_len > 0 and distance >= route_len - 1e-9
+    n_steps = len(ref.steps)
+    if completed:
+        acc = 0.0
+        for k, states in enumerate(ref.steps):
+            av = next((a for a in states if a.id == av_id), None)
+            acc += (av.speed if av else 0.0) * ref.dt
+            if acc >= route_len - 1e-9:
+                n_steps = k + 1
+                break
+    return evalkit.PerformanceReport(
+        route_completion=route_completion, driving_score=driving_score,
+        total_score=driving_score * route_completion,
+        use_time=n_steps * ref.dt, success=completed and not collision,
+        collision=collision)

@@ -237,13 +237,10 @@ def test_format_diversity_table():
 
 def constant_speed_trace(n_steps, speed=10.0, dt=0.1, role="AV",
                          collide_with=None):
-    trace = simcore.SimulationTrace(dt=dt)
+    trace = simcore.SimulationTrace(dt=dt, start_speed={"a0": speed})
     for k in range(n_steps):
         trace.steps.append([agent_state(0, role=role, x=k * speed * dt,
                                         speed=speed)])
-    trace.odometry["a0"] = n_steps * speed * dt
-    trace.accel_series["a0"] = [0.0] * n_steps
-    trace.jerk_series["a0"] = [0.0] * max(0, n_steps - 1)
     if collide_with:
         trace.collisions.append(simcore.CollisionEvent(5, "a0", collide_with,
                                                        0.2))
@@ -281,6 +278,19 @@ def test_completed_route_use_time():
     assert report.use_time == pytest.approx(10.0)
 
 
+def test_av_that_left_counts_zero_speed():
+    # 3 steps at 10 m/s, then gone: 3 m driven, and the drop to 0.0 m/s is
+    # an accel of -100 m/s^2, so jerks 0, 0, -1000, 1000 average 500
+    trace = constant_speed_trace(3)
+    trace.steps += [[], []]
+    report = evalkit.performance(trace, route_len=3.0, speed_limit=10.0,
+                                 av_id="a0")
+    assert report.route_completion == 1.0
+    assert report.use_time == pytest.approx(0.3)
+    # safety 1 and efficiency over the steps present 1; comfort 0
+    assert report.driving_score == pytest.approx(70.0)
+
+
 def test_collision_blocks_success():
     trace = constant_speed_trace(200, collide_with="other")
     report = evalkit.performance(trace, route_len=100.0, speed_limit=10.0,
@@ -291,14 +301,19 @@ def test_collision_blocks_success():
 
 def test_av_required():
     trace = constant_speed_trace(10, role="BV")
-    trace.odometry = {}
     with pytest.raises(evalkit.AVNotFound):
         evalkit.performance(trace, route_len=100.0, speed_limit=10.0,
                             av_id="missing")
+    # an agent is in the trace when it has a start speed
+    trace.start_speed = {}
+    with pytest.raises(evalkit.AVNotFound):
+        evalkit.performance(trace, route_len=100.0, speed_limit=10.0,
+                            av_id="a0")
 
 
 def test_safety_term_from_min_ttc():
-    trace = simcore.SimulationTrace(dt=0.1)
+    trace = simcore.SimulationTrace(dt=0.1,
+                                    start_speed={"a0": 10.0, "lead": 0.0})
     av = agent_state(0, role="AV", x=0.0, speed=10.0)
     # stopped leader 10.75 m ahead: bumper gap 6.25 m, TTC 0.625 s
     leader = compgen.AgentState(
@@ -306,7 +321,6 @@ def test_safety_term_from_min_ttc():
         s=10.75, speed=0.0, heading=0.0, x=10.75, y=0.0, length=4.5,
         width=1.8)
     trace.steps.append([av, leader])
-    trace.odometry["a0"] = 1.0
     report = evalkit.performance(trace, route_len=100.0, speed_limit=10.0,
                                  av_id="a0")
     # safety = min(1, 0.625/4) -> 0.15625; efficiency 1; comfort 1

@@ -92,6 +92,33 @@ def test_retry_recovers_and_counts_attempts(kb):
     assert resp.parsed is not None
 
 
+class ScriptedProvider:
+    """Answers with the given documents in turn."""
+
+    def __init__(self, *answers):
+        self.answers = list(answers)
+        self.prompts = []
+
+    def complete(self, prompt: str) -> str:
+        self.prompts.append(prompt)
+        return self.answers[len(self.prompts) - 1]
+
+
+def test_wrong_section_type_is_prompted_again(kb):
+    desc = ir.ScenarioDescription(
+        road=ir.RoadDescription(
+            layout="Straight", segments=(ir.RoadSegment(100.0, 1, 0, 13.89),)),
+        objects=(), agents=(ir.AgentDescription("Car", "AV"),),
+        weather=ir.WeatherDescription())
+    good = ir.serialize_description(desc)
+    bad = json.dumps({**json.loads(good), "objects": None})
+    provider = ScriptedProvider(bad, good)
+    resp = interpret_response(ir.TextRequest("a car on a road"), kb,
+                              provider)
+    assert (resp.parsed, resp.attempt_count) == (desc, 2)
+    assert "missing section: objects" in provider.prompts[1]
+
+
 def test_persistent_prose_exhausts_retries(kb):
     provider = MockProvider(fault="prose")
     with pytest.raises(interpreter.UnparseableAfterRetries):

@@ -68,6 +68,23 @@ def test_parse_missing_weather_section():
     assert exc.value.section == "weather"
 
 
+@pytest.mark.parametrize("section, value, missing", [
+    ("objects", None, "objects"),
+    ("agents", {"kind": "Car", "role": "AV"}, "agents"),
+    ("road", "segments", "road"),
+    ("road", {"layout": "Straight", "segments": [5]}, "segments"),
+    ("road", {"layout": "Straight", "segments": {}}, "segments"),
+    ("weather", [], "weather"),
+], ids=["null_objects", "object_agents", "string_road", "number_segment",
+        "object_segments", "list_weather"])
+def test_parse_wrong_section_type_is_missing(section, value, missing):
+    data = json.loads(ir.serialize_description(make_description()))
+    data[section] = value
+    with pytest.raises(ir.MissingSection) as exc:
+        ir.parse_description(json.dumps(data))
+    assert exc.value.section == missing
+
+
 def test_parse_missing_format_header():
     data = json.loads(ir.serialize_description(make_description()))
     del data["format"]

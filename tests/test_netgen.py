@@ -894,12 +894,29 @@ def test_ingest_osm_rejects_garbage():
     ('<node id="4" lat="0.001"', '<node id="4" lat="nan"',
      [("InvalidEnum", "node", "y=nan")]),
     ('lon="0.001"/>', 'lon="-inf"/>', [("InvalidEnum", "node", "x=-inf")]),
+    # an unparseable or absent coordinate reads as NaN
+    ('<node id="4" lat="0.001"', '<node id="4" lat="abc"',
+     [("InvalidEnum", "node", "y=nan")]),
+    ('<node id="4" lat="0.001"', '<node id="4"',
+     [("InvalidEnum", "node", "y=nan")]),
+    ('<node id="4" lat="0.001" lon="0.001"', '<node id="4" lat="0.001"',
+     [("InvalidEnum", "node", "x=nan")]),
 ], ids=["hash_in_way_id", "repeated_way_id", "zero_maxspeed",
-        "nan_maxspeed", "inf_maxspeed", "nan_lat", "inf_lon"])
+        "nan_maxspeed", "inf_maxspeed", "nan_lat", "inf_lon", "text_lat",
+        "absent_lat", "absent_lon"])
 def test_ingest_osm_rejects_invalid_ways(old, new, errors):
     with pytest.raises(netgen.NetworkValidationError) as exc:
         netgen.ingest_osm(BBOX, OSM_FIXTURE.replace(old, new))
     assert exc.value.errors == [netgen.ValidationError(*e) for e in errors]
+
+
+@pytest.mark.parametrize("node", ['<node id="9" lat="abc" lon="0.0"/>',
+                                  '<node id="9" lon="0.0"/>'],
+                         ids=["text_lat", "absent_lat"])
+def test_ingest_osm_ignores_bad_unused_node(node):
+    extract = OSM_FIXTURE.replace("</osm>", f"{node}</osm>")
+    assert netgen.ingest_osm(BBOX, extract) == \
+        netgen.ingest_osm(BBOX, OSM_FIXTURE)
 
 
 def test_fetch_osm_extract_uses_cache(tmp_path):

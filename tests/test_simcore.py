@@ -10,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scenarioforge
-from scenarioforge import compgen, ir, netgen, pipeline, simcore
+from scenarioforge import compgen, evalkit, ir, netgen, pipeline, simcore
 
-from oracles import (all_pairs_collisions, bv_control_scan, export_trace_json,
-                     follower_scan, leader_gap_scan, quads_overlap_oracle,
-                     trace_hash_json)
+from oracles import (all_pairs_collisions, bv_control_scan, export_series_json,
+                     export_trace_json, follower_scan, leader_gap_scan,
+                     performance_series, quads_overlap_oracle,
+                     run_with_series, trace_hash_json)
 
 
 def straight_net(length=2000.0, fwd=1, speed=13.89):
@@ -33,6 +34,13 @@ def place(net, edge_id, lane_index, s, agent_id, kind="Car", role="BV",
         id=agent_id, kind=kind, role=role, edge_id=edge_id,
         lane_index=lane_index, s=s, speed=speed, heading=heading,
         x=x, y=y, length=length, width=width)
+
+
+def distance(trace, agent_id):
+    """Metres the agent covered: its speed times dt summed over the steps it
+    is present in."""
+    return sum(a.speed for states in trace.steps for a in states
+               if a.id == agent_id) * trace.dt
 
 
 def make_bundle(net, agents, objects=()):
@@ -266,7 +274,7 @@ def test_platoon_runs_without_collisions():
     assert len(trace.steps) == 600
     assert trace.collisions == []
     # followers kept moving
-    assert all(trace.odometry[f"v{i}"] > 100.0 for i in range(10))
+    assert all(distance(trace, f"v{i}") > 100.0 for i in range(10))
 
 
 def test_platoon_order_is_preserved():
@@ -318,7 +326,7 @@ def test_av_stops_for_blocking_object():
     assert final.speed < 0.5
     # blocked run covers less ground than a free run
     free = simcore.run(make_bundle(net, [av]), duration=30.0, dt=0.1)
-    assert trace.odometry["av"] < free.odometry["av"]
+    assert distance(trace, "av") < distance(free, "av")
 
 
 def test_vru_walks_straight():
@@ -338,7 +346,8 @@ def test_vehicle_deactivates_at_network_end():
     av = place(net, "e0f", 0, 45.0, "av", role="AV", speed=10.0)
     trace = simcore.run(make_bundle(net, [av]), duration=5.0, dt=0.1)
     assert trace.steps[-1] == []  # left the network
-    assert trace.odometry["av"] < 10.0 * 5.0
+    assert trace.start_speed == {"av": 10.0}
+    assert distance(trace, "av") < 10.0 * 5.0
 
 
 @pytest.mark.parametrize("truck_params, overtakes", [
@@ -425,11 +434,7 @@ def export_traces(draw):
                 s=0.0, speed=speed, heading=heading, x=draw(TRACE_FLOAT),
                 y=draw(TRACE_FLOAT), length=4.5, width=1.8))
         trace.steps.append(states)
-    # series shorter than the trace, or missing, give an accel of 0.0
-    for agent_id in ids:
-        if draw(st.booleans()):
-            trace.accel_series[agent_id] = draw(
-                st.lists(TRACE_FLOAT, max_size=n_steps))
+    trace.start_speed = {agent_id: draw(TRACE_FLOAT) for agent_id in ids}
     trace.collisions = draw(st.lists(st.builds(
         simcore.CollisionEvent, st.integers(0, 4), st.sampled_from(ids),
         st.sampled_from(ids), st.floats(0.0, 1.0)), max_size=3))
@@ -440,7 +445,8 @@ def one_state_trace(x, y):
     state = compgen.AgentState(id="a", kind="Car", role="BV", edge_id="e",
                                lane_index=0, s=0.0, speed=1.0, heading=0.0,
                                x=x, y=y, length=4.5, width=1.8)
-    return simcore.SimulationTrace(dt=0.1, steps=[[state]])
+    return simcore.SimulationTrace(dt=0.1, steps=[[state]],
+                                   start_speed={"a": 1.0})
 
 
 # one value that must not take the fixed-point spelling among exact floats
@@ -583,9 +589,73 @@ def test_simulation_invariants(layout, lengths, n_agents, seed, dt):
                        for v in (a.x, a.y, a.s, a.speed, a.heading))
             assert a.speed >= 0.0
             assert 0.0 <= a.s <= lanes[(a.edge_id, a.lane_index)].length
-    for series in (*trace.accel_series.values(),
-                   *trace.jerk_series.values(), trace.odometry.values()):
-        assert all(map(math.isfinite, series))
+    assert all(map(math.isfinite, trace.start_speed.values()))
+    assert all(math.isfinite(json.loads(line)["accel"])
+               for line in simcore.export_trace(trace).splitlines() if line)
+
+
+VRU = st.tuples(st.sampled_from(ir.VRU_KINDS), st.floats(0.0, 3.0),
+                st.floats(-179.0, 180.0))
+
+
+@settings(max_examples=100, deadline=None)
+# the AV leaves the network in its first step and counts 0.0 m/s from then on
+@example(layout="Straight", lengths=[30.0], n_agents=1, seed=0, vrus=[],
+         av_at_end=True, dt=0.5, n_steps=6, route="planned",
+         speed_limit=None)
+@example(layout="Straight", lengths=[30.0], n_agents=2, seed=1,
+         vrus=[("Pedestrian", 1.4, 90.0)], av_at_end=True, dt=0.1,
+         n_steps=40, route=5.0, speed_limit=13.89)
+@given(layout=st.sampled_from(ir.ROAD_LAYOUTS),
+       lengths=st.lists(st.floats(20.0, 150.0), min_size=1, max_size=3),
+       n_agents=st.integers(1, 8), seed=st.integers(0, 10_000),
+       vrus=st.lists(VRU, max_size=2), av_at_end=st.booleans(),
+       dt=st.one_of(st.sampled_from([0.1, 0.25, 0.5]),
+                    st.floats(0.0, 0.5, exclude_min=True)),
+       n_steps=st.integers(0, 40),
+       route=st.one_of(st.sampled_from(["planned", 0.0, 5.0]),
+                       st.floats(0.0, 500.0)),
+       speed_limit=st.one_of(st.none(), st.floats(0.0, 30.0)))
+def test_trace_readers_match_per_vehicle_series(layout, lengths, n_agents,
+                                                seed, vrus, av_at_end, dt,
+                                                n_steps, route, speed_limit):
+    """export_trace and evalkit.performance, which derive accel, jerk and
+    distance from the trace's speeds, equal bit for bit what they gave when
+    the simulator kept those series per vehicle and step."""
+    road = ir.RoadDescription(
+        layout=layout,
+        segments=tuple(ir.RoadSegment(length, 2, 1, 13.89)
+                       for length in lengths))
+    net = netgen.build_network_blueprint(road)
+    agents = compgen.random_trip_placement(net, n_agents, seed=seed)
+    av = agents[0]
+    if av_at_end:
+        # at full speed, 1 m before the end of its lane
+        path = net.lane_graph.lanes[(av.edge_id, av.lane_index)]
+        agents[0] = place(net, av.edge_id, av.lane_index, path.length - 1.0,
+                          av.id, role="AV", speed=13.89)
+    for i, (kind, speed, heading) in enumerate(vrus):
+        length, width = compgen.VEHICLE_DIMS[kind]
+        agents.append(compgen.AgentState(
+            id=f"vru{i}", kind=kind, role="VRU", edge_id=av.edge_id,
+            lane_index=0, s=0.0, speed=speed, heading=heading,
+            x=av.x + 3.0 * i, y=av.y + 2.0, length=length, width=width))
+    bundle = make_bundle(net, agents)
+    duration = n_steps * dt
+    trace = simcore.run(bundle, duration, dt)
+    ref = run_with_series(bundle, duration, dt)
+    assert trace.steps == ref.steps
+    assert trace.collisions == ref.collisions
+    assert simcore.export_trace(trace) == export_series_json(ref)
+    route_len = simcore.route_length(net, simcore.plan_route(net, av.edge_id)) \
+        if route == "planned" else route
+    if speed_limit is None:
+        speed_limit = max(e.speed for e in net.edges)
+    for agent in agents:
+        # repr tells apart every float, signed zeros included
+        assert repr(evalkit.performance(trace, route_len, speed_limit,
+                                        agent.id)) == \
+            repr(performance_series(ref, route_len, speed_limit, agent.id))
 
 
 TRACE_HASH_SCRIPT = """
