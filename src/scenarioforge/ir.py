@@ -74,13 +74,22 @@ def _check_enum(name: str, value, allowed):
 def _check_range(name: str, value, lo, hi, lo_open=False, hi_open=False):
     try:
         v = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise RangeViolation(name, value)
     if lo is not None and (v <= lo if lo_open else v < lo):
         raise RangeViolation(name, value)
     if hi is not None and (v >= hi if hi_open else v > hi):
         raise RangeViolation(name, value)
     return v
+
+
+def _check_int(name: str, value) -> int:
+    """int(value); a value int() refuses (None, a list, NaN, an infinity)
+    is a RangeViolation, as in _check_range."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise RangeViolation(name, value)
 
 
 @dataclass(frozen=True)
@@ -93,14 +102,14 @@ class RoadSegment:
     def __post_init__(self):
         _check_range("length", self.length, 0.0, None, lo_open=True)
         _check_range("speed_limit", self.speed_limit, 0.0, None, lo_open=True)
-        if int(self.lanes_forward) < 0 or int(self.lanes_backward) < 0:
-            raise RangeViolation("lanes", (self.lanes_forward, self.lanes_backward))
-        if int(self.lanes_forward) + int(self.lanes_backward) < 1:
+        forward = _check_int("lanes", self.lanes_forward)
+        backward = _check_int("lanes", self.lanes_backward)
+        if forward < 0 or backward < 0 or forward + backward < 1:
             raise RangeViolation("lanes", (self.lanes_forward, self.lanes_backward))
         object.__setattr__(self, "length", float(self.length))
         object.__setattr__(self, "speed_limit", float(self.speed_limit))
-        object.__setattr__(self, "lanes_forward", int(self.lanes_forward))
-        object.__setattr__(self, "lanes_backward", int(self.lanes_backward))
+        object.__setattr__(self, "lanes_forward", forward)
+        object.__setattr__(self, "lanes_backward", backward)
 
 
 @dataclass(frozen=True)
@@ -142,9 +151,10 @@ class ObjectDescription:
 
     def __post_init__(self):
         _check_enum("object.kind", self.kind, OBJECT_KINDS)
-        if int(self.count) < 1:
+        count = _check_int("object.count", self.count)
+        if count < 1:
             raise RangeViolation("object.count", self.count)
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", count)
 
 
 @dataclass(frozen=True)

@@ -340,7 +340,9 @@ def _edge_errors(eid, ends, spread, node_ids: set, edge_ids: set,
 
 def _number_errors(tag: str, attr: str, value, text, errors: list) -> None:
     """A node x or y that is not a finite number, or an edge numLanes or
-    speed that is not a positive finite one, spelled as text."""
+    speed that is not a positive finite one, spelled as str(text): the
+    attribute's text, or the record's number (str of a float is its
+    repr)."""
     if not (-math.inf if tag == "node" else 0) < value < math.inf:
         errors.append(ValidationError("InvalidEnum", tag, f"{attr}={text}"))
 
@@ -448,14 +450,14 @@ def network_errors(net: RoadNetwork) -> list[ValidationError]:
     node_ids: set[str] = set()
     for n in net.nodes:
         _node_errors(n.id, n.node_type, node_ids, errors)
-        _number_errors("node", "x", n.x, repr(n.x), errors)
-        _number_errors("node", "y", n.y, repr(n.y), errors)
+        # str of a float is its repr, spelled only for an error
+        _number_errors("node", "x", n.x, n.x, errors)
+        _number_errors("node", "y", n.y, n.y, errors)
     edge_ids: set[str] = set()
     for e in net.edges:
         _edge_errors(e.id, (e.from_node, e.to_node), e.spread_type,
                      node_ids, edge_ids, errors)
         _number_errors("edge", "numLanes", e.num_lanes, e.num_lanes, errors)
-        # str of a float is its repr
         _number_errors("edge", "speed", e.speed, e.speed, errors)
         if e.shape and not _is_line(e.shape):
             errors.append(ValidationError(
@@ -507,9 +509,14 @@ def serialize_sumo_xml(net: RoadNetwork) -> tuple[str, str]:
             f'type="{_attr(n.node_type)}"/>')
     nodes_lines.append("</nodes>")
 
+    # ingest_osm shares each point tuple among the edges through its node:
+    # spell it once, keyed by identity, as (0.0, y) == (-0.0, y) spell apart
+    points = {id(p): p for e in net.edges for p in e.shape}
+    spelled = {key: f"{x!r},{y!r}" for key, (x, y) in points.items()}
     edges_lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<edges>"]
     for e in net.edges:
-        shape = f' shape="{_shape_attr(e.shape)}"' if e.shape else ""
+        shape = " ".join([spelled[id(p)] for p in e.shape])
+        shape = f' shape="{shape}"' if shape else ""
         edges_lines.append(
             f'    <edge id="{_attr(e.id)}" from="{_attr(e.from_node)}" '
             f'to="{_attr(e.to_node)}" '
@@ -910,7 +917,7 @@ def ingest_osm(bbox: GpsBoundingBox, source: str) -> RoadNetwork:
     errors: list[ValidationError] = []
     for ref in dict.fromkeys(ref for _, refs, _ in ways for ref in refs):
         for attr, value in zip("xy", coords[ref]):
-            _number_errors("node", attr, value, repr(value), errors)
+            _number_errors("node", attr, value, value, errors)
     if errors:
         raise NetworkValidationError(errors)
 

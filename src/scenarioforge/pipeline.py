@@ -10,6 +10,7 @@ included. run_comparison runs the chain per placement arm, in memory only.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import glob
 import json
 import os
@@ -109,7 +110,8 @@ class RunManifest:
     network: Optional[netgen.RoadNetwork] = field(default=None, repr=False)
     bundle: Optional[ir.ScenarioBundle] = field(default=None, repr=False)
     trace: Optional[simcore.SimulationTrace] = field(default=None, repr=False)
-    report: Optional[dict] = field(default=None, repr=False)
+    # report.json's dict; in run_comparison, the AV's PerformanceReport
+    report: object = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -149,10 +151,14 @@ def _bundle_to_dict(bundle: ir.ScenarioBundle) -> dict:
             "objects": [dataclasses.asdict(o) for o in bundle.objects]}
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, content) -> None:
+    """Write content, a text or a function that writes to the open file."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        if callable(content):
+            content(fh)
+        else:
+            fh.write(content)
 
 
 def _json(data) -> str:
@@ -171,14 +177,20 @@ def _build_network(rec: RunManifest, source, cfg: PipelineConfig, kb,
         return netgen.ingest_osm(source, fh.read())
 
 
-def _evaluate(bundle: ir.ScenarioBundle, trace: simcore.SimulationTrace
-              ) -> dict:
-    """report.json: AV performance and distance from the description."""
+def _av_performance(bundle: ir.ScenarioBundle, trace: simcore.SimulationTrace
+                    ) -> evalkit.PerformanceReport:
+    """The AV's performance over the route planned from its start edge."""
     net = bundle.network
     av = next(a for a in bundle.agents if a.role == "AV")
     route = simcore.plan_route(net, av.edge_id)
-    perf = evalkit.performance(trace, simcore.route_length(net, route),
+    return evalkit.performance(trace, simcore.route_length(net, route),
                                max(e.speed for e in net.edges), av_id=av.id)
+
+
+def _evaluate(bundle: ir.ScenarioBundle, trace: simcore.SimulationTrace
+              ) -> dict:
+    """report.json: AV performance and distance from the description."""
+    perf = _av_performance(bundle, trace)
     dist = evalkit.objective_distance(bundle.description, bundle,
                                       evalkit.HashingEmbedder())
     return {
@@ -193,11 +205,12 @@ def _evaluate(bundle: ir.ScenarioBundle, trace: simcore.SimulationTrace
 
 def run_stages(rec: RunManifest, source: Optional[ir.MultimodalInput],
                cfg: PipelineConfig, kb: ir.PromptKnowledgeBase, provider,
-               stages=STAGES, place=None) -> RunManifest:
+               stages=STAGES, place=None, evaluate=_evaluate) -> RunManifest:
     """The one stage chain, in memory: run `stages`, a contiguous part of
     STAGES, keeping what each produces in rec. The first stage that raises
     records its taxonomy kind, and every later stage is skipped. place(desc,
-    net, constraints) places the agents (default compgen.generate_agents)."""
+    net, constraints) places the agents (default compgen.generate_agents);
+    evaluate(bundle, trace) makes rec.report (default _evaluate)."""
     for stage in stages:
         t0 = time.monotonic()
         try:
@@ -219,7 +232,7 @@ def run_stages(rec: RunManifest, source: Optional[ir.MultimodalInput],
             elif stage == "simulate":
                 rec.trace = simcore.run(rec.bundle, cfg.duration, cfg.dt)
             else:
-                rec.report = _evaluate(rec.bundle, rec.trace)
+                rec.report = evaluate(rec.bundle, rec.trace)
         except Exception as exc:
             rec.failure = classify_failure(exc)
             rec.stages[stage] = f"error:{rec.failure}"
@@ -252,10 +265,10 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
     rec = run_stages(RunManifest(run_id=run_id, seed=seed), source, cfg,
                      kb or default_knowledge_base(), provider)
 
-    def put(name: str, filename: str, text: str) -> None:
+    def put(name: str, filename: str, content) -> None:
         """The one way a file enters the run directory: listed as written."""
         path = os.path.join(run_dir, filename)
-        _write(path, text)
+        _write(path, content)
         rec.artifacts[name] = path
 
     if rec.description is not None:
@@ -268,7 +281,8 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
     if rec.bundle is not None:
         put("bundle", "bundle.json", _json(_bundle_to_dict(rec.bundle)))
     if rec.trace is not None:
-        put("trace", "trace.jsonl", simcore.export_trace(rec.trace))
+        put("trace", "trace.jsonl",
+            functools.partial(simcore.export_trace, rec.trace))
     if rec.report is not None:
         put("report", "report.json", _json(rec.report))
     put("prompts", "prompts.jsonl",
@@ -382,8 +396,9 @@ def run_comparison(cfg: PipelineConfig, n_networks: int = 5,
     """A/B harness: guided placement vs the RandomTrip-style baseline on the
     same networks, n_networks x n_inits runs per arm. Each network is built
     once; each init runs the later stages once per arm, with that arm's
-    placement. A failed network or placement is a failed run of its arm,
-    counted by taxonomy kind; the scores cover the completed runs."""
+    placement, and evaluates only the AV's performance. A failed network or
+    placement is a failed run of its arm, counted by taxonomy kind; the
+    scores cover the completed runs."""
     if n_networks < 1 or n_inits < 1:
         raise ConfigError(f"compare needs >= 1 network and init, got "
                           f"{n_networks} and {n_inits}")
@@ -406,9 +421,9 @@ def run_comparison(cfg: PipelineConfig, n_networks: int = 5,
                     stages=dict(built.stages), timing=dict(built.timing))
                 if rec.failure is None:
                     run_stages(rec, None, cfg, kb, provider,
-                               stages=STAGES[2:], place=place)
-                runs[arm].append(rec.failure or evalkit.PerformanceReport(
-                    **rec.report["performance"]))
+                               stages=STAGES[2:], place=place,
+                               evaluate=_av_performance)
+                runs[arm].append(rec.failure or rec.report)
     report = evalkit.compare_pipelines(runs["ours"], runs["baseline"])
     out = {arm: {row: [mean] if std is None else [mean, std]
                  for row, (mean, std) in report[arm].items()} for arm in arms}

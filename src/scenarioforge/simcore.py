@@ -634,8 +634,12 @@ def _decimals(values: list, n: int) -> list[str]:
             else json.dumps(round(v, n)) for v, s in zip(values, spellings)]
 
 
-def export_trace(trace: SimulationTrace) -> str:
-    """Line-delimited trace records: step, id, x, y, speed, heading, accel.
+def export_trace(trace: SimulationTrace, out) -> None:
+    """Write the line-delimited trace records (step, id, x, y, speed,
+    heading, accel) to the text stream out, one _batches run at a time: one
+    out.write per run of its lines, each ending in a newline, so the text of
+    the whole trace is never held at once. A trace with no states writes a
+    single newline.
 
     A state's accel is (speed - previous speed) / dt, the previous speed
     being the agent's speed in the step before, or its start speed at step 0.
@@ -645,7 +649,9 @@ def export_trace(trace: SimulationTrace) -> str:
     repr(round(v, 4)); an int, NaN, infinity or larger float, by
     json.dumps(round(v, 4)). Each id is quoted once.
     """
-    lines = []
+    if not any(trace.steps):
+        out.write("\n")
+        return
     quote = functools.cache(json.dumps)
     last_speed = dict(trace.start_speed)
     for first, batch in _batches(trace.steps):
@@ -655,10 +661,11 @@ def export_trace(trace: SimulationTrace) -> str:
                 values += ((a.speed - last_speed[a.id]) / trace.dt,
                            a.heading, a.speed, a.x, a.y)
                 last_speed[a.id] = a.speed
+        if not values:   # a last run of empty steps
+            continue
         n = iter(_decimals(values, 4))
-        for k, states in enumerate(batch, first):
-            lines += [f'{{"accel": {next(n)}, "heading": {next(n)}, '
-                      f'"id": {quote(a.id)}, "speed": {next(n)}, '
-                      f'"step": {k}, "x": {next(n)}, "y": {next(n)}}}'
-                      for a in states]
-    return "\n".join(lines) + "\n"
+        out.write("".join([
+            f'{{"accel": {next(n)}, "heading": {next(n)}, '
+            f'"id": {quote(a.id)}, "speed": {next(n)}, '
+            f'"step": {k}, "x": {next(n)}, "y": {next(n)}}}\n'
+            for k, states in enumerate(batch, first) for a in states]))

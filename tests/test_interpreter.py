@@ -119,6 +119,22 @@ def test_wrong_section_type_is_prompted_again(kb):
     assert "missing section: objects" in provider.prompts[1]
 
 
+def test_infinite_object_count_is_prompted_again(kb):
+    desc = ir.ScenarioDescription(
+        road=ir.RoadDescription(
+            layout="Straight", segments=(ir.RoadSegment(100.0, 1, 0, 13.89),)),
+        objects=(ir.ObjectDescription("Cone", 3),),
+        agents=(ir.AgentDescription("Car", "AV"),),
+        weather=ir.WeatherDescription())
+    good = ir.serialize_description(desc)
+    bad = json.dumps(json.loads(good)).replace('"count": 3', '"count": 1e400')
+    provider = ScriptedProvider(bad, good)
+    resp = interpret_response(ir.TextRequest("a car on a road"), kb,
+                              provider)
+    assert (resp.parsed, resp.attempt_count) == (desc, 2)
+    assert "value out of range for object.count: inf" in provider.prompts[1]
+
+
 def test_persistent_prose_exhausts_retries(kb):
     provider = MockProvider(fault="prose")
     with pytest.raises(interpreter.UnparseableAfterRetries):

@@ -142,6 +142,35 @@ def test_segment_requires_positive_length_and_a_lane():
         ir.RoadSegment(100.0, 0, 0, 13.89)
 
 
+# a JSON value int() or float() refuses, spliced into a serialized document
+@pytest.mark.parametrize("path, value, field", [
+    (("objects", 0, "count"), "null", "object.count"),
+    (("objects", 0, "count"), "1e400", "object.count"),
+    (("road", "segments", 0, "lanes_forward"), "[1]", "lanes"),
+    (("road", "segments", 0, "lanes_backward"), "{}", "lanes"),
+    (("road", "segments", 0, "length"), "1" + "0" * 400, "length"),
+    (("agents", 0, "approx_speed"), "1" + "0" * 400, "agent.approx_speed"),
+], ids=["null_count", "infinite_count", "list_lanes_forward",
+        "object_lanes_backward", "huge_length", "huge_approx_speed"])
+def test_parse_unconvertible_number_is_range_violation(path, value, field):
+    data = json.loads(ir.serialize_description(make_description(
+        objects=(ir.ObjectDescription("Cone", 5),))))
+    record = data
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] = "@"
+    doc = json.dumps(data).replace('"@"', value)
+    with pytest.raises(ir.RangeViolation) as exc:
+        ir.parse_description(doc)
+    assert exc.value.field == field
+
+
+def test_int_fields_keep_their_coercion():
+    assert ir.ObjectDescription("Cone", "2").count == 2
+    segment = ir.RoadSegment(100.0, 1.5, True, 13.89)
+    assert (segment.lanes_forward, segment.lanes_backward) == (1, 1)
+
+
 def test_road_requires_segments():
     with pytest.raises(ir.MissingSection):
         ir.RoadDescription(layout="Straight", segments=())

@@ -1,9 +1,11 @@
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
@@ -385,10 +387,16 @@ def test_route_planner_and_length():
     assert simcore.route_length(net, route) == pytest.approx(120.0)
 
 
+def exported(trace) -> str:
+    """The text export_trace writes to a stream."""
+    out = io.StringIO()
+    simcore.export_trace(trace, out)
+    return out.getvalue()
+
+
 def test_export_trace_format():
-    import json
     trace = simcore.run(platoon_bundle(n=2), duration=1.0, dt=0.1)
-    text = simcore.export_trace(trace)
+    text = exported(trace)
     assert text == export_trace_json(trace)
     lines = text.strip().split("\n")
     assert len(lines) == 2 * 10
@@ -396,7 +404,7 @@ def test_export_trace_format():
     assert set(rec) == {"step", "id", "x", "y", "speed", "heading", "accel"}
     # 900 states: several batches of steps, the last one short
     trace = simcore.run(platoon_bundle(n=3), duration=30.0, dt=0.1)
-    assert simcore.export_trace(trace) == export_trace_json(trace)
+    assert exported(trace) == export_trace_json(trace)
     assert trace.hash() == trace_hash_json(trace)
 
 
@@ -449,15 +457,80 @@ def one_state_trace(x, y):
                                    start_speed={"a": 1.0})
 
 
+class RecordingStream:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def states_trace(n_steps, n_agents, empty_after=0):
+    """n_steps steps of n_agents distinct states each, then empty_after
+    empty steps."""
+    ids = [f"car{i}" for i in range(n_agents)]
+    steps = [[compgen.AgentState(
+        id=agent_id, kind="Car", role="BV", edge_id="e", lane_index=0, s=0.0,
+        speed=10.0 + 0.37 * ((k * n_agents + i) % 11), heading=0.001 * k,
+        x=12.5 * i + 1.3 * k, y=-3.2 * i + 0.01 * k, length=4.5, width=1.8)
+        for i, agent_id in enumerate(ids)] for k in range(n_steps)]
+    return simcore.SimulationTrace(
+        dt=0.1, steps=steps + [[] for _ in range(empty_after)],
+        start_speed=dict.fromkeys(ids, 10.0))
+
+
 # one value that must not take the fixed-point spelling among exact floats
-# that may: a NaN after a number, a value below -1e9, a small negative value
+# that may: a NaN after a number, a value below -1e9, a small negative value;
+# then traces of several batches, one ending in a run of empty steps
 @settings(max_examples=200, deadline=None)
 @example(trace=one_state_trace(1.0, math.nan))
 @example(trace=one_state_trace(1.0, -1e16))
 @example(trace=one_state_trace(-4e-05, 1.0))
+@example(trace=states_trace(256, 2, empty_after=2))
+@example(trace=states_trace(200, 3))
 @given(trace=export_traces())
 def test_export_trace_matches_json_reference(trace):
-    assert simcore.export_trace(trace) == export_trace_json(trace)
+    """The written text is the reference's, in one write per run of steps
+    that reaches 256 states (the last run may hold fewer), each ending in a
+    newline; a trace without states writes one newline."""
+    out = RecordingStream()
+    simcore.export_trace(trace, out)
+    assert "".join(out.writes) == export_trace_json(trace)
+    if not any(trace.steps):
+        assert out.writes == ["\n"]
+        return
+    assert all(text.endswith("\n") for text in out.writes)
+    steps = [[json.loads(line)["step"] for line in text.splitlines()]
+             for text in out.writes]
+    # no step spans two writes, each write ends with the step that brings
+    # it to 256 states, and only the last may hold fewer
+    assert all(a[-1] < b[0] for a, b in zip(steps, steps[1:]))
+    assert all(len(s) - s.count(s[-1]) < 256 for s in steps)
+    assert all(len(s) >= 256 for s in steps[:-1])
+
+
+def test_export_trace_memory_is_bounded_by_a_batch():
+    """The export holds one batch's text at a time, not the trace's: over
+    24k states, its peak allocation stays under an eighth of the text."""
+    trace = states_trace(1200, 20)
+
+    class Sink:
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        simcore.export_trace(trace, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written > 2_000_000
+    assert peak < sink.written / 8
 
 
 @settings(max_examples=200, deadline=None)
@@ -591,7 +664,7 @@ def test_simulation_invariants(layout, lengths, n_agents, seed, dt):
             assert 0.0 <= a.s <= lanes[(a.edge_id, a.lane_index)].length
     assert all(map(math.isfinite, trace.start_speed.values()))
     assert all(math.isfinite(json.loads(line)["accel"])
-               for line in simcore.export_trace(trace).splitlines() if line)
+               for line in exported(trace).splitlines() if line)
 
 
 VRU = st.tuples(st.sampled_from(ir.VRU_KINDS), st.floats(0.0, 3.0),
@@ -646,7 +719,7 @@ def test_trace_readers_match_per_vehicle_series(layout, lengths, n_agents,
     ref = run_with_series(bundle, duration, dt)
     assert trace.steps == ref.steps
     assert trace.collisions == ref.collisions
-    assert simcore.export_trace(trace) == export_series_json(ref)
+    assert exported(trace) == export_series_json(ref)
     route_len = simcore.route_length(net, simcore.plan_route(net, av.edge_id)) \
         if route == "planned" else route
     if speed_limit is None:
