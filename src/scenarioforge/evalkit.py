@@ -195,22 +195,28 @@ def _static_attr_acc(desc: ScenarioDescription, bundle: ScenarioBundle
     return fold_sum(scores) / len(scores)
 
 
-def conformity(pairs, outcomes=None) -> ConformityReport:
+def scenario_row(bundle: ScenarioBundle) -> dict:
+    """What a batch keeps of one run: diversity's scenario dict plus the
+    conformity inputs, scored against the bundle's own description."""
+    desc, stats = bundle.description, bundle.network.stats
+    return {"lanes": stats.total_lanes, "edges": stats.total_edges,
+            "route_length": stats.route_length, "agents": bundle.agents,
+            "objects": len(bundle.objects),
+            "scene_hit": 1.0 if classify_bundle(bundle) == desc.scene_type
+            else 0.0,
+            "vehicle_attr_acc": _vehicle_attr_acc(desc, bundle),
+            "static_attr_acc": _static_attr_acc(desc, bundle)}
+
+
+def conformity(rows, outcomes=None) -> ConformityReport:
     """Conformity over a batch.
 
-    pairs: list of (ScenarioDescription, ScenarioBundle) for runs that
-    produced a bundle. outcomes: list of per-run outcome records, each either
-    {"ok": True} or {"ok": False, "failure": <taxonomy kind>}; defaults to
-    all-ok over the pairs.
+    rows: the scenario_row of each run that produced a bundle. outcomes: one
+    record per run, {"ok": True} or {"ok": False, "failure": <taxonomy
+    kind>}; defaults to all-ok over the rows.
     """
     if outcomes is None:
-        outcomes = [{"ok": True}] * len(pairs)
-    scene_hits, veh_accs, obj_accs = [], [], []
-    for desc, bundle in pairs:
-        scene_hits.append(1.0 if classify_bundle(bundle) == desc.scene_type
-                          else 0.0)
-        veh_accs.append(_vehicle_attr_acc(desc, bundle))
-        obj_accs.append(_static_attr_acc(desc, bundle))
+        outcomes = [{"ok": True}] * len(rows)
     taxonomy = {k: 0 for k in FAILURE_KINDS}
     ok = 0
     for rec in outcomes:
@@ -224,9 +230,9 @@ def conformity(pairs, outcomes=None) -> ConformityReport:
         return fold_sum(vals) / len(vals) if vals else 1.0
 
     return ConformityReport(
-        scene_type_acc=avg(scene_hits),
-        vehicle_attr_acc=avg(veh_accs),
-        static_obj_attr_acc=avg(obj_accs),
+        scene_type_acc=avg([r["scene_hit"] for r in rows]),
+        vehicle_attr_acc=avg([r["vehicle_attr_acc"] for r in rows]),
+        static_obj_attr_acc=avg([r["static_attr_acc"] for r in rows]),
         success_rate=ok / len(outcomes) if outcomes else 1.0,
         failure_taxonomy_counts=taxonomy)
 
@@ -246,7 +252,7 @@ def diversity(scenarios) -> dict:
     """Mean/std table across a scenario set.
 
     scenarios: list of dicts with keys lanes, edges, route_length, agents
-    (list[AgentState]), objects (count). Returns metric -> (mean, std).
+    (AgentState sequence), objects (count). Returns metric -> (mean, std).
     """
     if not scenarios:
         raise ValueError("need >= 1 scenario")
@@ -264,13 +270,7 @@ def diversity(scenarios) -> dict:
 
 
 def diversity_from_bundles(bundles) -> dict:
-    rows = []
-    for b in bundles:
-        stats = b.network.stats
-        rows.append({"lanes": stats.total_lanes, "edges": stats.total_edges,
-                     "route_length": stats.route_length,
-                     "agents": list(b.agents), "objects": len(b.objects)})
-    return diversity(rows)
+    return diversity([scenario_row(b) for b in bundles])
 
 
 def format_diversity_table(table: dict) -> str:

@@ -296,8 +296,14 @@ def serialize_description(d: ScenarioDescription) -> str:
     return json.dumps(description_to_dict(d), sort_keys=True, indent=2) + "\n"
 
 
-def _req(obj: dict, key: str, kind=object):
-    """obj[key]; MissingSection(key) when it is absent or not a kind."""
+_ABSENT = object()
+
+
+def _req(obj: dict, key: str, kind=object, default=_ABSENT):
+    """obj[key], or default when it is absent and one is given;
+    MissingSection(key) when it is absent without a default or not a kind."""
+    if key not in obj and default is not _ABSENT:
+        return default
     if key not in obj or not isinstance(obj[key], kind):
         raise MissingSection(key)
     return obj[key]
@@ -316,7 +322,8 @@ def parse_description(doc: str) -> ScenarioDescription:
 
     Raises MissingSection / InvalidEnum / RangeViolation on structural faults;
     a section of the wrong JSON type (road or weather not an object, segments,
-    objects or agents not a list of objects) is a MissingSection.
+    objects or agents not a list of objects) is a MissingSection, and so is
+    a text field that is present but not a string (a color may be null).
     """
     try:
         data = json.loads(doc)
@@ -335,19 +342,21 @@ def parse_description(doc: str) -> ScenarioDescription:
             lanes_forward=_req(s, "lanes_forward"),
             lanes_backward=_req(s, "lanes_backward"),
             speed_limit=_req(s, "speed_limit")))
-    road = RoadDescription(layout=_req(road_d, "layout"),
-                           segments=tuple(segments),
-                           junction_notes=road_d.get("junction_notes", ""))
+    road = RoadDescription(
+        layout=_req(road_d, "layout"), segments=tuple(segments),
+        junction_notes=_req(road_d, "junction_notes", str, ""))
 
     objects = tuple(
         ObjectDescription(kind=_req(o, "kind"), count=_req(o, "count"),
-                          placement_hint=o.get("placement_hint", ""))
+                          placement_hint=_req(o, "placement_hint", str, ""))
         for o in _records(data, "objects"))
     agents = tuple(
         AgentDescription(kind=_req(a, "kind"), role=_req(a, "role"),
-                         color=a.get("color"), intent=a.get("intent", ""),
+                         color=_req(a, "color", (str, type(None)), None),
+                         intent=_req(a, "intent", str, ""),
                          approx_speed=a.get("approx_speed", 0.0),
-                         relative_position=a.get("relative_position", ""))
+                         relative_position=_req(a, "relative_position", str,
+                                                ""))
         for a in _records(data, "agents"))
 
     w = _req(data, "weather", dict)
@@ -359,5 +368,5 @@ def parse_description(doc: str) -> ScenarioDescription:
 
     return ScenarioDescription(
         road=road, objects=objects, agents=agents, weather=weather,
-        narrative=data.get("narrative", ""),
+        narrative=_req(data, "narrative", str, ""),
         scene_type=_req(data, "scene_type"))

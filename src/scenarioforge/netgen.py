@@ -170,11 +170,15 @@ def _right_normals(axis) -> list:
     return normals + normals[-1:]
 
 
-def _offset_axis(axis, normals, edge: Edge, lane_index: int):
+def lane_offset(edge: Edge, lane_index: int) -> float:
+    """Distance of a lane's centerline right of the edge axis."""
     if edge.spread_type == "right":
-        off = (lane_index + 0.5) * DEFAULT_LANE_WIDTH
-    else:
-        off = (lane_index - (edge.num_lanes - 1) / 2.0) * DEFAULT_LANE_WIDTH
+        return (lane_index + 0.5) * DEFAULT_LANE_WIDTH
+    return (lane_index - (edge.num_lanes - 1) / 2.0) * DEFAULT_LANE_WIDTH
+
+
+def _offset_axis(axis, normals, edge: Edge, lane_index: int):
+    off = lane_offset(edge, lane_index)
     return tuple((x + rx * off, y + ry * off)
                  for (x, y), (rx, ry) in zip(axis, normals))
 

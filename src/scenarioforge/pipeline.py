@@ -290,8 +290,8 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
                 for x in provider.exchanges))
     # last, so its mtime marks the end of the run
     _write(os.path.join(run_dir, "manifest.json"), _json(rec.to_dict()))
-    # run_batch keeps every manifest until the batch ends: of what the
-    # stages produced, only the bundle stays in memory
+    # of what the stages produced, only the bundle stays in the returned
+    # record; the trace and the report are on disk
     return dataclasses.replace(rec, description=None, network=None,
                                trace=None, report=None)
 
@@ -306,23 +306,23 @@ def run_batch(inputs, cfg: PipelineConfig) -> dict:
     runs_dir = glob.escape(os.path.join(cfg.output_dir, "runs"))
     for stale in glob.glob(os.path.join(runs_dir, "batch-*")):
         shutil.rmtree(stale)
-    manifests = []
+    # of each run the batch keeps its outcome and, when it made a bundle,
+    # its scenario_row; the bundle goes before the next run starts
+    outcomes, rows = [], []
     for i, source in enumerate(inputs):
         for v in range(cfg.variations):
             seed = cfg.global_seed + i * 1000 + v
             run_id = f"batch-i{i:03d}-v{v:02d}"
-            manifests.append(run_pipeline(source, cfg, seed=seed,
-                                          run_id=run_id))
+            m = run_pipeline(source, cfg, seed=seed, run_id=run_id)
+            outcomes.append({"ok": m.ok, "failure": m.failure})
+            if m.bundle is not None:
+                rows.append(evalkit.scenario_row(m.bundle))
 
-    outcomes = [{"ok": m.ok, "failure": m.failure} for m in manifests]
-    bundles = [m.bundle for m in manifests if m.bundle is not None]
-    pairs = [(b.description, b) for b in bundles]
-
-    conf = evalkit.conformity(pairs, outcomes)
+    conf = evalkit.conformity(rows, outcomes)
     aggregate = {
         "behavior_model": "parametric car-following substitute",
-        "runs": len(manifests),
-        "ok": sum(1 for m in manifests if m.ok),
+        "runs": len(outcomes),
+        "ok": sum(1 for o in outcomes if o["ok"]),
         "conformity": {
             "scene_type_acc": conf.scene_type_acc,
             "vehicle_attr_acc": conf.vehicle_attr_acc,
@@ -331,8 +331,8 @@ def run_batch(inputs, cfg: PipelineConfig) -> dict:
             "failure_taxonomy_counts": conf.failure_taxonomy_counts,
         },
     }
-    if bundles:
-        table = evalkit.diversity_from_bundles(bundles)
+    if rows:
+        table = evalkit.diversity(rows)
         aggregate["diversity"] = {k: list(v) for k, v in table.items()}
         aggregate["diversity_table"] = evalkit.format_diversity_table(table)
     _write(os.path.join(cfg.output_dir, "aggregate.json"), _json(aggregate))

@@ -316,14 +316,26 @@ def _next_edge(graph: netgen.LaneGraph, route: tuple[str, ...],
 
 
 def _project_objects(net: netgen.RoadNetwork, objects) -> list:
-    """Snap blocking objects (cones, barriers) onto the nearest lane point."""
+    """Snap blocking objects (cones, barriers) onto the nearest 2 m lane
+    sample within 2.5 m, the first in inventory order on ties. A lane's
+    vertices are its axis's moved by its offset, so a lane whose axis box,
+    grown by the offset, 2.5 m and an epsilon, excludes the object is skipped."""
     out = []
     graph = net.lane_graph
+    boxes = {}      # edge id -> (min x, min y, max x, max y) of its axis
     for obj in objects:
         if obj.kind not in ("Cone", "Barrier"):
             continue
         best = None
         for e, li in graph.inventory:
+            edge = graph.edges[e.id]
+            if e.id not in boxes:
+                xs, ys = zip(*netgen.edge_polyline(net, edge))
+                boxes[e.id] = min(xs), min(ys), max(xs), max(ys)
+            x0, y0, x1, y1 = boxes[e.id]
+            r = abs(netgen.lane_offset(edge, li)) + 2.5 + 1e-6
+            if not (x0 - r <= obj.x <= x1 + r and y0 - r <= obj.y <= y1 + r):
+                continue
             path = graph.lanes[(e.id, li)]
             L = path.length
             n_samples = max(2, int(L / 2.0))

@@ -699,3 +699,80 @@ def performance_series(ref, route_len, speed_limit, av_id):
         total_score=driving_score * route_completion,
         use_time=n_steps * ref.dt, success=completed and not collision,
         collision=collision)
+
+
+# The batch once kept every run's bundle and scored the batch from
+# (description, bundle) pairs at its end. These are that fold, kept as the
+# reference the row fold (evalkit.scenario_row, conformity, diversity) must
+# equal by repr.
+
+def conformity_pairs(pairs, outcomes=None):
+    """evalkit.conformity over (ScenarioDescription, ScenarioBundle) pairs
+    of the runs that produced a bundle."""
+    from scenarioforge import evalkit
+    from scenarioforge.ir import fold_sum
+
+    if outcomes is None:
+        outcomes = [{"ok": True}] * len(pairs)
+    scene_hits, veh_accs, obj_accs = [], [], []
+    for desc, bundle in pairs:
+        scene_hits.append(1.0 if evalkit.classify_bundle(bundle)
+                          == desc.scene_type else 0.0)
+        veh_accs.append(evalkit._vehicle_attr_acc(desc, bundle))
+        obj_accs.append(evalkit._static_attr_acc(desc, bundle))
+    taxonomy = {k: 0 for k in evalkit.FAILURE_KINDS}
+    ok = 0
+    for rec in outcomes:
+        if rec.get("ok"):
+            ok += 1
+        else:
+            kind = rec.get("failure", "RuntimeError")
+            taxonomy[kind if kind in taxonomy else "RuntimeError"] += 1
+
+    def avg(vals):
+        return fold_sum(vals) / len(vals) if vals else 1.0
+
+    return evalkit.ConformityReport(
+        scene_type_acc=avg(scene_hits),
+        vehicle_attr_acc=avg(veh_accs),
+        static_obj_attr_acc=avg(obj_accs),
+        success_rate=ok / len(outcomes) if outcomes else 1.0,
+        failure_taxonomy_counts=taxonomy)
+
+
+def diversity_from_bundles_reference(bundles):
+    """evalkit.diversity over scenario dicts read off the bundles."""
+    from scenarioforge import evalkit
+
+    rows = []
+    for b in bundles:
+        stats = b.network.stats
+        rows.append({"lanes": stats.total_lanes, "edges": stats.total_edges,
+                     "route_length": stats.route_length,
+                     "agents": list(b.agents), "objects": len(b.objects)})
+    return evalkit.diversity(rows)
+
+
+def project_objects_scan(net, objects):
+    """simcore._project_objects measuring every lane of the network: each
+    cone or barrier snaps to the nearest 2 m sample of any lane, the first
+    in inventory order on ties, when that sample is within 2.5 m."""
+    out = []
+    graph = net.lane_graph
+    for obj in objects:
+        if obj.kind not in ("Cone", "Barrier"):
+            continue
+        best = None
+        for e, li in graph.inventory:
+            path = graph.lanes[(e.id, li)]
+            L = path.length
+            n_samples = max(2, int(L / 2.0))
+            for k in range(n_samples + 1):
+                s = L * k / n_samples
+                x, y, _ = path.point_at(s)
+                d = math.dist((x, y), (obj.x, obj.y))
+                if best is None or d < best[0]:
+                    best = (d, e.id, li, s)
+        if best is not None and best[0] <= 2.5:
+            out.append((best[1], best[2], best[3], obj))
+    return out

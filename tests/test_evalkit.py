@@ -1,12 +1,16 @@
+import functools
 import math
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scenarioforge import compgen, evalkit, ir, netgen, simcore
 from scenarioforge.evalkit import (DimensionMismatch, EmbeddingVector,
                                    HashingEmbedder, ZeroVector,
                                    cosine_similarity)
+
+from oracles import conformity_pairs, diversity_from_bundles_reference
 
 
 def vec(*components):
@@ -142,7 +146,7 @@ def test_vehicle_attrs_exact_match():
     bundle = make_bundle(desc, [
         agent_state(i, role="AV" if i == 0 else "BV", x=i * 10.0, color=c)
         for i, c in enumerate(colors)])
-    report = evalkit.conformity([(desc, bundle)])
+    report = evalkit.conformity([evalkit.scenario_row(bundle)])
     assert report.vehicle_attr_acc == pytest.approx(1.0)
     assert report.scene_type_acc == pytest.approx(1.0)
 
@@ -153,7 +157,7 @@ def test_vehicle_attrs_count_mismatch():
         for i in range(3)))
     bundle = make_bundle(desc, [agent_state(0, role="AV"),
                                 agent_state(1, x=10.0)])
-    report = evalkit.conformity([(desc, bundle)])
+    report = evalkit.conformity([evalkit.scenario_row(bundle)])
     assert report.vehicle_attr_acc == pytest.approx(2.0 / 3.0)
 
 
@@ -162,7 +166,7 @@ def test_static_objects_partial_count():
                      objects=(ir.ObjectDescription("Cone", 5),))
     bundle = make_bundle(desc, [agent_state(0, role="AV")],
                          objects=[cone_at(float(i)) for i in range(4)])
-    report = evalkit.conformity([(desc, bundle)])
+    report = evalkit.conformity([evalkit.scenario_row(bundle)])
     assert report.static_obj_attr_acc == pytest.approx(0.8)
 
 
@@ -171,7 +175,8 @@ def test_conformity_success_rate_and_taxonomy():
     bundle = make_bundle(desc, [agent_state(0, role="AV")])
     outcomes = [{"ok": True}] * 8 + \
         [{"ok": False, "failure": "MalformedKeyword"}] * 2
-    report = evalkit.conformity([(desc, bundle)] * 8, outcomes)
+    report = evalkit.conformity([evalkit.scenario_row(bundle)] * 8,
+                                outcomes)
     assert report.success_rate == pytest.approx(0.8)
     assert report.failure_taxonomy_counts["MalformedKeyword"] == 2
     assert report.failure_taxonomy_counts["RuntimeError"] == 0
@@ -181,7 +186,7 @@ def test_conformity_scene_mismatch_counted():
     desc = make_desc(agents=(ir.AgentDescription("Car", "AV"),),
                      scene_type="Intersection")
     bundle = make_bundle(desc, [agent_state(0, role="AV")])  # straight net
-    report = evalkit.conformity([(desc, bundle)])
+    report = evalkit.conformity([evalkit.scenario_row(bundle)])
     assert report.scene_type_acc == 0.0
 
 
@@ -230,6 +235,71 @@ def test_format_diversity_table():
     for row in evalkit.DIVERSITY_METRICS:
         assert row in text
     assert "±" in text
+
+
+# ---------------------------------------------------------------------------
+# the batch fold: one scenario_row per run equals the fold over bundles
+
+@functools.cache
+def layout_network(layout):
+    return netgen.build_network_blueprint(ir.RoadDescription(
+        layout=layout, segments=(ir.RoadSegment(100.0, 2, 0, 13.89),)))
+
+
+def _role(kind, first):
+    return "VRU" if kind in ir.VRU_KINDS else ("AV" if first else "BV")
+
+
+VEHICLES = st.sampled_from(("Car", "Truck", "Bus", "Motorcycle"))
+COLORS = st.sampled_from((None, "red", "white"))
+
+
+@st.composite
+def batch_runs(draw):
+    """One run of a batch: its outcome and the bundle it made, or None when
+    it failed before placement. A failed run may still have a bundle (a
+    later stage died); runs have one agent or several, VRUs and cones."""
+    failure = draw(st.sampled_from((None,) + evalkit.FAILURE_KINDS))
+    outcome = ({"ok": True} if failure is None
+               else {"ok": False, "failure": failure})
+    if failure is not None and draw(st.booleans()):
+        return outcome, None
+    agent_kinds = st.lists(st.sampled_from(ir.AGENT_KINDS), max_size=3)
+    desc_kinds = [draw(VEHICLES)] + draw(agent_kinds)
+    desc = make_desc(
+        agents=tuple(ir.AgentDescription(k, _role(k, i == 0),
+                                         color=draw(COLORS))
+                     for i, k in enumerate(desc_kinds)),
+        objects=tuple(ir.ObjectDescription(k, n) for k, n in draw(
+            st.dictionaries(st.sampled_from(("Cone", "Barrier")),
+                            st.integers(1, 4))).items()),
+        scene_type=draw(st.sampled_from(ir.SCENE_TYPES)))
+    placed_kinds = [draw(VEHICLES)] + draw(agent_kinds)
+    agents = [agent_state(i, kind=k, role=_role(k, i == 0), x=i * 7.0,
+                          heading=draw(st.sampled_from((0.0, 90.0, -45.0))),
+                          color=draw(COLORS))
+              for i, k in enumerate(placed_kinds)]
+    objects = [compgen.PlacedObject(kind=draw(st.sampled_from(
+        ("Cone", "Barrier"))), x=float(i), y=0.0, yaw=0.0,
+        footprint=(0.4, 0.4)) for i in range(draw(st.integers(0, 4)))]
+    layout = draw(st.sampled_from(("Straight", "CrossIntersection", "Merge")))
+    return outcome, ir.ScenarioBundle(
+        description=desc, network=layout_network(layout),
+        agents=tuple(agents), objects=tuple(objects))
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=st.lists(batch_runs(), min_size=1, max_size=6))
+def test_row_fold_equals_bundle_fold(runs):
+    outcomes = [outcome for outcome, _ in runs]
+    bundles = [b for _, b in runs if b is not None]
+    rows = [evalkit.scenario_row(b) for b in bundles]
+    assert repr(evalkit.conformity(rows, outcomes)) == repr(
+        conformity_pairs([(b.description, b) for b in bundles], outcomes))
+    if bundles:
+        reference = repr(diversity_from_bundles_reference(bundles))
+        assert repr(evalkit.diversity(rows)) == reference
+        assert repr(evalkit.diversity_from_bundles(bundles)) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,21 @@ def test_infinite_object_count_is_prompted_again(kb):
     assert "value out of range for object.count: inf" in provider.prompts[1]
 
 
+def test_non_string_text_field_is_prompted_again(kb):
+    desc = ir.ScenarioDescription(
+        road=ir.RoadDescription(
+            layout="Straight", segments=(ir.RoadSegment(100.0, 1, 0, 13.89),)),
+        objects=(), agents=(ir.AgentDescription("Car", "AV", color="red"),),
+        weather=ir.WeatherDescription())
+    good = ir.serialize_description(desc)
+    bad = good.replace('"color": "red"', '"color": ["red"]')
+    provider = ScriptedProvider(bad, good)
+    resp = interpret_response(ir.TextRequest("a car on a road"), kb,
+                              provider)
+    assert (resp.parsed, resp.attempt_count) == (desc, 2)
+    assert "missing section: color" in provider.prompts[1]
+
+
 def test_persistent_prose_exhausts_retries(kb):
     provider = MockProvider(fault="prose")
     with pytest.raises(interpreter.UnparseableAfterRetries):

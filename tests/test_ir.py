@@ -85,6 +85,51 @@ def test_parse_wrong_section_type_is_missing(section, value, missing):
     assert exc.value.section == missing
 
 
+# a text field present with a value that is not a JSON string
+@pytest.mark.parametrize("path, value", [
+    (("narrative",), None),
+    (("narrative",), ["two", "cars"]),
+    (("road", "junction_notes"), {"note": "x"}),
+    (("road", "junction_notes"), 3),
+    (("objects", 0, "placement_hint"), None),
+    (("agents", 0, "intent"), None),
+    (("agents", 0, "intent"), ["cut-in"]),
+    (("agents", 0, "relative_position"), {}),
+    (("agents", 0, "relative_position"), True),
+    (("agents", 0, "color"), ["red"]),
+    (("agents", 0, "color"), {"rgb": "red"}),
+    (("agents", 0, "color"), 0),
+], ids=["null_narrative", "list_narrative", "object_junction_notes",
+        "number_junction_notes", "null_placement_hint", "null_intent",
+        "list_intent", "object_relative_position", "bool_relative_position",
+        "list_color", "object_color", "number_color"])
+def test_parse_non_string_text_field_is_missing(path, value):
+    data = json.loads(ir.serialize_description(make_description(
+        objects=(ir.ObjectDescription("Cone", 5, "taper"),))))
+    record = data
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] = value
+    with pytest.raises(ir.MissingSection) as exc:
+        ir.parse_description(json.dumps(data))
+    assert exc.value.section == path[-1]
+
+
+def test_parse_text_fields_may_be_absent_and_color_null():
+    data = json.loads(ir.serialize_description(make_description(
+        objects=(ir.ObjectDescription("Cone", 5, "taper"),),
+        agents=(ir.AgentDescription("Car", "AV", color="red"),))))
+    for record, key in ((data, "narrative"), (data["road"], "junction_notes"),
+                        (data["objects"][0], "placement_hint"),
+                        (data["agents"][0], "intent"),
+                        (data["agents"][0], "relative_position")):
+        del record[key]
+    data["agents"][0]["color"] = None
+    assert ir.parse_description(json.dumps(data)) == make_description(
+        narrative="", objects=(ir.ObjectDescription("Cone", 5),),
+        agents=(ir.AgentDescription("Car", "AV"),))
+
+
 def test_parse_missing_format_header():
     data = json.loads(ir.serialize_description(make_description()))
     del data["format"]

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -410,6 +412,30 @@ def test_run_batch_records_partial_failures(tmp_path):
     assert agg["conformity"]["success_rate"] == 0.0
     assert agg["conformity"]["failure_taxonomy_counts"][
         "MalformedKeyword"] == 1
+
+
+def test_run_batch_keeps_no_bundle_of_an_earlier_run(tmp_path, monkeypatch):
+    """The batch folds one row per run, so when it scores the batch at most
+    the last run's bundle is still alive."""
+    bundles, alive = [], []
+    run_pipeline, conformity = pipeline.run_pipeline, evalkit.conformity
+
+    def tracked_run(*args, **kwargs):
+        manifest = run_pipeline(*args, **kwargs)
+        bundles.append(weakref.ref(manifest.bundle))
+        return manifest
+
+    def counted_conformity(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(1 for ref in bundles if ref() is not None))
+        return conformity(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "run_pipeline", tracked_run)
+    monkeypatch.setattr(evalkit, "conformity", counted_conformity)
+    inputs = [ir.TextRequest("a car cuts in on the highway"),
+              ir.TextRequest("construction zone with cones")]
+    agg = pipeline.run_batch(inputs, make_cfg(tmp_path, variations=2))
+    assert agg["ok"] == len(bundles) == 4
+    assert len(alive) == 1 and alive[0] <= 1
 
 
 def test_run_batch_needs_inputs(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -14,10 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 import scenarioforge
 from scenarioforge import compgen, evalkit, ir, netgen, pipeline, simcore
 
+from conftest import street_grid_network
 from oracles import (all_pairs_collisions, bv_control_scan, export_series_json,
                      export_trace_json, follower_scan, leader_gap_scan,
-                     performance_series, quads_overlap_oracle,
-                     run_with_series, trace_hash_json)
+                     performance_series, project_objects_scan,
+                     quads_overlap_oracle, run_with_series, trace_hash_json)
 
 
 def straight_net(length=2000.0, fwd=1, speed=13.89):
@@ -329,6 +331,43 @@ def test_av_stops_for_blocking_object():
     # blocked run covers less ground than a free run
     free = simcore.run(make_bundle(net, [av]), duration=30.0, dt=0.1)
     assert distance(trace, "av") < distance(free, "av")
+
+
+@functools.cache
+def blueprint_networks() -> tuple:
+    return tuple(netgen.build_network_blueprint(ir.RoadDescription(
+        layout=layout, segments=(ir.RoadSegment(120.0, fwd, back, 13.89),)))
+        for layout in ir.ROAD_LAYOUTS for fwd, back in ((1, 0), (2, 1)))
+
+
+@functools.cache
+def small_street_grid() -> netgen.RoadNetwork:
+    return street_grid_network(random.Random(0), size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_object_snapping_equals_the_full_scan(data):
+    """Snapping measures only the lanes near an object and snaps it as the
+    scan over every lane does: objects on a lane, near it, and beyond the
+    2.5 m radius, on blueprint layouts and a street grid."""
+    net = data.draw(st.sampled_from(blueprint_networks())
+                    | st.builds(small_street_grid))
+    graph = net.lane_graph
+    objects = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        e, li = data.draw(st.sampled_from(graph.inventory))
+        path = graph.lanes[(e.id, li)]
+        x, y, _ = path.point_at(data.draw(st.floats(0.0, path.length)))
+        away = data.draw(st.sampled_from((0.0, 1.0, 2.4999, 2.5, 2.5001, 6.0,
+                                          40.0)) | st.floats(0.0, 10.0))
+        angle = data.draw(st.floats(0.0, 2 * math.pi))
+        objects.append(compgen.PlacedObject(
+            kind=data.draw(st.sampled_from(("Cone", "Barrier", "Fence"))),
+            x=x + away * math.cos(angle), y=y + away * math.sin(angle),
+            yaw=0.0, footprint=(0.4, 0.4)))
+    assert simcore._project_objects(net, objects) == \
+        project_objects_scan(net, objects)
 
 
 def test_vru_walks_straight():
