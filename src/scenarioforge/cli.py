@@ -155,8 +155,7 @@ def cmd_netgen(args) -> int:
 
 
 def cmd_place(args) -> int:
-    if not args.min_gap > 0:
-        raise pipeline.ConfigError(f"min_gap must be > 0, got {args.min_gap}")
+    pipeline.PipelineConfig(min_gap=args.min_gap)   # checks --min-gap
     kb = default_knowledge_base()
     provider = MockProvider()
     desc = interpret(ir.TextRequest(args.text), kb, provider, seed=args.seed)

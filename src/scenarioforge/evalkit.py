@@ -295,27 +295,25 @@ class PerformanceReport:
     collision: bool
 
 
-def _min_ttc(trace: simcore.SimulationTrace, avs: list) -> float:
-    """Smallest time to contact with an agent ahead of the AV in its lane;
-    avs holds the AV's state per step, None where it is absent."""
+def _ttc_ahead(av, states, start) -> float:
+    """Smallest time to contact of av with an agent ahead in its lane, among
+    one step's (id, x, y, speed, heading) states; start gives the lengths."""
     best = math.inf
-    for states, av in zip(trace.steps, avs):
-        if av is None:
+    av_id, av_x, av_y, av_speed, av_heading = av
+    rad = math.radians(av_heading)
+    fx, fy = math.cos(rad), math.sin(rad)
+    for other_id, x, y, speed, _ in states:
+        if other_id == av_id:
             continue
-        rad = math.radians(av.heading)
-        fx, fy = math.cos(rad), math.sin(rad)
-        for other in states:
-            if other.id == av.id:
-                continue
-            dx, dy = other.x - av.x, other.y - av.y
-            ahead = dx * fx + dy * fy
-            lateral = abs(-dx * fy + dy * fx)
-            if ahead <= 0 or lateral > 2.0:
-                continue
-            gap = ahead - (av.length + other.length) / 2.0
-            closing = av.speed - other.speed
-            if gap > 0 and closing > 0:
-                best = min(best, gap / closing)
+        dx, dy = x - av_x, y - av_y
+        ahead = dx * fx + dy * fy
+        lateral = abs(-dx * fy + dy * fx)
+        if ahead <= 0 or lateral > 2.0:
+            continue
+        gap = ahead - (start[av_id].length + start[other_id].length) / 2.0
+        closing = av_speed - speed
+        if gap > 0 and closing > 0:
+            best = min(best, gap / closing)
     return best
 
 
@@ -326,19 +324,22 @@ def performance(trace: simcore.SimulationTrace, route_len: float,
 
     One pass over the steps derives the AV's distance (speed * dt summed),
     the first step that completes the route, its accel (speed change per dt
-    from its start speed) and jerk (accel change per dt). A step the AV is
-    absent from, once it has left the network, counts as speed 0.0; the mean
-    speed covers the steps it is present in."""
-    if av_id not in trace.start_speed:
+    from its start speed), jerk (accel change per dt) and time to contact. A
+    step the AV is absent from, once it has left the network, counts as speed
+    0.0; the mean speed covers the steps it is present in."""
+    if av_id not in trace.start:
         raise AVNotFound(f"trace contains no agent {av_id!r}")
     dt = trace.dt
-    avs, jerks = [], []
-    distance, done_at = 0.0, None
-    prev_speed, prev_accel = trace.start_speed[av_id], None
-    for k, states in enumerate(trace.steps):
-        av = next((a for a in states if a.id == av_id), None)
-        avs.append(av)
-        v = 0.0 if av is None else av.speed
+    speeds, jerks = [], []
+    distance, done_at, min_ttc = 0.0, None, math.inf
+    prev_speed, prev_accel = trace.start[av_id].speed, None
+    for k, states in enumerate(trace.states()):
+        av = next((a for a in states if a[0] == av_id), None)
+        v = 0.0
+        if av is not None:
+            v = av[3]
+            speeds.append(v)
+            min_ttc = min(min_ttc, _ttc_ahead(av, states, trace.start))
         distance += v * dt
         if done_at is None and distance >= route_len - 1e-9:
             done_at = k + 1
@@ -350,10 +351,7 @@ def performance(trace: simcore.SimulationTrace, route_len: float,
     route_completion = max(0.0, min(1.0, distance / route_len)) \
         if route_len > 0 else 0.0
 
-    min_ttc = _min_ttc(trace, avs)
     safety = 1.0 if math.isinf(min_ttc) else min(1.0, min_ttc / TTC_REF)
-
-    speeds = [av.speed for av in avs if av is not None]
     mean_speed = fold_sum(speeds) / len(speeds) if speeds else 0.0
     efficiency = min(1.0, mean_speed / speed_limit) if speed_limit > 0 else 0.0
 

@@ -15,6 +15,7 @@ import glob
 import json
 import os
 import shutil
+import sys
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -53,14 +54,18 @@ class PipelineConfig:
     osm_fixture: Optional[str] = None    # path to a cached OSM extract
 
     def __post_init__(self):
-        if not (0 < self.dt <= 0.5):
-            raise ConfigError(f"dt must be in (0, 0.5], got {self.dt}")
-        if self.variations < 1 or self.workers < 1 or self.max_agents < 1:
-            raise ConfigError(
-                "variations, workers and max_agents must be >= 1")
-        if not (self.min_gap > 0 and self.duration > 0):
-            raise ConfigError("min_gap and duration must be > 0, got "
-                              f"{self.min_gap} and {self.duration}")
+        # a bool is an int subclass, but not a count, seed or length
+        counts = (self.variations, self.workers, self.max_agents)
+        if any(type(v) is not int for v in (*counts, self.global_seed)) \
+                or min(counts) < 1:
+            raise ConfigError("variations, workers and max_agents must be "
+                              "integers >= 1, and global_seed an integer")
+        lengths = (self.min_gap, self.duration, self.dt)
+        # false for NaN, and exact for an int of any size
+        if not all(type(v) in (int, float) and 0 < v <= sys.float_info.max
+                   for v in lengths) or self.dt > 0.5:
+            raise ConfigError("min_gap, duration and dt must be finite and "
+                              f"> 0, dt at most 0.5; got {lengths}")
 
 
 def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:

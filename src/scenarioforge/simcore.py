@@ -20,8 +20,8 @@ The trace file and hash spell each number as json.dumps(round(v, n)) does
 rounded, half-even conversion, then parses it back and takes the shortest
 repr. Below 1e9 in magnitude an ulp is under 1.2e-7, so the n-place decimal
 names one double and, with trailing zeros stripped to one decimal, is its
-shortest repr. Ints, NaN, infinities, values outside (-1e9, 1e9) and values
-that round to 0 < |x| < 1e-4, which repr spells with an exponent, take round.
+shortest repr. NaN, infinities, values outside (-1e9, 1e9) and values that
+round to 0 < |x| < 1e-4, which repr spells with an exponent, take round.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ import functools
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,14 +73,29 @@ class CollisionEvent:
 
 @dataclass
 class SimulationTrace:
-    """What the simulator observed: each agent's speed before step 0, the
-    active agents' states after every step (an agent that left the network
-    is absent from then on) and the first contact of each pair. Distances,
-    accelerations and jerks derive from the speeds."""
+    """What the simulator observed: each agent's state before step 0 (its
+    start speed and length), the active agents after every step (an agent
+    that left the network is absent from then on) and the first contact of
+    each pair. A step is the active ids in world order, one tuple while they
+    do not change, and an array of their x, y, speed and heading doubles, 32
+    bytes a state. Distances, accelerations and jerks derive from speeds."""
     dt: float
-    steps: list = field(default_factory=list)        # list[list[AgentState]]
+    steps: list = field(default_factory=list)        # list[(ids, array)]
     collisions: list = field(default_factory=list)   # list[CollisionEvent]
-    start_speed: dict = field(default_factory=dict)  # id -> m/s
+    start: dict = field(default_factory=dict)        # id -> AgentState
+
+    def record(self, states) -> None:
+        """Append a step holding the given agent states."""
+        ids = tuple([a.id for a in states])
+        if self.steps and self.steps[-1][0] == ids:
+            ids = self.steps[-1][0]
+        self.steps.append((ids, array("d", [
+            v for a in states for v in (a.x, a.y, a.speed, a.heading)])))
+
+    def states(self):
+        """Per step, the list of (id, x, y, speed, heading) of its agents."""
+        for ids, values in self.steps:
+            yield list(zip(ids, *[iter(values)] * 4))
 
     def hash(self) -> str:
         """sha256 of json.dumps({"dt", "steps": [[id, x, y, speed, heading] per
@@ -90,11 +106,10 @@ class SimulationTrace:
                                 .encode())
         quote = functools.cache(json.dumps)
         for first, batch in _batches(self.steps):
-            n = iter(_decimals([v for states in batch for a in states
-                                for v in (a.x, a.y, a.speed, a.heading)], 6))
+            n = iter(_decimals([v for _, row in batch for v in row], 6))
             text = "], [".join(", ".join([
-                f"[{quote(a.id)}, {next(n)}, {next(n)}, {next(n)}, {next(n)}]"
-                for a in states]) for states in batch)
+                f"[{quote(i)}, {next(n)}, {next(n)}, {next(n)}, {next(n)}]"
+                for i in ids]) for ids, _ in batch)
             digest.update(f"{', ' if first else ''}[{text}]".encode())
         digest.update(b"]}")
         return digest.hexdigest()
@@ -598,13 +613,13 @@ def run(bundle: ScenarioBundle, duration: float, dt: float = DEFAULT_DT
     """Closed-loop run: ceil(duration/dt) steps, deterministic per bundle."""
     world = build_world(bundle)
     n_steps = math.ceil(duration / dt)
-    trace = SimulationTrace(dt=dt, start_speed={
-        vid: v.state.speed for vid, v in world.vehicles.items()})
+    trace = SimulationTrace(dt=dt, start={
+        vid: v.state for vid, v in world.vehicles.items()})
     seen_contacts: set = set()
     for k in range(n_steps):
         step(world, dt)
         states = [v.state for v in world.vehicles.values() if v.active]
-        trace.steps.append(states)
+        trace.record(states)
         for ev in detect_collisions(states, step=k):
             key = (ev.agent_a, ev.agent_b)
             if key not in seen_contacts:
@@ -620,19 +635,16 @@ def _batches(steps: list, size: int = 256):
     """(first step index, steps) for runs of steps with at least size states
     (the last run may have fewer): one _decimals call and text per run."""
     start = count = 0
-    for stop, states in enumerate(steps, 1):
-        count += len(states)
+    for stop, (ids, _) in enumerate(steps, 1):
+        count += len(ids)
         if count >= size or stop == len(steps):
             yield start, steps[start:stop]
             start, count = stop, 0
 
 
-def _decimals(values: list, n: int) -> list[str]:
-    """json.dumps(round(v, n)) for each of values, n being 4 or 6: one '%.nf'
-    operation when all are exact floats (json spells an int 5, not 5.0); the
-    module docstring says why and which values take round instead."""
-    if not {*map(type, values)} <= {float}:
-        return [json.dumps(round(v, n)) for v in values]
+def _decimals(values, n: int) -> list[str]:
+    """json.dumps(round(v, n)) for each of the floats values, n being 4 or 6,
+    from one '%.nf' operation (the module docstring says why)."""
     text = (" " + f"%.{n}f " * len(values)) % tuple(values)
     # strip up to n - 1 (odd) trailing zeros: two at a time, then one
     for _ in range((n - 1) // 2):
@@ -656,28 +668,26 @@ def export_trace(trace: SimulationTrace, out) -> None:
     A state's accel is (speed - previous speed) / dt, the previous speed
     being the agent's speed in the step before, or its start speed at step 0.
     Each line is what json.dumps(record, sort_keys=True) writes with the five
-    numbers rounded to 4 decimals. A float in (-1e9, 1e9) is spelled by one
-    '%.4f' conversion with its trailing zeros stripped, which is
-    repr(round(v, 4)); an int, NaN, infinity or larger float, by
-    json.dumps(round(v, 4)). Each id is quoted once.
+    numbers rounded to 4 decimals, spelled by _decimals. Each id is quoted
+    once.
     """
-    if not any(trace.steps):
+    if not any(ids for ids, _ in trace.steps):
         out.write("\n")
         return
     quote = functools.cache(json.dumps)
-    last_speed = dict(trace.start_speed)
+    last_speed = {i: a.speed for i, a in trace.start.items()}
     for first, batch in _batches(trace.steps):
         values = []
-        for states in batch:
-            for a in states:
-                values += ((a.speed - last_speed[a.id]) / trace.dt,
-                           a.heading, a.speed, a.x, a.y)
-                last_speed[a.id] = a.speed
+        for ids, row in batch:
+            for i, x, y, speed, heading in zip(ids, *[iter(row)] * 4):
+                values += ((speed - last_speed[i]) / trace.dt, heading, speed,
+                           x, y)
+                last_speed[i] = speed
         if not values:   # a last run of empty steps
             continue
         n = iter(_decimals(values, 4))
         out.write("".join([
             f'{{"accel": {next(n)}, "heading": {next(n)}, '
-            f'"id": {quote(a.id)}, "speed": {next(n)}, '
+            f'"id": {quote(i)}, "speed": {next(n)}, '
             f'"step": {k}, "x": {next(n)}, "y": {next(n)}}}\n'
-            for k, states in enumerate(batch, first) for a in states]))
+            for k, (ids, _) in enumerate(batch, first) for i in ids]))

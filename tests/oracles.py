@@ -370,44 +370,62 @@ def _lane_line(net, edge, lane_index, lane_width=3.2):
     return out
 
 
+def hand_trace(steps, start, dt=0.1, collisions=()):
+    """A trace written by hand: a namespace of dt, steps (one AgentState
+    list per step), start (id -> AgentState before step 0) and collisions,
+    which the references below read, and trace, the SimulationTrace that
+    records those steps."""
+    from types import SimpleNamespace
+
+    from scenarioforge import simcore
+    trace = simcore.SimulationTrace(dt=dt, collisions=list(collisions),
+                                    start=dict(start))
+    for states in steps:
+        trace.record(states)
+    return SimpleNamespace(dt=dt, steps=steps, start=start,
+                           collisions=list(collisions), trace=trace)
+
+
 def _records_json(steps, accel):
     """One json.dumps(..., sort_keys=True) per state, accel(k, state) giving
-    the accel of the state at step k."""
+    the accel of the state at step k. A trace holds its numbers as doubles,
+    so each is spelled as float(v)."""
     lines = []
     for k, states in enumerate(steps):
         for a in states:
             lines.append(json.dumps({
-                "step": k, "id": a.id, "x": round(a.x, 4), "y": round(a.y, 4),
-                "speed": round(a.speed, 4), "heading": round(a.heading, 4),
+                "step": k, "id": a.id, "x": round(float(a.x), 4),
+                "y": round(float(a.y), 4), "speed": round(float(a.speed), 4),
+                "heading": round(float(a.heading), 4),
                 "accel": round(accel(k, a), 4)}, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
-def export_trace_json(trace):
+def export_trace_json(ref):
     """Trace records with one json.dumps(..., sort_keys=True) per record: the
     encoding export_trace formats directly. A record's accel is the speed
     change per dt since the agent's previous record, or since its start
     speed."""
-    last = dict(trace.start_speed)
+    last = {agent_id: a.speed for agent_id, a in ref.start.items()}
 
     def accel(k, a):
-        acc = (a.speed - last[a.id]) / trace.dt
+        acc = (a.speed - last[a.id]) / ref.dt
         last[a.id] = a.speed
         return acc
-    return _records_json(trace.steps, accel)
+    return _records_json(ref.steps, accel)
 
 
-def trace_hash_json(trace):
+def trace_hash_json(ref):
     """SimulationTrace.hash as one json.dumps(..., sort_keys=True) over every
-    step, with each number rounded by round(v, 6)."""
+    step, with each number rounded by round(float(v), 6)."""
     payload = []
-    for states in trace.steps:
-        payload.append([(a.id, round(a.x, 6), round(a.y, 6),
-                         round(a.speed, 6), round(a.heading, 6))
+    for states in ref.steps:
+        payload.append([(a.id, *(round(float(v), 6)
+                                 for v in (a.x, a.y, a.speed, a.heading)))
                         for a in states])
-    blob = json.dumps({"dt": trace.dt, "steps": payload,
+    blob = json.dumps({"dt": ref.dt, "steps": payload,
                        "collisions": [(c.step, c.agent_a, c.agent_b)
-                                      for c in trace.collisions]},
+                                      for c in ref.collisions]},
                       sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -603,15 +621,18 @@ def run_comparison_reference(cfg, n_networks, n_inits):
 # must equal bit for bit.
 
 def run_with_series(bundle, duration, dt):
-    """simcore.run plus the per-vehicle bookkeeping: a namespace of dt, steps,
-    collisions, odometry (id -> m), accel_series (id -> m/s^2 per step) and
-    jerk_series (id -> m/s^3 from the second step on). A vehicle that left
-    the network counts 0.0 m/s at every later step."""
+    """simcore.run plus the per-vehicle bookkeeping: a namespace of dt, steps
+    (AgentState lists), start (id -> state before step 0), collisions,
+    odometry (id -> m), accel_series (id -> m/s^2 per step) and jerk_series
+    (id -> m/s^3 from the second step on). A vehicle that left the network
+    counts 0.0 m/s at every later step."""
     from types import SimpleNamespace
 
     from scenarioforge import simcore
     world = simcore.build_world(bundle)
     ref = SimpleNamespace(dt=dt, steps=[], collisions=[],
+                          start={vid: v.state
+                                 for vid, v in world.vehicles.items()},
                           odometry=dict.fromkeys(world.vehicles, 0.0),
                           accel_series={vid: [] for vid in world.vehicles},
                           jerk_series={vid: [] for vid in world.vehicles})

@@ -73,6 +73,26 @@ def test_run_malformed_config_is_config_error(tmp_path, capsys, content):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, content, flags", [
+    ("run", '{"duration": Infinity}', ()),
+    ("run", None, ("--duration", "inf")),
+    ("run", '{"min_gap": Infinity}', ()),
+    ("run", '{"global_seed": 1.5}', ()),
+    ("batch", '{"variations": 1.5}', ()),
+], ids=["duration_inf", "duration_flag_inf", "min_gap_inf",
+        "fractional_seed", "fractional_variations"])
+def test_bad_config_value_is_config_error(tmp_path, capsys, command, content,
+                                          flags):
+    """A wrong type or a non-finite number ends before any run starts."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content or "{}")
+    code = run_cli(command, "--text", "a car", "--config", str(cfg), *flags,
+                   "--output-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_bbox_with_fixture(tmp_path, capsys):
     fixture = tmp_path / "extract.osm"
     fixture.write_text(OSM_FIXTURE)

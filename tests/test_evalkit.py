@@ -10,7 +10,8 @@ from scenarioforge.evalkit import (DimensionMismatch, EmbeddingVector,
                                    HashingEmbedder, ZeroVector,
                                    cosine_similarity)
 
-from oracles import conformity_pairs, diversity_from_bundles_reference
+from oracles import (conformity_pairs, diversity_from_bundles_reference,
+                     hand_trace)
 
 
 def vec(*components):
@@ -306,15 +307,16 @@ def test_row_fold_equals_bundle_fold(runs):
 # AV performance
 
 def constant_speed_trace(n_steps, speed=10.0, dt=0.1, role="AV",
-                         collide_with=None):
-    trace = simcore.SimulationTrace(dt=dt, start_speed={"a0": speed})
-    for k in range(n_steps):
-        trace.steps.append([agent_state(0, role=role, x=k * speed * dt,
-                                        speed=speed)])
-    if collide_with:
-        trace.collisions.append(simcore.CollisionEvent(5, "a0", collide_with,
-                                                       0.2))
-    return trace
+                         collide_with=None, empty_after=0):
+    """a0 at a constant speed for n_steps steps, then empty_after steps
+    without it."""
+    steps = [[agent_state(0, role=role, x=k * speed * dt, speed=speed)]
+             for k in range(n_steps)]
+    collisions = [simcore.CollisionEvent(5, "a0", collide_with, 0.2)] \
+        if collide_with else []
+    return hand_trace(steps + [[]] * empty_after,
+                      {"a0": agent_state(0, role=role, speed=speed)}, dt,
+                      collisions).trace
 
 
 def test_route_completion_fraction():
@@ -351,8 +353,7 @@ def test_completed_route_use_time():
 def test_av_that_left_counts_zero_speed():
     # 3 steps at 10 m/s, then gone: 3 m driven, and the drop to 0.0 m/s is
     # an accel of -100 m/s^2, so jerks 0, 0, -1000, 1000 average 500
-    trace = constant_speed_trace(3)
-    trace.steps += [[], []]
+    trace = constant_speed_trace(3, empty_after=2)
     report = evalkit.performance(trace, route_len=3.0, speed_limit=10.0,
                                  av_id="a0")
     assert report.route_completion == 1.0
@@ -374,23 +375,21 @@ def test_av_required():
     with pytest.raises(evalkit.AVNotFound):
         evalkit.performance(trace, route_len=100.0, speed_limit=10.0,
                             av_id="missing")
-    # an agent is in the trace when it has a start speed
-    trace.start_speed = {}
+    # an agent is in the trace when it has a start state
+    trace.start = {}
     with pytest.raises(evalkit.AVNotFound):
         evalkit.performance(trace, route_len=100.0, speed_limit=10.0,
                             av_id="a0")
 
 
 def test_safety_term_from_min_ttc():
-    trace = simcore.SimulationTrace(dt=0.1,
-                                    start_speed={"a0": 10.0, "lead": 0.0})
     av = agent_state(0, role="AV", x=0.0, speed=10.0)
     # stopped leader 10.75 m ahead: bumper gap 6.25 m, TTC 0.625 s
     leader = compgen.AgentState(
         id="lead", kind="Car", role="BV", edge_id="e", lane_index=0,
         s=10.75, speed=0.0, heading=0.0, x=10.75, y=0.0, length=4.5,
         width=1.8)
-    trace.steps.append([av, leader])
+    trace = hand_trace([[av, leader]], {"a0": av, "lead": leader}).trace
     report = evalkit.performance(trace, route_len=100.0, speed_limit=10.0,
                                  av_id="a0")
     # safety = min(1, 0.625/4) -> 0.15625; efficiency 1; comfort 1

@@ -351,6 +351,19 @@ def test_load_config_json_and_validation(tmp_path):
             pipeline.load_config(str(bad))
 
 
+@pytest.mark.parametrize("bad_field", [
+    {"variations": 1.5}, {"variations": True}, {"workers": 2.5},
+    {"workers": True}, {"max_agents": 8.0}, {"max_agents": True},
+    {"global_seed": 1.5}, {"global_seed": False}, {"min_gap": math.inf},
+    {"min_gap": True}, {"min_gap": "4"}, {"duration": math.inf},
+    {"duration": True}, {"duration": 10**400}, {"dt": "0.1"}])
+def test_config_value_of_wrong_type_or_not_finite(bad_field):
+    """Counts and the seed are ints, not bools; min_gap, duration and dt are
+    finite ints or floats."""
+    with pytest.raises(pipeline.ConfigError):
+        pipeline.PipelineConfig(**bad_field)
+
+
 def test_make_provider_kinds(tmp_path):
     cfg = make_cfg(tmp_path)
     from scenarioforge.interpreter import MockProvider

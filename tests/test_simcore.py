@@ -1,4 +1,5 @@
 import functools
+import gc
 import io
 import json
 import math
@@ -17,8 +18,8 @@ from scenarioforge import compgen, evalkit, ir, netgen, pipeline, simcore
 
 from conftest import street_grid_network
 from oracles import (all_pairs_collisions, bv_control_scan, export_series_json,
-                     export_trace_json, follower_scan, leader_gap_scan,
-                     performance_series, project_objects_scan,
+                     export_trace_json, follower_scan, hand_trace,
+                     leader_gap_scan, performance_series, project_objects_scan,
                      quads_overlap_oracle, run_with_series, trace_hash_json)
 
 
@@ -43,8 +44,8 @@ def place(net, edge_id, lane_index, s, agent_id, kind="Car", role="BV",
 def distance(trace, agent_id):
     """Metres the agent covered: its speed times dt summed over the steps it
     is present in."""
-    return sum(a.speed for states in trace.steps for a in states
-               if a.id == agent_id) * trace.dt
+    return sum(speed for states in trace.states()
+               for i, _, _, speed, _ in states if i == agent_id) * trace.dt
 
 
 def make_bundle(net, agents, objects=()):
@@ -283,10 +284,35 @@ def test_platoon_runs_without_collisions():
 
 def test_platoon_order_is_preserved():
     trace = simcore.run(platoon_bundle(), duration=30.0, dt=0.1)
-    for states in trace.steps:
-        xs = {a.id: a.x for a in states}
+    for states in trace.states():
+        xs = {i: x for i, x, *_ in states}
         order = [xs[f"v{i}"] for i in range(10) if f"v{i}" in xs]
         assert order == sorted(order, reverse=True)
+
+
+def test_trace_holds_under_64_bytes_per_state():
+    """A trace keeps each step's numbers in one array of doubles and shares
+    the ids tuple while the active set is unchanged: 32 cars for 300 steps
+    hold under 64 B of heap per recorded state."""
+    net = straight_net(length=3000.0, fwd=2)
+    bundle = make_bundle(net, [
+        place(net, "e0f", i % 2, 20.0 + 20.0 * (i // 2), f"car{i}",
+              role="AV" if i == 0 else "BV", speed=10.0) for i in range(32)])
+    simcore.run(bundle, duration=0.1, dt=0.1)   # measures the lanes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = simcore.run(bundle, duration=30.0, dt=0.1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.steps) == 300
+    n_states = sum(len(states) for states in trace.states())
+    assert n_states == 32 * 300
+    assert held < 64 * n_states
+    assert all(ids is trace.steps[0][0] for ids, _ in trace.steps)
 
 
 def test_trace_hash_is_deterministic():
@@ -307,12 +333,11 @@ def test_dt_bounds_enforced():
 def test_no_teleportation():
     trace = simcore.run(platoon_bundle(), duration=20.0, dt=0.1)
     prev = {}
-    for states in trace.steps:
-        for a in states:
-            if a.id in prev:
-                moved = math.dist((a.x, a.y), prev[a.id])
-                assert moved <= a.speed * 0.1 + 1e-6
-            prev[a.id] = (a.x, a.y)
+    for states in trace.states():
+        for i, x, y, speed, _ in states:
+            if i in prev:
+                assert math.dist((x, y), prev[i]) <= speed * 0.1 + 1e-6
+            prev[i] = (x, y)
 
 
 def test_av_stops_for_blocking_object():
@@ -325,9 +350,9 @@ def test_av_stops_for_blocking_object():
     bundle = make_bundle(net, [av], objects=[barrier])
     trace = simcore.run(bundle, duration=30.0, dt=0.1)
     assert trace.collisions == []
-    final = trace.steps[-1][0]
-    assert final.s < 100.0
-    assert final.speed < 0.5
+    (_, x, _, speed, _), = list(trace.states())[-1]
+    assert x < bx   # the lane runs along +x
+    assert speed < 0.5
     # blocked run covers less ground than a free run
     free = simcore.run(make_bundle(net, [av]), duration=30.0, dt=0.1)
     assert distance(trace, "av") < distance(free, "av")
@@ -377,17 +402,18 @@ def test_vru_walks_straight():
         s=0.0, speed=1.4, heading=90.0, x=50.0, y=-5.0, length=0.5, width=0.5)
     av = place(net, "e0f", 0, 10.0, "av", role="AV", speed=0.0)
     trace = simcore.run(make_bundle(net, [av, ped]), duration=10.0, dt=0.1)
-    p_final = [a for a in trace.steps[-1] if a.id == "p"][0]
-    assert p_final.x == pytest.approx(50.0)
-    assert p_final.y == pytest.approx(-5.0 + 1.4 * 10.0)
+    _, x, y, _, _ = [a for a in list(trace.states())[-1] if a[0] == "p"][0]
+    assert x == pytest.approx(50.0)
+    assert y == pytest.approx(-5.0 + 1.4 * 10.0)
 
 
 def test_vehicle_deactivates_at_network_end():
     net = straight_net(length=50.0)
     av = place(net, "e0f", 0, 45.0, "av", role="AV", speed=10.0)
     trace = simcore.run(make_bundle(net, [av]), duration=5.0, dt=0.1)
-    assert trace.steps[-1] == []  # left the network
-    assert trace.start_speed == {"av": 10.0}
+    assert list(trace.states())[-1] == []  # left the network
+    assert list(trace.start) == ["av"]
+    assert trace.start["av"] is av   # the bundle's own state
     assert distance(trace, "av") < 10.0 * 5.0
 
 
@@ -436,20 +462,22 @@ def exported(trace) -> str:
 def test_export_trace_format():
     trace = simcore.run(platoon_bundle(n=2), duration=1.0, dt=0.1)
     text = exported(trace)
-    assert text == export_trace_json(trace)
+    assert text == export_trace_json(
+        run_with_series(platoon_bundle(n=2), 1.0, 0.1))
     lines = text.strip().split("\n")
     assert len(lines) == 2 * 10
     rec = json.loads(lines[0])
     assert set(rec) == {"step", "id", "x", "y", "speed", "heading", "accel"}
     # 900 states: several batches of steps, the last one short
     trace = simcore.run(platoon_bundle(n=3), duration=30.0, dt=0.1)
-    assert exported(trace) == export_trace_json(trace)
-    assert trace.hash() == trace_hash_json(trace)
+    ref = run_with_series(platoon_bundle(n=3), 30.0, 0.1)
+    assert exported(trace) == export_trace_json(ref)
+    assert trace.hash() == trace_hash_json(ref)
 
 
 # signed zeros, subnormals, exponent forms, values on the 4- and 6-decimal
 # rounding boundaries (5e-7, a dyadic tie), values next to 1e-4 and 1e9,
-# ints and non-finite values
+# ints (recorded as doubles) and non-finite values
 TRACE_FLOAT = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-05, -4e-05, 1e16,
                      -1e16, 1.5e300, 0.00005, -0.00005, 0.00015, 2.67675,
@@ -464,36 +492,33 @@ TRACE_ID = st.one_of(st.sampled_from(['a"b', "back\\slash", "tab\tnl\n",
                      st.text(max_size=6))
 
 
+def car(agent_id, speed, heading=0.0, x=0.0, y=0.0):
+    return compgen.AgentState(
+        id=agent_id, kind="Car", role="BV", edge_id="e", lane_index=0, s=0.0,
+        speed=speed, heading=heading, x=x, y=y, length=4.5, width=1.8)
+
+
 @st.composite
 def export_traces(draw):
+    """A hand_trace of up to 4 steps. Its start speeds are AgentState
+    speeds, so like every speed they are never below 0."""
     ids = draw(st.lists(TRACE_ID, min_size=1, max_size=4, unique=True))
-    n_steps = draw(st.integers(0, 4))
-    trace = simcore.SimulationTrace(dt=0.1)
-    for _ in range(n_steps):
-        states = []
-        for agent_id in draw(st.lists(st.sampled_from(ids), max_size=4)):
-            speed = draw(TRACE_FLOAT.filter(lambda v: not v < 0))
-            heading = draw(st.one_of(
-                st.sampled_from([180.0, -179.99995, 0.00005, -0.0]),
-                st.floats(-179.999, 180.0)))
-            states.append(compgen.AgentState(
-                id=agent_id, kind="Car", role="BV", edge_id="e", lane_index=0,
-                s=0.0, speed=speed, heading=heading, x=draw(TRACE_FLOAT),
-                y=draw(TRACE_FLOAT), length=4.5, width=1.8))
-        trace.steps.append(states)
-    trace.start_speed = {agent_id: draw(TRACE_FLOAT) for agent_id in ids}
-    trace.collisions = draw(st.lists(st.builds(
+    speeds = TRACE_FLOAT.filter(lambda v: not v < 0)
+    steps = []
+    for _ in range(draw(st.integers(0, 4))):
+        steps.append([car(agent_id, draw(speeds), heading=draw(st.one_of(
+            st.sampled_from([180.0, -179.99995, 0.00005, -0.0]),
+            st.floats(-179.999, 180.0))), x=draw(TRACE_FLOAT),
+            y=draw(TRACE_FLOAT))
+            for agent_id in draw(st.lists(st.sampled_from(ids), max_size=4))])
+    start = {agent_id: car(agent_id, draw(speeds)) for agent_id in ids}
+    return hand_trace(steps, start, collisions=draw(st.lists(st.builds(
         simcore.CollisionEvent, st.integers(0, 4), st.sampled_from(ids),
-        st.sampled_from(ids), st.floats(0.0, 1.0)), max_size=3))
-    return trace
+        st.sampled_from(ids), st.floats(0.0, 1.0)), max_size=3)))
 
 
 def one_state_trace(x, y):
-    state = compgen.AgentState(id="a", kind="Car", role="BV", edge_id="e",
-                               lane_index=0, s=0.0, speed=1.0, heading=0.0,
-                               x=x, y=y, length=4.5, width=1.8)
-    return simcore.SimulationTrace(dt=0.1, steps=[[state]],
-                                   start_speed={"a": 1.0})
+    return hand_trace([[car("a", 1.0, x=x, y=y)]], {"a": car("a", 1.0)})
 
 
 class RecordingStream:
@@ -510,34 +535,32 @@ def states_trace(n_steps, n_agents, empty_after=0):
     """n_steps steps of n_agents distinct states each, then empty_after
     empty steps."""
     ids = [f"car{i}" for i in range(n_agents)]
-    steps = [[compgen.AgentState(
-        id=agent_id, kind="Car", role="BV", edge_id="e", lane_index=0, s=0.0,
-        speed=10.0 + 0.37 * ((k * n_agents + i) % 11), heading=0.001 * k,
-        x=12.5 * i + 1.3 * k, y=-3.2 * i + 0.01 * k, length=4.5, width=1.8)
-        for i, agent_id in enumerate(ids)] for k in range(n_steps)]
-    return simcore.SimulationTrace(
-        dt=0.1, steps=steps + [[] for _ in range(empty_after)],
-        start_speed=dict.fromkeys(ids, 10.0))
+    steps = [[car(agent_id, 10.0 + 0.37 * ((k * n_agents + i) % 11),
+                  heading=0.001 * k, x=12.5 * i + 1.3 * k,
+                  y=-3.2 * i + 0.01 * k)
+              for i, agent_id in enumerate(ids)] for k in range(n_steps)]
+    return hand_trace(steps + [[] for _ in range(empty_after)],
+                      {agent_id: car(agent_id, 10.0) for agent_id in ids})
 
 
 # one value that must not take the fixed-point spelling among exact floats
 # that may: a NaN after a number, a value below -1e9, a small negative value;
 # then traces of several batches, one ending in a run of empty steps
 @settings(max_examples=200, deadline=None)
-@example(trace=one_state_trace(1.0, math.nan))
-@example(trace=one_state_trace(1.0, -1e16))
-@example(trace=one_state_trace(-4e-05, 1.0))
-@example(trace=states_trace(256, 2, empty_after=2))
-@example(trace=states_trace(200, 3))
-@given(trace=export_traces())
-def test_export_trace_matches_json_reference(trace):
+@example(ref=one_state_trace(1.0, math.nan))
+@example(ref=one_state_trace(1.0, -1e16))
+@example(ref=one_state_trace(-4e-05, 1.0))
+@example(ref=states_trace(256, 2, empty_after=2))
+@example(ref=states_trace(200, 3))
+@given(ref=export_traces())
+def test_export_trace_matches_json_reference(ref):
     """The written text is the reference's, in one write per run of steps
     that reaches 256 states (the last run may hold fewer), each ending in a
     newline; a trace without states writes one newline."""
     out = RecordingStream()
-    simcore.export_trace(trace, out)
-    assert "".join(out.writes) == export_trace_json(trace)
-    if not any(trace.steps):
+    simcore.export_trace(ref.trace, out)
+    assert "".join(out.writes) == export_trace_json(ref)
+    if not any(ref.steps):
         assert out.writes == ["\n"]
         return
     assert all(text.endswith("\n") for text in out.writes)
@@ -553,7 +576,7 @@ def test_export_trace_matches_json_reference(trace):
 def test_export_trace_memory_is_bounded_by_a_batch():
     """The export holds one batch's text at a time, not the trace's: over
     24k states, its peak allocation stays under an eighth of the text."""
-    trace = states_trace(1200, 20)
+    trace = states_trace(1200, 20).trace
 
     class Sink:
         written = 0
@@ -573,12 +596,12 @@ def test_export_trace_memory_is_bounded_by_a_batch():
 
 
 @settings(max_examples=200, deadline=None)
-@example(trace=one_state_trace(1.0, math.nan))
-@example(trace=one_state_trace(1.0, -1e16))
-@example(trace=one_state_trace(-4e-05, 1.0))
-@given(trace=export_traces())
-def test_trace_hash_matches_json_reference(trace):
-    assert trace.hash() == trace_hash_json(trace)
+@example(ref=one_state_trace(1.0, math.nan))
+@example(ref=one_state_trace(1.0, -1e16))
+@example(ref=one_state_trace(-4e-05, 1.0))
+@given(ref=export_traces())
+def test_trace_hash_matches_json_reference(ref):
+    assert ref.trace.hash() == trace_hash_json(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -695,13 +718,14 @@ def test_simulation_invariants(layout, lengths, n_agents, seed, dt):
     agents = compgen.random_trip_placement(net, n_agents, seed=seed)
     trace = simcore.run(make_bundle(net, agents), duration=5.0, dt=dt)
     lanes = net.lane_graph.lanes
-    for states in trace.steps:
+    # the simulator's own states, of which the trace records a part
+    for states in run_with_series(make_bundle(net, agents), 5.0, dt).steps:
         for a in states:
             assert all(math.isfinite(v)
                        for v in (a.x, a.y, a.s, a.speed, a.heading))
             assert a.speed >= 0.0
             assert 0.0 <= a.s <= lanes[(a.edge_id, a.lane_index)].length
-    assert all(map(math.isfinite, trace.start_speed.values()))
+    assert all(math.isfinite(a.speed) for a in trace.start.values())
     assert all(math.isfinite(json.loads(line)["accel"])
                for line in exported(trace).splitlines() if line)
 
@@ -756,7 +780,11 @@ def test_trace_readers_match_per_vehicle_series(layout, lengths, n_agents,
     duration = n_steps * dt
     trace = simcore.run(bundle, duration, dt)
     ref = run_with_series(bundle, duration, dt)
-    assert trace.steps == ref.steps
+    # every recorded double is the simulator's own value: repr tells an int
+    # from a float, and keeps signed zeros
+    assert [repr(states) for states in trace.states()] == [
+        repr([(a.id, a.x, a.y, a.speed, a.heading) for a in states])
+        for states in ref.steps]
     assert trace.collisions == ref.collisions
     assert exported(trace) == export_series_json(ref)
     route_len = simcore.route_length(net, simcore.plan_route(net, av.edge_id)) \
