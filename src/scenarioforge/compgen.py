@@ -35,6 +35,14 @@ class PlacementInfeasible(RuntimeError):
     pass
 
 
+def check_motion(speed: float, heading: float) -> None:
+    """An agent's heading lies in (-180, 180] degrees and its speed is >= 0."""
+    if not (-180.0 < heading <= 180.0):
+        raise ValueError(f"heading out of range: {heading}")
+    if speed < 0:
+        raise ValueError("speed must be >= 0")
+
+
 @dataclass(frozen=True)
 class AgentState:
     id: str
@@ -51,14 +59,11 @@ class AgentState:
     width: float
     color: Optional[str] = None
 
-    # one is built per agent-step: the generated frozen __init__ calls
-    # object.__setattr__ per field, and __dict__ stores cost a third of that
+    # placement builds up to 300 x 40 candidates per agent: the frozen
+    # __init__ calls object.__setattr__ per field; __dict__ stores cost a third
     def __init__(self, id, kind, role, edge_id, lane_index, s, speed, heading,
                  x, y, length, width, color=None):
-        if not (-180.0 < heading <= 180.0):
-            raise ValueError(f"heading out of range: {heading}")
-        if speed < 0:
-            raise ValueError("speed must be >= 0")
+        check_motion(speed, heading)
         d = self.__dict__
         d["id"], d["kind"], d["role"], d["edge_id"] = id, kind, role, edge_id
         d["lane_index"], d["s"], d["speed"] = lane_index, s, speed

@@ -194,14 +194,18 @@ class LanePath:
     points: tuple
     cum: tuple      # arc length at each vertex, summed left to right
     length: float   # cum[-1], which equals _polyline_length(points)
+    segments: tuple  # (length, heading in (-180, 180] degrees) per segment
 
     @classmethod
     def measure(cls, points) -> LanePath:
         points = tuple(points)
-        cum = [0.0]
-        for i in range(len(points) - 1):
-            cum.append(cum[-1] + math.dist(points[i], points[i + 1]))
-        return cls(points, tuple(cum), cum[-1])
+        cum, segments = [0.0], []
+        for p, q in zip(points, points[1:]):
+            heading = math.degrees(math.atan2(q[1] - p[1], q[0] - p[0]))
+            segments.append((math.dist(p, q), heading + 360.0
+                             if heading <= -180.0 else heading))
+            cum.append(cum[-1] + segments[-1][0])
+        return cls(points, tuple(cum), cum[-1], tuple(segments))
 
     def point_at(self, s: float):
         """(x, y, heading_deg) at arc length s, clamped to the ends.
@@ -213,11 +217,8 @@ class LanePath:
         s = min(max(s, 0.0), self.length)
         i = bisect.bisect_left(self.cum, s, 1, len(p) - 1) - 1
         (x0, y0), (x1, y1) = p[i], p[i + 1]
-        seg = math.dist(p[i], p[i + 1])
+        seg, heading = self.segments[i]
         t = 0.0 if seg == 0 else (s - self.cum[i]) / seg
-        heading = math.degrees(math.atan2(y1 - y0, x1 - x0))
-        if heading <= -180.0:
-            heading += 360.0
         return x0 + t * (x1 - x0), y0 + t * (y1 - y0), heading
 
 

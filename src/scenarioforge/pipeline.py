@@ -66,6 +66,7 @@ class PipelineConfig:
                    for v in lengths) or self.dt > 0.5:
             raise ConfigError("min_gap, duration and dt must be finite and "
                               f"> 0, dt at most 0.5; got {lengths}")
+        simcore.check_steps(self.duration, self.dt, ConfigError)
 
 
 def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:

@@ -3,7 +3,8 @@
 Background vehicles follow an IDM car-following law with a threshold-based
 lane-change rule; the vehicle under test runs a rule policy with a TTC-based
 braking onset. Collisions are oriented bounding-box overlaps (separating axis
-test) recorded per step.
+test) recorded per step. Each vehicle holds its own state, which a step
+updates in place; the trace and the collision test read the vehicles.
 
 Lane geometry comes from the network's compiled LaneGraph. Each step indexes
 the active vehicles by lane, sorted by arc length, so leader and follower
@@ -31,16 +32,17 @@ import hashlib
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import netgen
-from .compgen import AgentState
+from .compgen import AgentState, check_motion
 from .ir import VRU_KINDS, ScenarioBundle, fold_sum
 
 DEFAULT_DT = 0.1
 TTC_BRAKE_THRESHOLD = 3.0   # s; AV braking onset
 LOOKAHEAD_HORIZON = 150.0   # m
+MAX_STEPS = 100_000         # per run; 10^4 s at the default dt
 
 
 @dataclass(frozen=True)
@@ -220,13 +222,20 @@ def detect_collisions(states, step: int = 0) -> list[CollisionEvent]:
 # ---------------------------------------------------------------------------
 # world model
 
-@dataclass
 class _Vehicle:
-    state: AgentState
-    params: BehaviorParams
-    active: bool = True
-    route: tuple[str, ...] = ()
-    lane_change_cooldown: float = 0.0
+    """One agent: its start AgentState's fields, of which edge_id, lane_index,
+    s, speed, heading, x and y change in place every step, and its control
+    state. The trace and the collision test read it as an AgentState."""
+    _AGENT_FIELDS = tuple(f.name for f in fields(AgentState))
+    __slots__ = _AGENT_FIELDS + ("params", "active", "route",
+                                 "lane_change_cooldown")
+
+    def __init__(self, state: AgentState, params: BehaviorParams,
+                 route: tuple[str, ...] = ()):
+        for name in self._AGENT_FIELDS:
+            setattr(self, name, getattr(state, name))
+        self.params, self.route = params, route
+        self.active, self.lane_change_cooldown = True, 0.0
 
 
 @dataclass
@@ -249,10 +258,9 @@ class _LaneIndex:
         self.longest = 0.0
         for order, veh in enumerate(world.vehicles.values()):
             if veh.active:
-                st = veh.state
-                buckets.setdefault((st.edge_id, st.lane_index), []).append(
-                    (st.s, order, veh))
-                self.longest = max(self.longest, st.length)
+                buckets.setdefault((veh.edge_id, veh.lane_index), []).append(
+                    (veh.s, order, veh))
+                self.longest = max(self.longest, veh.length)
         # (s values, (s, world order, vehicle) entries) per lane
         self.vehicles = {}
         for key, bucket in buckets.items():
@@ -263,7 +271,7 @@ class _LaneIndex:
             self.obstacles.setdefault((eid, li), []).append(
                 (obj_s, max(obj.footprint)))
 
-    def nearest_vehicle(self, me: AgentState, key, after: float,
+    def nearest_vehicle(self, me: _Vehicle, key, after: float,
                         offset: float) -> tuple[float, float]:
         """(bumper gap, speed) of the vehicle with the smallest gap among
         those on lane key with s > after, at center distance s + offset.
@@ -285,15 +293,14 @@ class _LaneIndex:
             center = s + offset
             if center - reach > best_gap:
                 break
-            st = other.state
-            if st.id == me.id:
+            if other.id == me.id:
                 continue
-            gap = center - (me.length + st.length) / 2.0
+            gap = center - (me.length + other.length) / 2.0
             if gap < best_gap or (gap == best_gap and order < best_order):
-                best_gap, best_speed, best_order = gap, st.speed, order
+                best_gap, best_speed, best_order = gap, other.speed, order
         return best_gap, best_speed
 
-    def nearest_obstacle(self, me: AgentState, key, after: float,
+    def nearest_obstacle(self, me: _Vehicle, key, after: float,
                          offset: float) -> float:
         """nearest_vehicle for the obstacles, which have speed 0."""
         best_gap = math.inf
@@ -313,7 +320,7 @@ class _LaneIndex:
         best = None
         for k in range(bisect.bisect_right(s_values, s) - 1, -1, -1):
             other_s, _, other = bucket[k]
-            if other.state.id == me_id:
+            if other.id == me_id:
                 continue
             if best is not None and other_s != best_s:
                 break
@@ -374,22 +381,23 @@ def _leader_gap(world: World, lanes: _LaneIndex, veh: _Vehicle,
     vehicles in world order, then obstacles, on this edge, then the same on
     the next edge.
     """
-    me = veh.state
     graph = world.net.lane_graph
-    best_gap, best_speed = lanes.nearest_vehicle(me, (edge_id, lane_index),
+    best_gap, best_speed = lanes.nearest_vehicle(veh, (edge_id, lane_index),
                                                  s, -s)
-    obj_gap = lanes.nearest_obstacle(me, (edge_id, lane_index), s, -s)
+    obj_gap = lanes.nearest_obstacle(veh, (edge_id, lane_index), s, -s)
     if obj_gap < best_gap:
         best_gap, best_speed = obj_gap, 0.0
 
     remaining = graph.lanes[(edge_id, lane_index)].length - s
-    nxt = _next_edge(graph, veh.route, me.edge_id)
-    if nxt is not None and remaining < LOOKAHEAD_HORIZON:
+    if remaining >= LOOKAHEAD_HORIZON:
+        return best_gap, best_speed
+    nxt = _next_edge(graph, veh.route, veh.edge_id)
+    if nxt is not None:
         key = (nxt, min(lane_index, graph.edges[nxt].num_lanes - 1))
-        gap, speed = lanes.nearest_vehicle(me, key, -math.inf, remaining)
+        gap, speed = lanes.nearest_vehicle(veh, key, -math.inf, remaining)
         if gap < best_gap:
             best_gap, best_speed = gap, speed
-        obj_gap = lanes.nearest_obstacle(me, key, -math.inf, remaining)
+        obj_gap = lanes.nearest_obstacle(veh, key, -math.inf, remaining)
         if obj_gap < best_gap:
             best_gap, best_speed = obj_gap, 0.0
     return best_gap, best_speed
@@ -432,20 +440,19 @@ def av_policy(observation: dict) -> tuple[float, int]:
 
 def _lane_options(world: World, lanes: _LaneIndex, veh: _Vehicle
                   ) -> list[dict]:
-    me = veh.state
-    edge = world.net.lane_graph.edges[me.edge_id]
+    edge = world.net.lane_graph.edges[veh.edge_id]
     options = []
     for direction in (-1, 1):
-        li = me.lane_index + direction
+        li = veh.lane_index + direction
         if not (0 <= li < edge.num_lanes):
             continue
-        gap, lead_v = _leader_gap(world, lanes, veh, me.edge_id, li, me.s)
-        follower = lanes.follower(me.id, (me.edge_id, li), me.s)
+        gap, lead_v = _leader_gap(world, lanes, veh, veh.edge_id, li, veh.s)
+        follower = lanes.follower(veh.id, (veh.edge_id, li), veh.s)
         if follower is None:
             rear_gap = math.inf
         else:
-            rear_gap = me.s - follower.state.s - \
-                (me.length + follower.state.length) / 2.0
+            rear_gap = veh.s - follower.s - \
+                (veh.length + follower.length) / 2.0
         options.append({"direction": direction, "lane_index": li,
                         "gap": gap, "leader_speed": lead_v,
                         "rear_gap": rear_gap, "follower": follower})
@@ -454,31 +461,29 @@ def _lane_options(world: World, lanes: _LaneIndex, veh: _Vehicle
 
 def _bv_control(world: World, lanes: _LaneIndex, veh: _Vehicle
                 ) -> tuple[float, int]:
-    me = veh.state
-    gap, lead_v = _leader_gap(world, lanes, veh, me.edge_id, me.lane_index,
-                              me.s)
-    accel_here = idm_accel(veh.params, me.speed, gap, me.speed - lead_v)
+    gap, lead_v = _leader_gap(world, lanes, veh, veh.edge_id, veh.lane_index,
+                              veh.s)
+    accel_here = idm_accel(veh.params, veh.speed, gap, veh.speed - lead_v)
     if veh.lane_change_cooldown > 0:
         return accel_here, 0
     # the IDM interaction term is never negative, so no lane accelerates more
     # than the free road: when even that misses the threshold, every option
     # does (a NaN comparison is false and keeps the full evaluation)
-    free = idm_accel(veh.params, me.speed, math.inf, 0.0)
+    free = idm_accel(veh.params, veh.speed, math.inf, 0.0)
     if free - accel_here < veh.params.lane_change_threshold:
         return accel_here, 0
 
     for opt in _lane_options(world, lanes, veh):
-        accel_there = idm_accel(veh.params, me.speed, opt["gap"],
-                                me.speed - opt["leader_speed"])
+        accel_there = idm_accel(veh.params, veh.speed, opt["gap"],
+                                veh.speed - opt["leader_speed"])
         if accel_there - accel_here < veh.params.lane_change_threshold:
             continue
         if opt["rear_gap"] < veh.params.min_gap:
             continue
         follower = opt["follower"]
         if follower is not None:
-            f_acc = idm_accel(follower.params, follower.state.speed,
-                              opt["rear_gap"],
-                              follower.state.speed - me.speed)
+            f_acc = idm_accel(follower.params, follower.speed,
+                              opt["rear_gap"], follower.speed - veh.speed)
             if f_acc < -follower.params.comfortable_decel:
                 continue
         return accel_there, opt["direction"]
@@ -488,17 +493,16 @@ def _bv_control(world: World, lanes: _LaneIndex, veh: _Vehicle
 def _advance_vehicle(world: World, veh: _Vehicle, accel: float,
                      lane_change: int, dt: float) -> None:
     graph = world.net.lane_graph
-    me = veh.state
-    edge_id = me.edge_id
-    lane_index = me.lane_index
+    edge_id = veh.edge_id
+    lane_index = veh.lane_index
     if lane_change != 0:
         li = lane_index + lane_change
         if 0 <= li < graph.edges[edge_id].num_lanes:
             lane_index = li
             veh.lane_change_cooldown = 2.0
     accel = max(-8.0, min(accel, veh.params.max_accel))
-    v_new = max(0.0, me.speed + accel * dt)
-    s_new = me.s + v_new * dt
+    v_new = max(0.0, veh.speed + accel * dt)
+    s_new = veh.s + v_new * dt
 
     path = graph.lanes[(edge_id, lane_index)]
     while s_new > path.length:
@@ -512,23 +516,17 @@ def _advance_vehicle(world: World, veh: _Vehicle, accel: float,
         edge_id = nxt
         lane_index = min(lane_index, graph.edges[edge_id].num_lanes - 1)
         path = graph.lanes[(edge_id, lane_index)]
-    x, y, heading = path.point_at(s_new)
+    veh.x, veh.y, veh.heading = path.point_at(s_new)
     veh.lane_change_cooldown = max(0.0, veh.lane_change_cooldown - dt)
-    # the constructor, not dataclasses.replace, which costs about twice as
-    # much on every agent-step; __init__ still validates the state
-    veh.state = AgentState(me.id, me.kind, me.role, edge_id, lane_index,
-                           s_new, v_new, heading, x, y, me.length, me.width,
-                           me.color)
+    check_motion(v_new, veh.heading)
+    veh.edge_id, veh.lane_index, veh.s, veh.speed = (edge_id, lane_index,
+                                                     s_new, v_new)
 
 
 def _advance_vru(veh: _Vehicle, dt: float) -> None:
-    me = veh.state
-    rad = math.radians(me.heading)
-    veh.state = AgentState(me.id, me.kind, me.role, me.edge_id,
-                           me.lane_index, me.s, me.speed, me.heading,
-                           me.x + me.speed * math.cos(rad) * dt,
-                           me.y + me.speed * math.sin(rad) * dt,
-                           me.length, me.width, me.color)
+    rad = math.radians(veh.heading)
+    veh.x, veh.y = (veh.x + veh.speed * math.cos(rad) * dt,
+                    veh.y + veh.speed * math.sin(rad) * dt)
 
 
 def step(world: World, dt: float) -> World:
@@ -541,13 +539,13 @@ def step(world: World, dt: float) -> World:
     for vid, veh in world.vehicles.items():
         if not veh.active:
             continue
-        me = veh.state
-        if me.kind in VRU_KINDS:
+        if veh.kind in VRU_KINDS:
             controls[vid] = None
-        elif me.role == "AV":
-            gap, lead_v = _leader_gap(world, lanes, veh, me.edge_id,
-                                      me.lane_index, me.s)
-            obs = {"speed": me.speed, "desired_speed": veh.params.desired_speed,
+        elif veh.role == "AV":
+            gap, lead_v = _leader_gap(world, lanes, veh, veh.edge_id,
+                                      veh.lane_index, veh.s)
+            obs = {"speed": veh.speed,
+                   "desired_speed": veh.params.desired_speed,
                    "gap": gap, "leader_speed": lead_v,
                    "max_accel": veh.params.max_accel,
                    "comfortable_decel": veh.params.comfortable_decel,
@@ -584,7 +582,7 @@ def build_world(bundle: ScenarioBundle) -> World:
     for a in bundle.agents:
         edge = net.lane_graph.edges[a.edge_id]
         vehicles[a.id] = _Vehicle(
-            state=a, params=_default_params(a.kind, edge.speed),
+            a, params=_default_params(a.kind, edge.speed),
             route=plan_route(net, a.edge_id) if a.role == "AV" else ())
     return World(net=net, vehicles=vehicles,
                  obstacles=_project_objects(net, bundle.objects))
@@ -608,19 +606,24 @@ def route_length(net: netgen.RoadNetwork, route) -> float:
     return fold_sum(net.lane_graph.edge_length[eid] for eid in route)
 
 
+def check_steps(duration: float, dt: float, error=ValueError) -> None:
+    """Raise error unless ceil(duration / dt) <= MAX_STEPS (NaN is not)."""
+    if not duration / dt <= MAX_STEPS:
+        raise error(f"duration / dt must be at most {MAX_STEPS} steps")
+
+
 def run(bundle: ScenarioBundle, duration: float, dt: float = DEFAULT_DT
         ) -> SimulationTrace:
     """Closed-loop run: ceil(duration/dt) steps, deterministic per bundle."""
+    check_steps(duration, dt)
     world = build_world(bundle)
-    n_steps = math.ceil(duration / dt)
-    trace = SimulationTrace(dt=dt, start={
-        vid: v.state for vid, v in world.vehicles.items()})
+    trace = SimulationTrace(dt=dt, start={a.id: a for a in bundle.agents})
     seen_contacts: set = set()
-    for k in range(n_steps):
+    for k in range(math.ceil(duration / dt)):
         step(world, dt)
-        states = [v.state for v in world.vehicles.values() if v.active]
-        trace.record(states)
-        for ev in detect_collisions(states, step=k):
+        active = [v for v in world.vehicles.values() if v.active]
+        trace.record(active)
+        for ev in detect_collisions(active, step=k):
             key = (ev.agent_a, ev.agent_b)
             if key not in seen_contacts:
                 seen_contacts.add(key)

@@ -256,16 +256,15 @@ def all_pairs_collisions(states, step=0):
     return out
 
 
-def leader_gap_scan(world, veh, edge_id, lane_index, s):
+def leader_gap_scan(world, me, edge_id, lane_index, s):
     """(bumper gap, leader speed) by scanning every vehicle and obstacle on
     the lane, then on the vehicle's next edge; the first candidate wins
     ties."""
-    me = veh.state
     next_edge = None
-    if veh.route and me.edge_id in veh.route:
-        i = veh.route.index(me.edge_id)
-        if i + 1 < len(veh.route):
-            next_edge = veh.route[i + 1]
+    if me.route and me.edge_id in me.route:
+        i = me.route.index(me.edge_id)
+        if i + 1 < len(me.route):
+            next_edge = me.route[i + 1]
     else:
         succ = successors_scan(world.net, me.edge_id)
         next_edge = succ[0] if succ else None
@@ -278,10 +277,9 @@ def leader_gap_scan(world, veh, edge_id, lane_index, s):
             best_gap, best_speed = gap, other_speed
 
     for other in world.vehicles.values():
-        st = other.state
-        if st.id != me.id and other.active and st.edge_id == edge_id \
-                and st.lane_index == lane_index and st.s > s:
-            consider(st.s - s, st.length, st.speed)
+        if other.id != me.id and other.active and other.edge_id == edge_id \
+                and other.lane_index == lane_index and other.s > s:
+            consider(other.s - s, other.length, other.speed)
     for eid, li, obj_s, obj in world.obstacles:
         if eid == edge_id and li == lane_index and obj_s > s:
             consider(obj_s - s, max(obj.footprint), 0.0)
@@ -296,10 +294,9 @@ def leader_gap_scan(world, veh, edge_id, lane_index, s):
     if next_edge is not None and remaining < 150.0:
         li2 = min(lane_index, by_id[next_edge].num_lanes - 1)
         for other in world.vehicles.values():
-            st = other.state
-            if st.id != me.id and other.active and \
-                    st.edge_id == next_edge and st.lane_index == li2:
-                consider(remaining + st.s, st.length, st.speed)
+            if other.id != me.id and other.active and \
+                    other.edge_id == next_edge and other.lane_index == li2:
+                consider(remaining + other.s, other.length, other.speed)
         for eid, li, obj_s, obj in world.obstacles:
             if eid == next_edge and li == li2:
                 consider(remaining + obj_s, max(obj.footprint), 0.0)
@@ -313,7 +310,7 @@ def bv_control_scan(world, lanes, veh):
     it comfortably can. Leader gaps and options come from the package, which
     has its own oracles for them."""
     from scenarioforge import simcore
-    me, p = veh.state, veh.params
+    me, p = veh, veh.params
     gap, lead_v = simcore._leader_gap(world, lanes, veh, me.edge_id,
                                       me.lane_index, me.s)
     accel_here = simcore.idm_accel(p, me.speed, gap, me.speed - lead_v)
@@ -327,8 +324,8 @@ def bv_control_scan(world, lanes, veh):
             continue
         follower = opt["follower"]
         if follower is not None and simcore.idm_accel(
-                follower.params, follower.state.speed, opt["rear_gap"],
-                follower.state.speed - me.speed) < \
+                follower.params, follower.speed, opt["rear_gap"],
+                follower.speed - me.speed) < \
                 -follower.params.comfortable_decel:
             continue
         return accel_there, opt["direction"]
@@ -340,11 +337,10 @@ def follower_scan(world, me_id, edge_id, lane_index, s):
     order on ties."""
     best = None
     for other in world.vehicles.values():
-        st = other.state
-        if st.id == me_id or not other.active:
+        if other.id == me_id or not other.active:
             continue
-        if st.edge_id == edge_id and st.lane_index == lane_index and \
-                st.s <= s and (best is None or st.s > best.state.s):
+        if other.edge_id == edge_id and other.lane_index == lane_index and \
+                other.s <= s and (best is None or other.s > best.s):
             best = other
     return best
 
@@ -615,21 +611,138 @@ def run_comparison_reference(cfg, n_networks, n_inits):
     return evalkit.compare_pipelines(ours, baseline)
 
 
-# The simulator once kept these series for every vehicle at every step, and
-# the trace export and the AV scoring read them. They are kept here as the
-# reference that both, which now derive everything from the trace's speeds,
-# must equal bit for bit.
+# The simulator once rebuilt a frozen AgentState for every vehicle at every
+# step. That integration is kept here verbatim, on a vehicle that holds the
+# state and lends its fields to the package's control functions, as the
+# reference that the in-place update must equal by repr.
+
+class StateVehicle:
+    """A vehicle whose state is an AgentState, replaced every step. Reads of
+    the agent fields (id, edge_id, s, speed, ...) go to the state."""
+
+    def __init__(self, state, params, route=()):
+        self.state, self.params, self.route = state, params, route
+        self.active, self.lane_change_cooldown = True, 0.0
+
+    def __getattr__(self, name):
+        return getattr(self.state, name)
+
+
+def _advance_vehicle(world, veh, accel, lane_change, dt):
+    from scenarioforge import simcore
+    from scenarioforge.compgen import AgentState
+    graph = world.net.lane_graph
+    me = veh.state
+    edge_id = me.edge_id
+    lane_index = me.lane_index
+    if lane_change != 0:
+        li = lane_index + lane_change
+        if 0 <= li < graph.edges[edge_id].num_lanes:
+            lane_index = li
+            veh.lane_change_cooldown = 2.0
+    accel = max(-8.0, min(accel, veh.params.max_accel))
+    v_new = max(0.0, me.speed + accel * dt)
+    s_new = me.s + v_new * dt
+
+    path = graph.lanes[(edge_id, lane_index)]
+    while s_new > path.length:
+        nxt = simcore._next_edge(graph, veh.route, edge_id)
+        if nxt is None:
+            veh.active = False
+            s_new = path.length
+            v_new = 0.0
+            break
+        s_new -= path.length
+        edge_id = nxt
+        lane_index = min(lane_index, graph.edges[edge_id].num_lanes - 1)
+        path = graph.lanes[(edge_id, lane_index)]
+    x, y, heading = path.point_at(s_new)
+    veh.lane_change_cooldown = max(0.0, veh.lane_change_cooldown - dt)
+    veh.state = AgentState(me.id, me.kind, me.role, edge_id, lane_index,
+                           s_new, v_new, heading, x, y, me.length, me.width,
+                           me.color)
+
+
+def _advance_vru(veh, dt):
+    from scenarioforge.compgen import AgentState
+    me = veh.state
+    rad = math.radians(me.heading)
+    veh.state = AgentState(me.id, me.kind, me.role, me.edge_id,
+                           me.lane_index, me.s, me.speed, me.heading,
+                           me.x + me.speed * math.cos(rad) * dt,
+                           me.y + me.speed * math.sin(rad) * dt,
+                           me.length, me.width, me.color)
+
+
+def step_reference(world, dt):
+    """simcore.step on a world of StateVehicles: the package's controls, then
+    the AgentState integration above."""
+    from scenarioforge import simcore
+    lanes = simcore._LaneIndex(world)
+    controls = {}
+    for vid, veh in world.vehicles.items():
+        if not veh.active:
+            continue
+        me = veh.state
+        if me.kind in simcore.VRU_KINDS:
+            controls[vid] = None
+        elif me.role == "AV":
+            gap, lead_v = simcore._leader_gap(world, lanes, veh, me.edge_id,
+                                              me.lane_index, me.s)
+            obs = {"speed": me.speed, "desired_speed": veh.params.desired_speed,
+                   "gap": gap, "leader_speed": lead_v,
+                   "max_accel": veh.params.max_accel,
+                   "comfortable_decel": veh.params.comfortable_decel,
+                   "min_gap": veh.params.min_gap,
+                   "lane_options": simcore._lane_options(world, lanes, veh)}
+            controls[vid] = simcore.av_policy(obs)
+        else:
+            controls[vid] = simcore._bv_control(world, lanes, veh)
+
+    for vid, veh in world.vehicles.items():
+        if not veh.active:
+            continue
+        ctl = controls[vid]
+        if ctl is None:
+            _advance_vru(veh, dt)
+        else:
+            accel, lane_change = ctl
+            if veh.lane_change_cooldown > 0:
+                lane_change = 0
+            _advance_vehicle(world, veh, accel, lane_change, dt)
+
+
+def build_world_reference(bundle):
+    """simcore.build_world with a StateVehicle per agent."""
+    from scenarioforge import simcore
+    net = bundle.network
+    vehicles = {}
+    for a in bundle.agents:
+        edge = net.lane_graph.edges[a.edge_id]
+        vehicles[a.id] = StateVehicle(
+            a, simcore._default_params(a.kind, edge.speed),
+            simcore.plan_route(net, a.edge_id) if a.role == "AV" else ())
+    return simcore.World(net=net, vehicles=vehicles,
+                         obstacles=simcore._project_objects(net,
+                                                            bundle.objects))
+
+
+# The simulator also once kept these series for every vehicle at every step,
+# and the trace export and the AV scoring read them. They are kept here as
+# the reference that both, which now derive everything from the trace's
+# speeds, must equal bit for bit.
 
 def run_with_series(bundle, duration, dt):
-    """simcore.run plus the per-vehicle bookkeeping: a namespace of dt, steps
-    (AgentState lists), start (id -> state before step 0), collisions,
-    odometry (id -> m), accel_series (id -> m/s^2 per step) and jerk_series
-    (id -> m/s^3 from the second step on). A vehicle that left the network
-    counts 0.0 m/s at every later step."""
+    """simcore.run on the AgentState reference above, plus the per-vehicle
+    bookkeeping: a namespace of dt, steps (AgentState lists), start (id ->
+    state before step 0), collisions, odometry (id -> m), accel_series (id
+    -> m/s^2 per step) and jerk_series (id -> m/s^3 from the second step
+    on). A vehicle that left the network counts 0.0 m/s at every later
+    step."""
     from types import SimpleNamespace
 
     from scenarioforge import simcore
-    world = simcore.build_world(bundle)
+    world = build_world_reference(bundle)
     ref = SimpleNamespace(dt=dt, steps=[], collisions=[],
                           start={vid: v.state
                                  for vid, v in world.vehicles.items()},
@@ -640,7 +753,7 @@ def run_with_series(bundle, duration, dt):
     prev_accel = {}
     seen = set()
     for k in range(math.ceil(duration / dt)):
-        simcore.step(world, dt)
+        step_reference(world, dt)
         states = [v.state for v in world.vehicles.values() if v.active]
         ref.steps.append(states)
         for ev in simcore.detect_collisions(states, step=k):

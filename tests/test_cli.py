@@ -79,11 +79,14 @@ def test_run_malformed_config_is_config_error(tmp_path, capsys, content):
     ("run", '{"min_gap": Infinity}', ()),
     ("run", '{"global_seed": 1.5}', ()),
     ("batch", '{"variations": 1.5}', ()),
+    # a finite duration that asks for too many steps
+    ("run", None, ("--duration", "1e308")),
 ], ids=["duration_inf", "duration_flag_inf", "min_gap_inf",
-        "fractional_seed", "fractional_variations"])
+        "fractional_seed", "fractional_variations", "duration_flag_1e308"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, content,
                                           flags):
-    """A wrong type or a non-finite number ends before any run starts."""
+    """A wrong type, a non-finite number or a step count above the bound
+    ends before any run starts."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content or "{}")
     code = run_cli(command, "--text", "a car", "--config", str(cfg), *flags,

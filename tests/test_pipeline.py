@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from scenarioforge import (compgen, evalkit, interpreter, ir, netgen,
-                           pipeline)
+                           pipeline, simcore)
 
 from oracles import run_comparison_reference
 from test_netgen import OSM_FIXTURE
@@ -362,6 +362,25 @@ def test_config_value_of_wrong_type_or_not_finite(bad_field):
     finite ints or floats."""
     with pytest.raises(pipeline.ConfigError):
         pipeline.PipelineConfig(**bad_field)
+
+
+@pytest.mark.parametrize("duration, dt", [(1e308, 0.1), (30.0, 1e-300)],
+                         ids=["duration_1e308", "dt_1e-300"])
+def test_config_step_count_is_bounded(duration, dt):
+    """A duration and dt whose step count is infinite or above
+    simcore.MAX_STEPS end at the config, before any stage runs, and
+    simcore.run refuses them too."""
+    with pytest.raises(pipeline.ConfigError, match="steps"):
+        pipeline.PipelineConfig(duration=duration, dt=dt)
+    with pytest.raises(ValueError, match="steps"):
+        simcore.run(None, duration, dt)
+
+
+def test_config_step_bound_is_inclusive():
+    most = simcore.MAX_STEPS * 0.5
+    assert pipeline.PipelineConfig(duration=most, dt=0.5).duration == most
+    with pytest.raises(pipeline.ConfigError, match="steps"):
+        pipeline.PipelineConfig(duration=most + 0.25, dt=0.5)
 
 
 def test_make_provider_kinds(tmp_path):

@@ -290,14 +290,19 @@ def test_platoon_order_is_preserved():
         assert order == sorted(order, reverse=True)
 
 
+def dense_bundle():
+    """32 cars on two lanes of a 3 km road, all on it for 30 s."""
+    net = straight_net(length=3000.0, fwd=2)
+    return make_bundle(net, [
+        place(net, "e0f", i % 2, 20.0 + 20.0 * (i // 2), f"car{i}",
+              role="AV" if i == 0 else "BV", speed=10.0) for i in range(32)])
+
+
 def test_trace_holds_under_64_bytes_per_state():
     """A trace keeps each step's numbers in one array of doubles and shares
     the ids tuple while the active set is unchanged: 32 cars for 300 steps
     hold under 64 B of heap per recorded state."""
-    net = straight_net(length=3000.0, fwd=2)
-    bundle = make_bundle(net, [
-        place(net, "e0f", i % 2, 20.0 + 20.0 * (i // 2), f"car{i}",
-              role="AV" if i == 0 else "BV", speed=10.0) for i in range(32)])
+    bundle = dense_bundle()
     simcore.run(bundle, duration=0.1, dt=0.1)   # measures the lanes
     gc.collect()
     tracemalloc.start()
@@ -313,6 +318,25 @@ def test_trace_holds_under_64_bytes_per_state():
     assert n_states == 32 * 300
     assert held < 64 * n_states
     assert all(ids is trace.steps[0][0] for ids, _ in trace.steps)
+
+
+def test_run_builds_no_agent_state(monkeypatch):
+    """A step updates each vehicle in place: running 32 cars for 300 steps
+    builds no AgentState beyond the bundle's own. Rebuilding each state
+    every step built 9,600, one per agent-step."""
+    bundle = dense_bundle()
+    built = 0
+    init = compgen.AgentState.__init__
+
+    def counted_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(compgen.AgentState, "__init__", counted_init)
+    trace = simcore.run(bundle, duration=30.0, dt=0.1)
+    assert sum(len(ids) for ids, _ in trace.steps) == 32 * 300
+    assert built == 0
 
 
 def test_trace_hash_is_deterministic():
@@ -434,7 +458,7 @@ def test_bv_changes_lane_past_slow_leader(truck_params, overtakes):
     lanes_used, collisions = set(), []
     for k in range(200):
         simcore.step(world, 0.1)
-        states = [v.state for v in world.vehicles.values() if v.active]
+        states = [v for v in world.vehicles.values() if v.active]
         lanes_used |= {a.lane_index for a in states if a.id == "fast"}
         collisions += simcore.detect_collisions(states, step=k)
     # overtaking uses the left lane; otherwise fast keeps to lane 0
@@ -646,20 +670,20 @@ def test_indexed_leader_and_follower_match_linear_scans(lanes, vehicles,
         li = min(li, lanes[ei] - 1)
         state = place(net, edge_ids[ei], li, s, f"v{i}", kind=kind,
                       speed=float(i))
-        world.vehicles[state.id] = simcore._Vehicle(
-            state=state, params=simcore.BehaviorParams(), active=active,
+        veh = world.vehicles[state.id] = simcore._Vehicle(
+            state, simcore.BehaviorParams(),
             route=simcore.plan_route(net, edge_ids[ei]) if routed else ())
+        veh.active = active
     for ei, li, s, size in obstacles:
         world.obstacles.append((edge_ids[ei], min(li, lanes[ei] - 1), s,
                                 compgen.PlacedObject("Cone", 0.0, 0.0, 0.0,
                                                      (size, 0.4))))
     index = simcore._LaneIndex(world)
-    for veh in world.vehicles.values():
-        me = veh.state
+    for me in world.vehicles.values():
         for li in range(lanes[edge_ids.index(me.edge_id)]):
-            assert simcore._leader_gap(world, index, veh, me.edge_id, li,
+            assert simcore._leader_gap(world, index, me, me.edge_id, li,
                                        me.s) == \
-                leader_gap_scan(world, veh, me.edge_id, li, me.s)
+                leader_gap_scan(world, me, me.edge_id, li, me.s)
             assert index.follower(me.id, (me.edge_id, li), me.s) is \
                 follower_scan(world, me.id, me.edge_id, li, me.s)
 
@@ -694,9 +718,9 @@ def test_bv_control_matches_full_option_scan(lanes, vehicles):
     for i, (ei, li, s, kind, speed, cooldown) in enumerate(vehicles):
         state = place(net, edge_ids[ei], min(li, lanes[ei] - 1), s, f"v{i}",
                       kind=kind, speed=speed)
-        world.vehicles[state.id] = simcore._Vehicle(
-            state=state, params=simcore._default_params(kind, 13.89),
-            lane_change_cooldown=cooldown)
+        veh = world.vehicles[state.id] = simcore._Vehicle(
+            state, simcore._default_params(kind, 13.89))
+        veh.lane_change_cooldown = cooldown
     index = simcore._LaneIndex(world)
     for veh in world.vehicles.values():
         # repr, so that NaN accelerations compare equal
@@ -716,36 +740,55 @@ def test_simulation_invariants(layout, lengths, n_agents, seed, dt):
                        for length in lengths))
     net = netgen.build_network_blueprint(road)
     agents = compgen.random_trip_placement(net, n_agents, seed=seed)
-    trace = simcore.run(make_bundle(net, agents), duration=5.0, dt=dt)
+    bundle = make_bundle(net, agents)
+    world = simcore.build_world(bundle)
     lanes = net.lane_graph.lanes
-    # the simulator's own states, of which the trace records a part
-    for states in run_with_series(make_bundle(net, agents), 5.0, dt).steps:
-        for a in states:
-            assert all(math.isfinite(v)
-                       for v in (a.x, a.y, a.s, a.speed, a.heading))
-            assert a.speed >= 0.0
-            assert 0.0 <= a.s <= lanes[(a.edge_id, a.lane_index)].length
+    # the simulator's own vehicles, of which the trace records a part: their
+    # lane and arc length equal the reference's, and stay on the lane
+    for states in run_with_series(bundle, 5.0, dt).steps:
+        simcore.step(world, dt)
+        active = [v for v in world.vehicles.values() if v.active]
+        assert repr([(v.id, v.edge_id, v.lane_index, v.s) for v in active]) \
+            == repr([(a.id, a.edge_id, a.lane_index, a.s) for a in states])
+        for v in active:
+            assert all(math.isfinite(x)
+                       for x in (v.x, v.y, v.s, v.speed, v.heading))
+            assert v.speed >= 0.0
+            assert 0.0 <= v.s <= lanes[(v.edge_id, v.lane_index)].length
+    trace = simcore.run(bundle, duration=5.0, dt=dt)
     assert all(math.isfinite(a.speed) for a in trace.start.values())
     assert all(math.isfinite(json.loads(line)["accel"])
                for line in exported(trace).splitlines() if line)
 
 
+# a VRU starts beside the AV, or near the origin, where a step's
+# displacement is not lost in rounding against the coordinate
 VRU = st.tuples(st.sampled_from(ir.VRU_KINDS), st.floats(0.0, 3.0),
-                st.floats(-179.0, 180.0))
+                st.floats(-179.0, 180.0), st.booleans())
+# a cone or barrier on the AV's lane, at a fraction of the lane's length
+OBSTACLE_ON_LANE = st.tuples(st.sampled_from([("Cone", (0.4, 0.4)),
+                                              ("Barrier", (2.0, 0.5))]),
+                             st.floats(0.0, 1.0))
 
 
 @settings(max_examples=100, deadline=None)
 # the AV leaves the network in its first step and counts 0.0 m/s from then on
 @example(layout="Straight", lengths=[30.0], n_agents=1, seed=0, vrus=[],
-         av_at_end=True, dt=0.5, n_steps=6, route="planned",
+         obstacle=None, av_at_end=True, dt=0.5, n_steps=6, route="planned",
          speed_limit=None)
 @example(layout="Straight", lengths=[30.0], n_agents=2, seed=1,
-         vrus=[("Pedestrian", 1.4, 90.0)], av_at_end=True, dt=0.1,
-         n_steps=40, route=5.0, speed_limit=13.89)
+         vrus=[("Pedestrian", 1.4, 90.0, True)], obstacle=None,
+         av_at_end=True, dt=0.1, n_steps=40, route=5.0, speed_limit=13.89)
+# a barrier ahead on the AV's lane slows it down; a cyclist leaves the origin
+@example(layout="Straight", lengths=[120.0], n_agents=3, seed=2,
+         vrus=[("Cyclist", 1.4, 30.0, False)],
+         obstacle=(("Barrier", (2.0, 0.5)), 0.75), av_at_end=False, dt=0.1,
+         n_steps=40, route="planned", speed_limit=None)
 @given(layout=st.sampled_from(ir.ROAD_LAYOUTS),
        lengths=st.lists(st.floats(20.0, 150.0), min_size=1, max_size=3),
        n_agents=st.integers(1, 8), seed=st.integers(0, 10_000),
-       vrus=st.lists(VRU, max_size=2), av_at_end=st.booleans(),
+       vrus=st.lists(VRU, max_size=2),
+       obstacle=st.none() | OBSTACLE_ON_LANE, av_at_end=st.booleans(),
        dt=st.one_of(st.sampled_from([0.1, 0.25, 0.5]),
                     st.floats(0.0, 0.5, exclude_min=True)),
        n_steps=st.integers(0, 40),
@@ -753,11 +796,15 @@ VRU = st.tuples(st.sampled_from(ir.VRU_KINDS), st.floats(0.0, 3.0),
                        st.floats(0.0, 500.0)),
        speed_limit=st.one_of(st.none(), st.floats(0.0, 30.0)))
 def test_trace_readers_match_per_vehicle_series(layout, lengths, n_agents,
-                                                seed, vrus, av_at_end, dt,
-                                                n_steps, route, speed_limit):
-    """export_trace and evalkit.performance, which derive accel, jerk and
-    distance from the trace's speeds, equal bit for bit what they gave when
-    the simulator kept those series per vehicle and step."""
+                                                seed, vrus, obstacle,
+                                                av_at_end, dt, n_steps, route,
+                                                speed_limit):
+    """The run, whose vehicles are updated in place, records the states,
+    collisions and start states that rebuilding an AgentState per
+    agent-step gave, by repr. export_trace and evalkit.performance, which
+    derive accel, jerk and distance from the trace's speeds, equal bit for
+    bit what they gave when the simulator kept those series per vehicle and
+    step."""
     road = ir.RoadDescription(
         layout=layout,
         segments=tuple(ir.RoadSegment(length, 2, 1, 13.89)
@@ -770,13 +817,20 @@ def test_trace_readers_match_per_vehicle_series(layout, lengths, n_agents,
         path = net.lane_graph.lanes[(av.edge_id, av.lane_index)]
         agents[0] = place(net, av.edge_id, av.lane_index, path.length - 1.0,
                           av.id, role="AV", speed=13.89)
-    for i, (kind, speed, heading) in enumerate(vrus):
+    for i, (kind, speed, heading, beside_av) in enumerate(vrus):
         length, width = compgen.VEHICLE_DIMS[kind]
+        x, y = (av.x, av.y) if beside_av else (0.0, 0.0)
         agents.append(compgen.AgentState(
             id=f"vru{i}", kind=kind, role="VRU", edge_id=av.edge_id,
             lane_index=0, s=0.0, speed=speed, heading=heading,
-            x=av.x + 3.0 * i, y=av.y + 2.0, length=length, width=width))
-    bundle = make_bundle(net, agents)
+            x=x + 3.0 * i, y=y + 2.0, length=length, width=width))
+    objects = []
+    if obstacle is not None:
+        (kind, footprint), at = obstacle
+        path = net.lane_graph.lanes[(av.edge_id, av.lane_index)]
+        x, y, heading = path.point_at(at * path.length)
+        objects.append(compgen.PlacedObject(kind, x, y, heading, footprint))
+    bundle = make_bundle(net, agents, objects)
     duration = n_steps * dt
     trace = simcore.run(bundle, duration, dt)
     ref = run_with_series(bundle, duration, dt)
@@ -785,7 +839,8 @@ def test_trace_readers_match_per_vehicle_series(layout, lengths, n_agents,
     assert [repr(states) for states in trace.states()] == [
         repr([(a.id, a.x, a.y, a.speed, a.heading) for a in states])
         for states in ref.steps]
-    assert trace.collisions == ref.collisions
+    assert repr(trace.collisions) == repr(ref.collisions)
+    assert repr(trace.start) == repr(ref.start)
     assert exported(trace) == export_series_json(ref)
     route_len = simcore.route_length(net, simcore.plan_route(net, av.edge_id)) \
         if route == "planned" else route
