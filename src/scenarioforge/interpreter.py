@@ -2,9 +2,11 @@
 
 A provider exposes one capability: complete(prompt) -> text. The shipped
 MockProvider is a deterministic keyword/template engine so the whole pipeline
-runs offline; HttpProvider talks to a remote completion endpoint. In every
-stage, an answer that does not parse is re-prompted with the rejection
-appended, up to MAX_RETRIES times (complete_until_valid).
+runs offline; HttpProvider talks to a remote completion endpoint. A prompt is
+a knowledge base template filled by str.format; strip_knowledge makes the
+knowledge base of each ablation row. In every stage, an answer that does not
+parse is re-prompted with the rejection appended, up to MAX_RETRIES times
+(complete_until_valid); a LoggingProvider's exchanges record every attempt.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, replace
 from typing import Optional
 
 from . import ir
@@ -45,12 +47,6 @@ class InsufficientFrames(InterpreterError):
 
 class NonPositiveDepth(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ProviderResponse:
-    parsed: ScenarioDescription
-    attempt_count: int
 
 
 # ---------------------------------------------------------------------------
@@ -100,38 +96,40 @@ def default_knowledge_base() -> PromptKnowledgeBase:
                                code_examples={"node_edge": _NODE_EDGE_EXAMPLE})
 
 
-def strip_knowledge(kb: PromptKnowledgeBase, *, no_interpreter=False,
-                    no_prior_knowledge=False,
-                    no_reasoning_section=False) -> PromptKnowledgeBase:
-    """Remove named prompt components, mirroring the ablation knobs."""
-    templates = dict(kb.templates)
-    constraints = kb.constraints
-    code_examples = dict(kb.code_examples)
-    if no_interpreter:
-        for name in list(templates):
-            if name != "netgen":
-                del templates[name]
-    if no_prior_knowledge:
-        constraints = ()
-        code_examples = {}
-    if no_reasoning_section:
-        templates = {k: re.sub(r"### REASONING:\n.*?\n(?=### )", "", v,
-                               flags=re.S)
-                     for k, v in templates.items()}
-    return PromptKnowledgeBase(templates=templates, constraints=constraints,
-                               code_examples=code_examples)
+ABLATION_ROWS = ("Ours", "without interpreter", "without prior knowledge",
+                 "without reasoning section")
+
+
+def strip_knowledge(kb: PromptKnowledgeBase, row: str) -> PromptKnowledgeBase:
+    """The knowledge base of one of ABLATION_ROWS: "Ours" is kb itself, and
+    each other row removes one component (every template but netgen's, the
+    constraints and code examples, or every template's reasoning section)."""
+    if row == "Ours":
+        return kb
+    if row == "without interpreter":
+        return replace(kb, templates={k: v for k, v in kb.templates.items()
+                                      if k == "netgen"})
+    if row == "without prior knowledge":
+        return replace(kb, constraints=(), code_examples={})
+    if row == "without reasoning section":
+        return replace(kb, templates={
+            k: re.sub(r"### REASONING:\n.*?\n(?=### )", "", v, flags=re.S)
+            for k, v in kb.templates.items()})
+    raise ValueError(f"unknown ablation row: {row!r}")
 
 
 def _render(kb: PromptKnowledgeBase, name: str, payload: str, seed: int) -> str:
+    """Template `name` of kb, filled with str.format. Without that template
+    (the interpreter ablated away) the raw payload goes out unstructured; a
+    template slot not filled here raises KeyError."""
+    if name not in kb.templates:
+        return payload
     constraints = "\n".join(kb.constraints) if kb.constraints else "(none)"
     examples = "\n".join(f"[{k}]\n{v}" for k, v in kb.code_examples.items()) \
         if kb.code_examples else "(none)"
-    try:
-        return kb.render(name, payload=payload, seed=seed,
-                         constraints=constraints, examples=examples)
-    except KeyError:
-        # template ablated away: the raw payload goes out unstructured
-        return payload
+    return kb.templates[name].format(payload=payload, seed=seed,
+                                     constraints=constraints,
+                                     examples=examples)
 
 
 def render_net_prompt(kb: PromptKnowledgeBase, road, seed: int = 0) -> str:
@@ -228,8 +226,7 @@ class MockProvider:
       blueprint_reuse interpreter emits a duplicated agent kind token
     """
 
-    def __init__(self, seed: int = 0, fault: Optional[str] = None):
-        self.seed = seed
+    def __init__(self, fault: Optional[str] = None):
         self.fault = fault
         self._calls = 0
 
@@ -260,7 +257,7 @@ class MockProvider:
                                      and self._calls == 1):
             return "Sure! Here is a vivid narrative of the scene instead."
         payload = self._payload(prompt)
-        seed = self._prompt_seed(prompt) ^ self.seed
+        seed = self._prompt_seed(prompt)
         if task == "netgen":
             return self._net_response(prompt, payload, seed)
         return self._description_response(task, payload, seed)
@@ -491,17 +488,18 @@ def integrate_forward_distance(depth_samples) -> float:
 
 
 def complete_until_valid(provider, prompt: str, parse):
-    """Ask provider for an answer that parse accepts: (parse(answer), attempts).
+    """Ask provider for an answer that parse accepts, and return parse(answer).
 
     An answer parse rejects with a ValueError is asked for again: prompt is
     resent with only that rejection appended under ### PREVIOUS ERROR:. After
     MAX_RETRIES such retries, raises UnparseableAfterRetries(last rejection).
+    A LoggingProvider's exchanges count the attempts.
     """
     request = prompt
-    for attempt in range(1, MAX_RETRIES + 2):
+    for _ in range(MAX_RETRIES + 1):
         answer = provider.complete(request)
         try:
-            return parse(answer), attempt
+            return parse(answer)
         except ValueError as exc:
             last_error = exc
             request = prompt + f"\n### PREVIOUS ERROR:\n{exc}\n"
@@ -513,9 +511,9 @@ def _require_agents(desc: ScenarioDescription):
         raise ir.MissingSection("agents")
 
 
-def interpret_response(source: MultimodalInput, kb: PromptKnowledgeBase,
-                       provider, seed: int = 0) -> ProviderResponse:
-    """Like interpret() but returns the full ProviderResponse.
+def interpret(source: MultimodalInput, kb: PromptKnowledgeBase, provider,
+              seed: int = 0) -> ScenarioDescription:
+    """Map any multimodal input to a valid ScenarioDescription.
 
     Text shorter than SHORT_REQUEST_THRESHOLD and GPS boxes are expanded into
     a full description, which must name agents; longer text is interpreted
@@ -572,10 +570,4 @@ def interpret_response(source: MultimodalInput, kb: PromptKnowledgeBase,
         if postcheck is not None:
             postcheck(desc)
         return desc
-    return ProviderResponse(*complete_until_valid(provider, prompt, parse))
-
-
-def interpret(source: MultimodalInput, kb: PromptKnowledgeBase, provider,
-              seed: int = 0) -> ScenarioDescription:
-    """Map any multimodal input to a valid ScenarioDescription."""
-    return interpret_response(source, kb, provider, seed).parsed
+    return complete_until_valid(provider, prompt, parse)

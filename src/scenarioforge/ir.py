@@ -255,17 +255,6 @@ class PromptKnowledgeBase:
     constraints: tuple[str, ...] = ()
     code_examples: dict = field(default_factory=dict)
 
-    def render(self, name: str, /, **slots) -> str:
-        import string
-        if name not in self.templates:
-            raise KeyError(f"unknown template: {name}")
-        template = self.templates[name]
-        needed = {f for _, f, _, _ in string.Formatter().parse(template) if f}
-        missing = needed - set(slots)
-        if missing:
-            raise KeyError(f"unbound template slots: {sorted(missing)}")
-        return template.format(**slots)
-
 
 @dataclass(frozen=True)
 class ScenarioBundle:

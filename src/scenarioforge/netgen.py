@@ -809,9 +809,8 @@ def compile_network(road: RoadDescription, kb, provider,
     """
     from .interpreter import complete_until_valid, render_net_prompt
 
-    net, _ = complete_until_valid(provider, render_net_prompt(kb, road, seed),
-                                  _parse_net_response)
-    return net
+    return complete_until_valid(provider, render_net_prompt(kb, road, seed),
+                                _parse_net_response)
 
 
 # ---------------------------------------------------------------------------

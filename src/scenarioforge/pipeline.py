@@ -22,14 +22,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import compgen, evalkit, ir, netgen, simcore
-from .interpreter import (HttpProvider, LoggingProvider, MockProvider,
-                          UnparseableAfterRetries, default_knowledge_base,
-                          interpret, strip_knowledge)
+from .interpreter import (ABLATION_ROWS, HttpProvider, LoggingProvider,
+                          MockProvider, UnparseableAfterRetries,
+                          default_knowledge_base, interpret, strip_knowledge)
 
 STAGES = ("interpret", "netgen", "compgen", "simulate", "evaluate")
-
-ABLATION_ROWS = ("Ours", "without interpreter", "without prior knowledge",
-                 "without reasoning section")
 
 
 class ConfigError(ValueError):
@@ -54,6 +51,8 @@ class PipelineConfig:
     osm_fixture: Optional[str] = None    # path to a cached OSM extract
 
     def __post_init__(self):
+        if self.provider_kind not in ("mock", "http"):
+            raise ConfigError(f"unknown provider kind: {self.provider_kind!r}")
         # a bool is an int subclass, but not a count, seed or length
         counts = (self.variations, self.workers, self.max_agents)
         if any(type(v) is not int for v in (*counts, self.global_seed)) \
@@ -94,19 +93,17 @@ def load_config(path: Optional[str] = None, **overrides) -> PipelineConfig:
 
 
 def make_provider(cfg: PipelineConfig):
-    if cfg.provider_kind == "mock":
-        return MockProvider(seed=0, fault=cfg.provider_fault)
     if cfg.provider_kind == "http":
         return HttpProvider(endpoint=cfg.provider_endpoint,
                             model=cfg.provider_model)
-    raise ConfigError(f"unknown provider kind: {cfg.provider_kind}")
+    return MockProvider(fault=cfg.provider_fault)
 
 
 @dataclass
 class RunManifest:
     run_id: str
     seed: int
-    stages: dict = field(default_factory=dict)     # stage -> ok|error:kind|skipped
+    stages: dict = field(default_factory=dict)     # stage run -> ok|error:kind
     artifacts: dict = field(default_factory=dict)  # name -> path
     timing: dict = field(default_factory=dict)     # stage -> seconds
     failure: Optional[str] = None                  # taxonomy kind
@@ -214,7 +211,7 @@ def run_stages(rec: RunManifest, source: Optional[ir.MultimodalInput],
                stages=STAGES, place=None, evaluate=_evaluate) -> RunManifest:
     """The one stage chain, in memory: run `stages`, a contiguous part of
     STAGES, keeping what each produces in rec. The first stage that raises
-    records its taxonomy kind, and every later stage is skipped. place(desc,
+    records its taxonomy kind, and no later stage runs. place(desc,
     net, constraints) places the agents (default compgen.generate_agents);
     evaluate(bundle, trace) makes rec.report (default _evaluate)."""
     for stage in stages:
@@ -242,8 +239,6 @@ def run_stages(rec: RunManifest, source: Optional[ir.MultimodalInput],
         except Exception as exc:
             rec.failure = classify_failure(exc)
             rec.stages[stage] = f"error:{rec.failure}"
-            for later in STAGES[STAGES.index(stage) + 1:]:
-                rec.stages[later] = "skipped"
             return rec
         rec.timing[stage] = round(time.monotonic() - t0, 4)
         rec.stages[stage] = "ok"
@@ -262,12 +257,13 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
                   + f"-{uuid.uuid4().hex[:8]}")
     if os.path.basename(run_id) != run_id:
         raise ConfigError(f"run_id must not contain a path: {run_id!r}")
+    # first, so a provider that cannot start leaves an earlier run as it was
+    provider = LoggingProvider(make_provider(cfg))
     run_dir = os.path.join(cfg.output_dir, "runs", f"{run_id}-{seed}")
     # a reused run id replaces the earlier run wholesale; what could not be
     # removed makes makedirs fail rather than mix into the new run
     shutil.rmtree(run_dir, ignore_errors=True)
     os.makedirs(run_dir)
-    provider = LoggingProvider(make_provider(cfg))
     rec = run_stages(RunManifest(run_id=run_id, seed=seed), source, cfg,
                      kb or default_knowledge_base(), provider)
 
@@ -355,15 +351,9 @@ _ABLATION_FIXTURES = (
 def ablate(cfg: PipelineConfig) -> dict:
     """Success-rate table after removing named prompt components."""
     kb_full = default_knowledge_base()
-    knob_map = {
-        "Ours": {},
-        "without interpreter": {"no_interpreter": True},
-        "without prior knowledge": {"no_prior_knowledge": True},
-        "without reasoning section": {"no_reasoning_section": True},
-    }
     rates = {}
     for row in ABLATION_ROWS:
-        kb = strip_knowledge(kb_full, **knob_map[row])
+        kb = strip_knowledge(kb_full, row)
         sub = dataclasses.replace(
             cfg, variations=1,
             output_dir=os.path.join(cfg.output_dir, "ablate",

@@ -81,12 +81,14 @@ def test_run_malformed_config_is_config_error(tmp_path, capsys, content):
     ("batch", '{"variations": 1.5}', ()),
     # a finite duration that asks for too many steps
     ("run", None, ("--duration", "1e308")),
+    ("run", '{"provider_kind": "bogus"}', ()),
 ], ids=["duration_inf", "duration_flag_inf", "min_gap_inf",
-        "fractional_seed", "fractional_variations", "duration_flag_1e308"])
+        "fractional_seed", "fractional_variations", "duration_flag_1e308",
+        "bogus_provider_kind"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, content,
                                           flags):
-    """A wrong type, a non-finite number or a step count above the bound
-    ends before any run starts."""
+    """A wrong type, a non-finite number, a step count above the bound or an
+    unknown provider kind ends before any run starts."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content or "{}")
     code = run_cli(command, "--text", "a car", "--config", str(cfg), *flags,

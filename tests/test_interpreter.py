@@ -4,9 +4,10 @@ import random
 import pytest
 
 from scenarioforge import interpreter, ir
-from scenarioforge.interpreter import (MockProvider, default_knowledge_base,
+from scenarioforge.interpreter import (ABLATION_ROWS, LoggingProvider,
+                                       MockProvider, default_knowledge_base,
                                        integrate_forward_distance, interpret,
-                                       interpret_response, strip_knowledge)
+                                       strip_knowledge)
 
 
 @pytest.fixture
@@ -64,12 +65,10 @@ def test_interpret_dispatches_long_text(kb, provider):
 
 def test_interpret_is_deterministic(kb):
     req = ir.TextRequest("a car cuts in on the highway")
-    d1 = interpret(req, kb, MockProvider(seed=5), seed=3)
-    d2 = interpret(req, kb, MockProvider(seed=5), seed=3)
-    assert d1 == d2
-    d3 = interpret(req, kb, MockProvider(seed=6), seed=3)
-    assert ir.serialize_description(d1) != "" and isinstance(d3,
-                                                             ir.ScenarioDescription)
+    d1 = interpret(req, kb, MockProvider(), seed=3)
+    assert interpret(req, kb, MockProvider(), seed=3) == d1
+    # the mock's one seed is the prompt's ### SEED
+    assert interpret(req, kb, MockProvider(), seed=4) != d1
 
 
 def test_crash_report_restructuring(kb, provider):
@@ -86,10 +85,12 @@ def test_crash_report_restructuring(kb, provider):
 # retry behavior
 
 def test_retry_recovers_and_counts_attempts(kb):
-    resp = interpret_response(ir.TextRequest("a car on a road"), kb,
-                              MockProvider(fault="prose_once"))
-    assert resp.attempt_count == 2
-    assert resp.parsed is not None
+    provider = LoggingProvider(MockProvider(fault="prose_once"))
+    desc = interpret(ir.TextRequest("a car on a road"), kb, provider)
+    assert desc.agents
+    # the exchange log counts the attempts: the prose answer and its retry
+    first, retry = provider.exchanges
+    assert retry["prompt"].startswith(first["prompt"] + "\n### PREVIOUS ERROR:")
 
 
 class ScriptedProvider:
@@ -113,9 +114,8 @@ def test_wrong_section_type_is_prompted_again(kb):
     good = ir.serialize_description(desc)
     bad = json.dumps({**json.loads(good), "objects": None})
     provider = ScriptedProvider(bad, good)
-    resp = interpret_response(ir.TextRequest("a car on a road"), kb,
-                              provider)
-    assert (resp.parsed, resp.attempt_count) == (desc, 2)
+    assert interpret(ir.TextRequest("a car on a road"), kb, provider) == desc
+    assert len(provider.prompts) == 2
     assert "missing section: objects" in provider.prompts[1]
 
 
@@ -129,9 +129,8 @@ def test_infinite_object_count_is_prompted_again(kb):
     good = ir.serialize_description(desc)
     bad = json.dumps(json.loads(good)).replace('"count": 3', '"count": 1e400')
     provider = ScriptedProvider(bad, good)
-    resp = interpret_response(ir.TextRequest("a car on a road"), kb,
-                              provider)
-    assert (resp.parsed, resp.attempt_count) == (desc, 2)
+    assert interpret(ir.TextRequest("a car on a road"), kb, provider) == desc
+    assert len(provider.prompts) == 2
     assert "value out of range for object.count: inf" in provider.prompts[1]
 
 
@@ -144,18 +143,17 @@ def test_non_string_text_field_is_prompted_again(kb):
     good = ir.serialize_description(desc)
     bad = good.replace('"color": "red"', '"color": ["red"]')
     provider = ScriptedProvider(bad, good)
-    resp = interpret_response(ir.TextRequest("a car on a road"), kb,
-                              provider)
-    assert (resp.parsed, resp.attempt_count) == (desc, 2)
+    assert interpret(ir.TextRequest("a car on a road"), kb, provider) == desc
+    assert len(provider.prompts) == 2
     assert "missing section: color" in provider.prompts[1]
 
 
 def test_persistent_prose_exhausts_retries(kb):
-    provider = MockProvider(fault="prose")
+    provider = LoggingProvider(MockProvider(fault="prose"))
     with pytest.raises(interpreter.UnparseableAfterRetries):
         interpret(ir.TextRequest("a car on a road"), kb, provider)
     # initial attempt plus every retry
-    assert provider._calls == interpreter.MAX_RETRIES + 1
+    assert len(provider.exchanges) == interpreter.MAX_RETRIES + 1
 
 
 def test_empty_request_fails_after_retries(kb, provider):
@@ -319,25 +317,45 @@ def test_logging_provider_keeps_pairs(kb):
 # knowledge-base ablation
 
 def test_strip_reasoning_section(kb):
-    stripped = strip_knowledge(kb, no_reasoning_section=True)
+    stripped = strip_knowledge(kb, "without reasoning section")
     for text in stripped.templates.values():
         assert "### REASONING" not in text
     assert stripped.constraints == kb.constraints
 
 
 def test_strip_prior_knowledge(kb):
-    stripped = strip_knowledge(kb, no_prior_knowledge=True)
+    stripped = strip_knowledge(kb, "without prior knowledge")
     assert stripped.constraints == ()
     assert stripped.code_examples == {}
     assert set(stripped.templates) == set(kb.templates)
 
 
 def test_strip_interpreter_keeps_only_netgen(kb):
-    stripped = strip_knowledge(kb, no_interpreter=True)
+    stripped = strip_knowledge(kb, "without interpreter")
     assert set(stripped.templates) == {"netgen"}
+    assert stripped.templates["netgen"] == kb.templates["netgen"]
+
+
+def test_strip_knowledge_rows(kb):
+    assert strip_knowledge(kb, "Ours") == kb
+    assert len({repr(strip_knowledge(kb, row)) for row in ABLATION_ROWS}) == 4
+    with pytest.raises(ValueError, match="unknown ablation row"):
+        strip_knowledge(kb, "without everything")
+
+
+def test_render_checks_slots():
+    kb = ir.PromptKnowledgeBase(templates={
+        "t": "{payload} at {seed}: {constraints} {examples}",
+        "extra": "{payload} {name}"})
+    assert interpreter._render(kb, "t", "road", 3) == "road at 3: (none) (none)"
+    # no template is the interpreter ablated away: the payload goes out raw
+    assert interpreter._render(kb, "missing", "road", 3) == "road"
+    # a slot nothing fills is an error, not a raw payload
+    with pytest.raises(KeyError):
+        interpreter._render(kb, "extra", "road", 3)
 
 
 def test_ablated_interpreter_yields_prose(kb, provider):
-    stripped = strip_knowledge(kb, no_interpreter=True)
+    stripped = strip_knowledge(kb, "without interpreter")
     with pytest.raises(interpreter.UnparseableAfterRetries):
         interpret(ir.TextRequest("a car on a road"), stripped, provider)

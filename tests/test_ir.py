@@ -238,15 +238,6 @@ def test_video_needs_two_frames():
         ir.VideoDescriptor(("one frame",), (10.0,))
 
 
-def test_knowledge_base_render_checks_slots():
-    kb = ir.PromptKnowledgeBase(templates={"t": "hello {name} {thing}"})
-    assert kb.render("t", name="a", thing="b") == "hello a b"
-    with pytest.raises(KeyError):
-        kb.render("t", name="a")
-    with pytest.raises(KeyError):
-        kb.render("missing")
-
-
 def test_bundle_requires_exactly_one_av():
     d = make_description()
 

@@ -384,12 +384,31 @@ def test_config_step_bound_is_inclusive():
 
 
 def test_make_provider_kinds(tmp_path):
-    cfg = make_cfg(tmp_path)
-    from scenarioforge.interpreter import MockProvider
-    assert isinstance(pipeline.make_provider(cfg), MockProvider)
-    cfg.provider_kind = "carrier-pigeon"
-    with pytest.raises(pipeline.ConfigError):
-        pipeline.make_provider(cfg)
+    assert isinstance(pipeline.make_provider(make_cfg(tmp_path)),
+                      interpreter.MockProvider)
+    assert isinstance(pipeline.make_provider(make_cfg(
+        tmp_path, provider_kind="http", provider_endpoint="http://localhost")),
+        interpreter.HttpProvider)
+    # the config rejects any other kind, so make_provider never sees one
+    with pytest.raises(pipeline.ConfigError, match="provider kind"):
+        make_cfg(tmp_path, provider_kind="carrier-pigeon")
+
+
+def test_unavailable_provider_leaves_the_disk_alone(tmp_path, monkeypatch):
+    """A provider that cannot start ends the run before it removes an
+    earlier run with the same id and seed or makes a directory."""
+    monkeypatch.delenv("SCENARIOFORGE_ENDPOINT", raising=False)
+    source = ir.TextRequest("a car on a road")
+    pipeline.run_pipeline(source, make_cfg(tmp_path), run_id="same")
+    runs = tmp_path / "out" / "runs"
+    before = {p.name: p.read_bytes() for p in (runs / "same-0").iterdir()}
+    http = make_cfg(tmp_path, provider_kind="http")
+    for run_id in ("same", "new"):
+        with pytest.raises(interpreter.ProviderUnavailable):
+            pipeline.run_pipeline(source, http, run_id=run_id)
+    assert os.listdir(runs) == ["same-0"]
+    assert {p.name: p.read_bytes() for p in (runs / "same-0").iterdir()} \
+        == before
 
 
 def test_run_batch_aggregates(tmp_path, monkeypatch):
