@@ -9,8 +9,8 @@ import dataclasses
 import json
 import sys
 
-from . import compgen, evalkit, ir, netgen, pipeline
-from .interpreter import MockProvider, default_knowledge_base, interpret
+from . import evalkit, ir, netgen, pipeline
+from .interpreter import default_knowledge_base
 
 
 def _read(path: str) -> str:
@@ -70,6 +70,16 @@ def _add_input(p):
                    help="cached OSM extract for --bbox runs")
 
 
+def _run_stages(source, cfg: pipeline.PipelineConfig, stages):
+    """Run the first stages of the chain; a failed stage raises its error."""
+    rec = pipeline.run_stages(
+        pipeline.RunManifest(run_id="cli", seed=cfg.global_seed), source, cfg,
+        default_knowledge_base(), pipeline.make_provider(cfg), stages)
+    if rec.error is not None:
+        raise RuntimeError(rec.error)
+    return rec
+
+
 def cmd_run(args) -> int:
     cfg = _config(args)
     manifest = pipeline.run_pipeline(_load_input(args), cfg)
@@ -120,10 +130,8 @@ def cmd_eval(args) -> int:
 
 def cmd_netgen(args) -> int:
     if args.net_cmd == "compile":
-        kb = default_knowledge_base()
-        provider = MockProvider()
-        desc = interpret(ir.TextRequest(args.text), kb, provider)
-        net = netgen.compile_network(desc.road, kb, provider)
+        net = _run_stages(ir.TextRequest(args.text), pipeline.PipelineConfig(),
+                          pipeline.STAGES[:2]).network
         nod_path, edg_path = netgen.write_sumo_xml(net, args.out_prefix)
         print(f"wrote {nod_path} / {edg_path}")
         return 0
@@ -142,12 +150,9 @@ def cmd_netgen(args) -> int:
                          indent=2, sort_keys=True))
         return 0
     if args.net_cmd == "osm":
-        bbox = _bbox(args.bbox)
-        if args.extract:
-            source = _read(args.extract)
-        else:
-            source = netgen.fetch_osm_extract(bbox, args.cache_dir)
-        net = netgen.ingest_osm(bbox, source)
+        cfg = pipeline.PipelineConfig(osm_fixture=args.extract,
+                                      osm_cache_dir=args.cache_dir)
+        net = _run_stages(_bbox(args.bbox), cfg, ("netgen",)).network
         nod_path, edg_path = netgen.write_sumo_xml(net, args.out_prefix)
         print(f"{len(net.edges)} edges -> {nod_path} / {edg_path}")
         return 0
@@ -155,15 +160,9 @@ def cmd_netgen(args) -> int:
 
 
 def cmd_place(args) -> int:
-    pipeline.PipelineConfig(min_gap=args.min_gap)   # checks --min-gap
-    kb = default_knowledge_base()
-    provider = MockProvider()
-    desc = interpret(ir.TextRequest(args.text), kb, provider, seed=args.seed)
-    net = netgen.compile_network(desc.road, kb, provider, seed=args.seed)
-    constraints = compgen.PlacementConstraints(min_gap=args.min_gap,
-                                               seed=args.seed)
-    agents = compgen.generate_agents(desc, net, constraints)
-    for a in agents:
+    cfg = pipeline.PipelineConfig(min_gap=args.min_gap, global_seed=args.seed)
+    rec = _run_stages(ir.TextRequest(args.text), cfg, pipeline.STAGES[:3])
+    for a in rec.bundle.agents:
         print(f"{a.id} {a.kind} {a.role} {a.edge_id}:{a.lane_index} "
               f"s={a.s:.1f} v={a.speed:.1f}")
     return 0

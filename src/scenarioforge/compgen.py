@@ -39,7 +39,7 @@ def check_motion(speed: float, heading: float) -> None:
     """An agent's heading lies in (-180, 180] degrees and its speed is >= 0."""
     if not (-180.0 < heading <= 180.0):
         raise ValueError(f"heading out of range: {heading}")
-    if speed < 0:
+    if not speed >= 0:      # false for NaN too
         raise ValueError("speed must be >= 0")
 
 

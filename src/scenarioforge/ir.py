@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import operator
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
@@ -75,6 +76,8 @@ def _check_range(name: str, value, lo, hi, lo_open=False, hi_open=False):
     try:
         v = float(value)
     except (TypeError, ValueError, OverflowError):
+        raise RangeViolation(name, value)
+    if not math.isfinite(v):
         raise RangeViolation(name, value)
     if lo is not None and (v <= lo if lo_open else v < lo):
         raise RangeViolation(name, value)

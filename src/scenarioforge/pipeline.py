@@ -3,9 +3,9 @@
 run_stages is the one stage chain. It runs in memory, keeps what each stage
 produced and records per-stage status in pipeline order, so a failure pins
 the taxonomy class of the stage that died. run_pipeline (also for run_batch
-and ablate) writes that record to the run's own directory under
-<output_dir>/runs/, every artifact listed in the manifest, prompts.jsonl
-included. run_comparison runs the chain per placement arm, in memory only.
+and ablate) writes that record to <output_dir>/runs/<run_id>-<seed>/, each
+artifact listed in the manifest, prompts.jsonl included. run_comparison and
+forge place, netgen compile and netgen osm run parts of it, in memory only.
 """
 from __future__ import annotations
 
@@ -113,8 +113,9 @@ class RunManifest:
     network: Optional[netgen.RoadNetwork] = field(default=None, repr=False)
     bundle: Optional[ir.ScenarioBundle] = field(default=None, repr=False)
     trace: Optional[simcore.SimulationTrace] = field(default=None, repr=False)
-    # report.json's dict; in run_comparison, the AV's PerformanceReport
-    report: object = field(default=None, repr=False)
+    report: Optional[dict] = field(default=None, repr=False)  # report.json
+    # what stopped the chain: a message, as a traceback would hold this record
+    error: Optional[str] = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -208,12 +209,11 @@ def _evaluate(bundle: ir.ScenarioBundle, trace: simcore.SimulationTrace
 
 def run_stages(rec: RunManifest, source: Optional[ir.MultimodalInput],
                cfg: PipelineConfig, kb: ir.PromptKnowledgeBase, provider,
-               stages=STAGES, place=None, evaluate=_evaluate) -> RunManifest:
+               stages=STAGES, place=None) -> RunManifest:
     """The one stage chain, in memory: run `stages`, a contiguous part of
     STAGES, keeping what each produces in rec. The first stage that raises
-    records its taxonomy kind, and no later stage runs. place(desc,
-    net, constraints) places the agents (default compgen.generate_agents);
-    evaluate(bundle, trace) makes rec.report (default _evaluate)."""
+    records its taxonomy kind and message, and no later stage runs. place(desc,
+    net, constraints) places the agents (default compgen.generate_agents)."""
     for stage in stages:
         t0 = time.monotonic()
         try:
@@ -235,9 +235,10 @@ def run_stages(rec: RunManifest, source: Optional[ir.MultimodalInput],
             elif stage == "simulate":
                 rec.trace = simcore.run(rec.bundle, cfg.duration, cfg.dt)
             else:
-                rec.report = evaluate(rec.bundle, rec.trace)
+                rec.report = _evaluate(rec.bundle, rec.trace)
         except Exception as exc:
             rec.failure = classify_failure(exc)
+            rec.error = str(exc)
             rec.stages[stage] = f"error:{rec.failure}"
             return rec
         rec.timing[stage] = round(time.monotonic() - t0, 4)
@@ -305,6 +306,8 @@ def run_batch(inputs, cfg: PipelineConfig) -> dict:
     in cfg.output_dir wholesale: its batch-* run directories go first."""
     if not inputs:
         raise ConfigError("batch needs >= 1 input")
+    # first, so a provider that cannot start leaves an earlier batch as it was
+    make_provider(cfg)
     runs_dir = glob.escape(os.path.join(cfg.output_dir, "runs"))
     for stale in glob.glob(os.path.join(runs_dir, "batch-*")):
         shutil.rmtree(stale)
@@ -417,9 +420,9 @@ def run_comparison(cfg: PipelineConfig, n_networks: int = 5,
                     stages=dict(built.stages), timing=dict(built.timing))
                 if rec.failure is None:
                     run_stages(rec, None, cfg, kb, provider,
-                               stages=STAGES[2:], place=place,
-                               evaluate=_av_performance)
-                runs[arm].append(rec.failure or rec.report)
+                               stages=STAGES[2:4], place=place)
+                runs[arm].append(rec.failure or
+                                 _av_performance(rec.bundle, rec.trace))
     report = evalkit.compare_pipelines(runs["ours"], runs["baseline"])
     out = {arm: {row: [mean] if std is None else [mean, std]
                  for row, (mean, std) in report[arm].items()} for arm in arms}

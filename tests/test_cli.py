@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scenarioforge import cli
+from scenarioforge import cli, interpreter, pipeline
 
 from test_netgen import OSM_FIXTURE
 from validator_cases import GOOD_EDGES, GOOD_NODES
@@ -124,7 +124,7 @@ def test_run_zero_min_gap_is_config_error(tmp_path, capsys):
 def test_place_zero_min_gap_is_config_error(monkeypatch, capsys):
     def no_stage(*args, **kwargs):
         raise AssertionError("a stage ran")
-    monkeypatch.setattr(cli, "interpret", no_stage)
+    monkeypatch.setattr(pipeline, "interpret", no_stage)
     code = run_cli("place", "--text", "a car", "--min-gap", "0")
     assert code == 2
     assert "min_gap" in capsys.readouterr().err
@@ -275,6 +275,35 @@ def test_netgen_osm_from_extract(tmp_path, capsys):
     # an absolute prefix: the two paths stay apart
     assert capsys.readouterr().out == (
         f"5 edges -> {prefix}.nod.xml / {prefix}.edg.xml\n")
+
+
+def test_netgen_osm_without_drivable_way_fails(tmp_path, capsys):
+    extract = tmp_path / "empty.osm"
+    extract.write_text('<osm version="0.6"></osm>')
+    code = run_cli("netgen", "osm", "--bbox=0,0,0.001,0.001",
+                   "--extract", str(extract),
+                   "--out-prefix", str(tmp_path / "n"))
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: no drivable highway ways in extract\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["empty.osm"]
+
+
+@pytest.mark.parametrize("command", [
+    ["place", "--text", "a car cuts in"],
+    ["netgen", "compile", "--text", "a two lane straight road"]],
+    ids=["place", "netgen_compile"])
+def test_stage_command_with_prose_answers_fails(tmp_path, capsys,
+                                                monkeypatch, command):
+    monkeypatch.setattr(interpreter.MockProvider, "complete",
+                        lambda provider, prompt: "A straight road.")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*command) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: provider output unparseable after "
+                            "retries: missing section: document\n")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("bbox", ["1,2,3", "a,b,c,d", "3,0,1,1",

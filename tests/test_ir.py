@@ -187,7 +187,8 @@ def test_segment_requires_positive_length_and_a_lane():
         ir.RoadSegment(100.0, 0, 0, 13.89)
 
 
-# a JSON value int() or float() refuses, spliced into a serialized document
+# a JSON value int() or float() refuses, or one float() turns into a NaN or
+# an infinity, spliced into a serialized document
 @pytest.mark.parametrize("path, value, field", [
     (("objects", 0, "count"), "null", "object.count"),
     (("objects", 0, "count"), "1e400", "object.count"),
@@ -195,8 +196,14 @@ def test_segment_requires_positive_length_and_a_lane():
     (("road", "segments", 0, "lanes_backward"), "{}", "lanes"),
     (("road", "segments", 0, "length"), "1" + "0" * 400, "length"),
     (("agents", 0, "approx_speed"), "1" + "0" * 400, "agent.approx_speed"),
+    (("agents", 0, "approx_speed"), '"nan"', "agent.approx_speed"),
+    (("road", "segments", 0, "length"), '"1e999"', "length"),
+    (("road", "segments", 0, "speed_limit"), "Infinity", "speed_limit"),
+    (("weather", "precipitation"), '"nan"', "precipitation"),
 ], ids=["null_count", "infinite_count", "list_lanes_forward",
-        "object_lanes_backward", "huge_length", "huge_approx_speed"])
+        "object_lanes_backward", "huge_length", "huge_approx_speed",
+        "nan_approx_speed", "infinite_length", "infinite_speed_limit",
+        "nan_precipitation"])
 def test_parse_unconvertible_number_is_range_violation(path, value, field):
     data = json.loads(ir.serialize_description(make_description(
         objects=(ir.ObjectDescription("Cone", 5),))))

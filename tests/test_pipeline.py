@@ -228,6 +228,33 @@ def test_every_provider_fault_through_the_pipeline(tmp_path, fault, stage,
                        "manifest.json").read_text()) == m.to_dict()
 
 
+def test_nan_speed_is_prompted_again(tmp_path, monkeypatch):
+    """A BV's "nan" speed is a rejected answer: the description is asked for
+    again, and the run ends ok on the second answer."""
+    complete, answers = interpreter.MockProvider.complete, []
+
+    def nan_first(provider, prompt):
+        answer = complete(provider, prompt)
+        if not answers:
+            doc = json.loads(answer)
+            doc["agents"][1]["approx_speed"] = "nan"
+            answer = json.dumps(doc)
+        answers.append(answer)
+        return answer
+    monkeypatch.setattr(interpreter.MockProvider, "complete", nan_first)
+    m = pipeline.run_pipeline(
+        ir.TextRequest("a car cuts in front of the ego vehicle"),
+        make_cfg(tmp_path), run_id="nan")
+    assert m.ok
+    # two description exchanges, the second naming the rejected field,
+    # then the network's
+    first, retry, _ = (x["prompt"] for x in read_prompt_log(m))
+    assert retry.startswith(first + "\n### PREVIOUS ERROR:")
+    assert "agent.approx_speed" in retry
+    assert all(math.isfinite(a.approx_speed)
+               for a in m.bundle.description.agents)
+
+
 def _rejection(parse, answer: str) -> str:
     with pytest.raises(ValueError) as exc:
         parse(answer)
@@ -454,6 +481,22 @@ def test_batch_rerun_replaces_the_earlier_batch(tmp_path):
     runs = tmp_path / "out" / "runs"
     assert sorted(p.name for p in runs.iterdir()) == \
         ["batch-i000-v00-0", "other-0"]
+
+
+def test_batch_whose_provider_cannot_start_keeps_the_earlier_batch(
+        tmp_path, monkeypatch):
+    monkeypatch.delenv("SCENARIOFORGE_ENDPOINT", raising=False)
+    inputs = [ir.TextRequest("a car on a road")]
+    pipeline.run_batch(inputs, make_cfg(tmp_path, variations=2))
+    out = tmp_path / "out"
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert out / "aggregate.json" in before
+    assert sorted(p.name for p in (out / "runs").iterdir()) == \
+        ["batch-i000-v00-0", "batch-i000-v01-1"]
+    with pytest.raises(interpreter.ProviderUnavailable):
+        pipeline.run_batch(inputs, make_cfg(tmp_path, provider_kind="http"))
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == \
+        before
 
 
 def test_run_batch_records_partial_failures(tmp_path):

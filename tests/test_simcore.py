@@ -525,9 +525,9 @@ def car(agent_id, speed, heading=0.0, x=0.0, y=0.0):
 @st.composite
 def export_traces(draw):
     """A hand_trace of up to 4 steps. Its start speeds are AgentState
-    speeds, so like every speed they are never below 0."""
+    speeds, so like every speed they are never NaN or below 0."""
     ids = draw(st.lists(TRACE_ID, min_size=1, max_size=4, unique=True))
-    speeds = TRACE_FLOAT.filter(lambda v: not v < 0)
+    speeds = TRACE_FLOAT.filter(lambda v: v >= 0)
     steps = []
     for _ in range(draw(st.integers(0, 4))):
         steps.append([car(agent_id, draw(speeds), heading=draw(st.one_of(
@@ -717,10 +717,11 @@ def test_bv_control_matches_full_option_scan(lanes, vehicles):
     world = simcore.World(net=net, vehicles={}, obstacles=[])
     for i, (ei, li, s, kind, speed, cooldown) in enumerate(vehicles):
         state = place(net, edge_ids[ei], min(li, lanes[ei] - 1), s, f"v{i}",
-                      kind=kind, speed=speed)
+                      kind=kind)
         veh = world.vehicles[state.id] = simcore._Vehicle(
             state, simcore._default_params(kind, 13.89))
-        veh.lane_change_cooldown = cooldown
+        # set on the vehicle, as an AgentState refuses a NaN speed
+        veh.speed, veh.lane_change_cooldown = speed, cooldown
     index = simcore._LaneIndex(world)
     for veh in world.vehicles.values():
         # repr, so that NaN accelerations compare equal
