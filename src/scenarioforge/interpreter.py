@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 from dataclasses import asdict, replace
@@ -481,8 +482,9 @@ def integrate_forward_distance(depth_samples) -> float:
     samples = [float(d) for d in depth_samples]
     if len(samples) < 2:
         raise InsufficientFrames(f"need >= 2 depth samples, got {len(samples)}")
-    if any(d <= 0 for d in samples):
-        raise NonPositiveDepth("depth samples must be positive")
+    # false for NaN, which fails every comparison, as for 0, < 0 and inf
+    if not all(0 < d < math.inf for d in samples):
+        raise NonPositiveDepth("depth samples must be positive and finite")
     return fold_sum(max(0.0, samples[i] - samples[i + 1])
                     for i in range(len(samples) - 1))
 

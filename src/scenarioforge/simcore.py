@@ -10,11 +10,11 @@ Lane geometry comes from the network's compiled LaneGraph. Each step indexes
 the active vehicles by lane, sorted by arc length, so leader and follower
 lookups bisect one lane instead of scanning every vehicle, and a broad phase
 on the boxes' closed-form axis-aligned extents runs before the exact overlap
-test, which alone builds the corners. A background vehicle weighs its
-lane-change options only when the free-road acceleration, which bounds what
-any lane can offer, would beat the current lane by the threshold. All of
-these return exactly what the full scans and evaluations return, ties
-included.
+test, which alone builds the corners. A background vehicle weighs lane
+changes only when the free-road acceleration, the bound on any lane, beats
+the current lane by the threshold. BehaviorParams holds its IDM braking term;
+the AV's policy builds one per parameter set. All of this matches full scans
+and evaluations exactly, ties included; clamps compare as min and max do.
 
 The trace file and hash spell each number as json.dumps(round(v, n)) does
 (n = 4 and 6) from one '%.nf' conversion: round makes the same correctly
@@ -63,6 +63,9 @@ class BehaviorParams:
             raise ValueError("behavior parameters must be positive")
         if not self.accel_exponent >= 1:
             raise ValueError("accel_exponent must be >= 1")
+        # the IDM braking term, once per parameter set; not a field
+        object.__setattr__(self, "brake_term", 2.0 * math.sqrt(
+            self.max_accel * self.comfortable_decel))
 
 
 @dataclass(frozen=True)
@@ -126,17 +129,19 @@ def idm_accel(params: BehaviorParams, speed: float, gap: float,
 
     gap may be math.inf (free road). speed_delta = own speed - leader speed.
     """
-    p = params
-    free = (speed / p.desired_speed) ** p.accel_exponent
+    return _idm_accel(params, speed, gap, speed_delta,
+                      (speed / params.desired_speed) ** params.accel_exponent)
+
+
+def _idm_accel(p: BehaviorParams, speed: float, gap: float,
+               speed_delta: float, free: float) -> float:
+    """idm_accel from its free-road term; the clamps compare as max does."""
     if math.isinf(gap):
         interaction = 0.0
     else:
-        s_star = p.min_gap + max(0.0, speed * p.time_headway +
-                                 speed * speed_delta /
-                                 (2.0 * math.sqrt(p.max_accel *
-                                                  p.comfortable_decel)))
-        gap = max(gap, 0.1)
-        interaction = (s_star / gap) ** 2
+        push = speed * p.time_headway + speed * speed_delta / p.brake_term
+        s_star = p.min_gap + (push if push > 0.0 else 0.0)
+        interaction = (s_star / (0.1 if 0.1 > gap else gap)) ** 2
     return p.max_accel * (1.0 - free - interaction)
 
 
@@ -255,12 +260,13 @@ class _LaneIndex:
 
     def __init__(self, world: World):
         buckets: dict = {}
-        self.longest = 0.0
+        longest = 0.0
         for order, veh in enumerate(world.vehicles.values()):
             if veh.active:
                 buckets.setdefault((veh.edge_id, veh.lane_index), []).append(
                     (veh.s, order, veh))
-                self.longest = max(self.longest, veh.length)
+                longest = veh.length if veh.length > longest else longest
+        self.longest = longest
         # (s values, (s, world order, vehicle) entries) per lane
         self.vehicles = {}
         for key, bucket in buckets.items():
@@ -271,19 +277,17 @@ class _LaneIndex:
             self.obstacles.setdefault((eid, li), []).append(
                 (obj_s, max(obj.footprint)))
 
-    def nearest_vehicle(self, me: _Vehicle, key, after: float,
-                        offset: float) -> tuple[float, float]:
-        """(bumper gap, speed) of the vehicle with the smallest gap among
-        those on lane key with s > after, at center distance s + offset.
-        Ties go to the first vehicle in world order.
+    def nearest(self, me: _Vehicle, key, after: float,
+                offset: float) -> tuple[float, float]:
+        """(bumper gap, speed) of the vehicle or obstacle (speed 0) with the
+        smallest gap among those on lane key with s > after, at center distance
+        s + offset. Ties go to vehicles in world order, then to obstacles.
 
         IEEE subtraction is addition of the negated operand, so an offset of
         -s_me gives exactly the center distance s - s_me.
         """
         best_gap, best_speed, best_order = math.inf, 0.0, -1
-        if key not in self.vehicles:
-            return best_gap, best_speed
-        s_values, bucket = self.vehicles[key]
+        s_values, bucket = self.vehicles.get(key, ((), ()))
         # a vehicle at center distance c has a gap of at least c - reach, and
         # c only grows along the bucket: once c - reach exceeds the best gap,
         # no later vehicle can win or tie
@@ -298,18 +302,13 @@ class _LaneIndex:
             gap = center - (me.length + other.length) / 2.0
             if gap < best_gap or (gap == best_gap and order < best_order):
                 best_gap, best_speed, best_order = gap, other.speed, order
+        if key in self.obstacles:   # most lanes hold none
+            for obj_s, size in self.obstacles[key]:
+                if obj_s > after:
+                    gap = (obj_s + offset) - (me.length + size) / 2.0
+                    if gap < best_gap:
+                        best_gap, best_speed = gap, 0.0
         return best_gap, best_speed
-
-    def nearest_obstacle(self, me: _Vehicle, key, after: float,
-                         offset: float) -> float:
-        """nearest_vehicle for the obstacles, which have speed 0."""
-        best_gap = math.inf
-        for obj_s, size in self.obstacles.get(key, ()):
-            if obj_s > after:
-                gap = (obj_s + offset) - (me.length + size) / 2.0
-                if gap < best_gap:
-                    best_gap = gap
-        return best_gap
 
     def follower(self, me_id: str, key, s: float) -> Optional[_Vehicle]:
         """The vehicle with the largest s <= s on lane key, first in world
@@ -382,24 +381,17 @@ def _leader_gap(world: World, lanes: _LaneIndex, veh: _Vehicle,
     the next edge.
     """
     graph = world.net.lane_graph
-    best_gap, best_speed = lanes.nearest_vehicle(veh, (edge_id, lane_index),
-                                                 s, -s)
-    obj_gap = lanes.nearest_obstacle(veh, (edge_id, lane_index), s, -s)
-    if obj_gap < best_gap:
-        best_gap, best_speed = obj_gap, 0.0
-
-    remaining = graph.lanes[(edge_id, lane_index)].length - s
+    key = (edge_id, lane_index)
+    best_gap, best_speed = lanes.nearest(veh, key, s, -s)
+    remaining = graph.lanes[key].length - s
     if remaining >= LOOKAHEAD_HORIZON:
         return best_gap, best_speed
     nxt = _next_edge(graph, veh.route, veh.edge_id)
     if nxt is not None:
         key = (nxt, min(lane_index, graph.edges[nxt].num_lanes - 1))
-        gap, speed = lanes.nearest_vehicle(veh, key, -math.inf, remaining)
+        gap, speed = lanes.nearest(veh, key, -math.inf, remaining)
         if gap < best_gap:
             best_gap, best_speed = gap, speed
-        obj_gap = lanes.nearest_obstacle(veh, key, -math.inf, remaining)
-        if obj_gap < best_gap:
-            best_gap, best_speed = obj_gap, 0.0
     return best_gap, best_speed
 
 
@@ -432,10 +424,12 @@ def av_policy(observation: dict) -> tuple[float, int]:
 
     if ttc < TTC_BRAKE_THRESHOLD or (not math.isinf(gap) and gap < s0):
         return -b, lane_change
-    accel = idm_accel(BehaviorParams(desired_speed=v0, max_accel=a_max,
-                                     comfortable_decel=b, min_gap=s0),
-                      v, gap, closing)
+    accel = idm_accel(_policy_params(v0, a_max, b, s0), v, gap, closing)
     return max(-b, min(a_max, accel)), lane_change
+
+
+# one validated BehaviorParams per parameter set
+_policy_params = functools.lru_cache(maxsize=64)(BehaviorParams)
 
 
 def _lane_options(world: World, lanes: _LaneIndex, veh: _Vehicle
@@ -461,24 +455,26 @@ def _lane_options(world: World, lanes: _LaneIndex, veh: _Vehicle
 
 def _bv_control(world: World, lanes: _LaneIndex, veh: _Vehicle
                 ) -> tuple[float, int]:
+    p, speed = veh.params, veh.speed
     gap, lead_v = _leader_gap(world, lanes, veh, veh.edge_id, veh.lane_index,
                               veh.s)
-    accel_here = idm_accel(veh.params, veh.speed, gap, veh.speed - lead_v)
+    free = (speed / p.desired_speed) ** p.accel_exponent
+    accel_here = _idm_accel(p, speed, gap, speed - lead_v, free)
     if veh.lane_change_cooldown > 0:
         return accel_here, 0
     # the IDM interaction term is never negative, so no lane accelerates more
     # than the free road: when even that misses the threshold, every option
     # does (a NaN comparison is false and keeps the full evaluation)
-    free = idm_accel(veh.params, veh.speed, math.inf, 0.0)
-    if free - accel_here < veh.params.lane_change_threshold:
+    if _idm_accel(p, speed, math.inf, 0.0, free) - accel_here < \
+            p.lane_change_threshold:
         return accel_here, 0
 
     for opt in _lane_options(world, lanes, veh):
-        accel_there = idm_accel(veh.params, veh.speed, opt["gap"],
-                                veh.speed - opt["leader_speed"])
-        if accel_there - accel_here < veh.params.lane_change_threshold:
+        accel_there = _idm_accel(p, speed, opt["gap"],
+                                 speed - opt["leader_speed"], free)
+        if accel_there - accel_here < p.lane_change_threshold:
             continue
-        if opt["rear_gap"] < veh.params.min_gap:
+        if opt["rear_gap"] < p.min_gap:
             continue
         follower = opt["follower"]
         if follower is not None:
@@ -490,9 +486,8 @@ def _bv_control(world: World, lanes: _LaneIndex, veh: _Vehicle
     return accel_here, 0
 
 
-def _advance_vehicle(world: World, veh: _Vehicle, accel: float,
+def _advance_vehicle(graph: netgen.LaneGraph, veh: _Vehicle, accel: float,
                      lane_change: int, dt: float) -> None:
-    graph = world.net.lane_graph
     edge_id = veh.edge_id
     lane_index = veh.lane_index
     if lane_change != 0:
@@ -500,8 +495,11 @@ def _advance_vehicle(world: World, veh: _Vehicle, accel: float,
         if 0 <= li < graph.edges[edge_id].num_lanes:
             lane_index = li
             veh.lane_change_cooldown = 2.0
-    accel = max(-8.0, min(accel, veh.params.max_accel))
-    v_new = max(0.0, veh.speed + accel * dt)
+    a_max = veh.params.max_accel
+    accel = a_max if a_max < accel else accel
+    accel = accel if accel > -8.0 else -8.0
+    v_new = veh.speed + accel * dt
+    v_new = v_new if v_new > 0.0 else 0.0
     s_new = veh.s + v_new * dt
 
     path = graph.lanes[(edge_id, lane_index)]
@@ -517,7 +515,8 @@ def _advance_vehicle(world: World, veh: _Vehicle, accel: float,
         lane_index = min(lane_index, graph.edges[edge_id].num_lanes - 1)
         path = graph.lanes[(edge_id, lane_index)]
     veh.x, veh.y, veh.heading = path.point_at(s_new)
-    veh.lane_change_cooldown = max(0.0, veh.lane_change_cooldown - dt)
+    cooldown = veh.lane_change_cooldown - dt
+    veh.lane_change_cooldown = cooldown if cooldown > 0.0 else 0.0
     check_motion(v_new, veh.heading)
     veh.edge_id, veh.lane_index, veh.s, veh.speed = (edge_id, lane_index,
                                                      s_new, v_new)
@@ -534,6 +533,7 @@ def step(world: World, dt: float) -> World:
     integration (velocity first, then position). Mutates and returns world."""
     if not (0 < dt <= 0.5):
         raise ValueError("dt must be in (0, 0.5]")
+    graph = world.net.lane_graph
     lanes = _LaneIndex(world)
     controls = {}
     for vid, veh in world.vehicles.items():
@@ -565,7 +565,7 @@ def step(world: World, dt: float) -> World:
             accel, lane_change = ctl
             if veh.lane_change_cooldown > 0:
                 lane_change = 0
-            _advance_vehicle(world, veh, accel, lane_change, dt)
+            _advance_vehicle(graph, veh, accel, lane_change, dt)
     return world
 
 

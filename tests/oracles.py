@@ -256,6 +256,24 @@ def all_pairs_collisions(states, step=0):
     return out
 
 
+def idm_accel_reference(params, speed, gap, speed_delta):
+    """IDM acceleration with the braking term 2 sqrt(a b) and both clamps
+    evaluated in place, by the builtin max: the formula simcore.idm_accel
+    must equal bit for bit."""
+    p = params
+    free = (speed / p.desired_speed) ** p.accel_exponent
+    if math.isinf(gap):
+        interaction = 0.0
+    else:
+        s_star = p.min_gap + max(0.0, speed * p.time_headway +
+                                 speed * speed_delta /
+                                 (2.0 * math.sqrt(p.max_accel *
+                                                  p.comfortable_decel)))
+        gap = max(gap, 0.1)
+        interaction = (s_star / gap) ** 2
+    return p.max_accel * (1.0 - free - interaction)
+
+
 def leader_gap_scan(world, me, edge_id, lane_index, s):
     """(bumper gap, leader speed) by scanning every vehicle and obstacle on
     the lane, then on the vehicle's next edge; the first candidate wins

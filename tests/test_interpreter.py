@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -211,10 +212,15 @@ def test_integrate_forward_distance_examples():
 def test_integrate_forward_distance_errors():
     with pytest.raises(interpreter.InsufficientFrames):
         integrate_forward_distance([42.0])
-    with pytest.raises(interpreter.NonPositiveDepth):
-        integrate_forward_distance([10.0, 0.0])
-    with pytest.raises(interpreter.NonPositiveDepth):
-        integrate_forward_distance([10.0, -3.0])
+    # a NaN fails d <= 0 and max(0.0, nan) is 0.0, so only an explicit
+    # finiteness check keeps it out of the sum; inf would pass d > 0
+    for depths in ([10.0, 0.0], [10.0, -3.0], [math.nan, 10.0, 5.0],
+                   [10.0, math.nan, 5.0], [10.0, 5.0, math.nan],
+                   [math.inf, 10.0, 5.0], [10.0, math.inf, 5.0],
+                   [10.0, 5.0, math.inf], [10.0, -math.inf]):
+        with pytest.raises(interpreter.NonPositiveDepth,
+                           match="positive and finite"):
+            integrate_forward_distance(depths)
 
 
 def test_integrate_forward_distance_properties():

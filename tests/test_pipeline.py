@@ -330,6 +330,21 @@ def test_run_pipeline_nan_latitude_fails_at_netgen(tmp_path):
     assert not list(run_dir.glob("network.*"))
 
 
+@pytest.mark.parametrize("depths", [(math.nan, 10.0, 5.0),
+                                    (10.0, math.nan, 5.0),
+                                    (math.inf, 10.0, 5.0)])
+def test_non_finite_depth_fails_at_interpret(tmp_path, depths):
+    """A NaN or infinite depth sample stops the run where a zero one does,
+    before any later stage."""
+    video = ir.VideoDescriptor(
+        frame_captions=("a car ahead", "closing in", "stopped"),
+        depth_samples=depths)
+    m = pipeline.run_pipeline(video, make_cfg(tmp_path), run_id="depth")
+    assert m.stages == {"interpret": "error:RuntimeError"}
+    assert m.failure == "RuntimeError"
+    assert m.error == "depth samples must be positive and finite"
+
+
 def test_classify_failure():
     from scenarioforge.interpreter import UnparseableAfterRetries
     err = netgen.NetworkValidationError([netgen.ValidationError(

@@ -19,8 +19,9 @@ from scenarioforge import compgen, evalkit, ir, netgen, pipeline, simcore
 from conftest import street_grid_network
 from oracles import (all_pairs_collisions, bv_control_scan, export_series_json,
                      export_trace_json, follower_scan, hand_trace,
-                     leader_gap_scan, performance_series, project_objects_scan,
-                     quads_overlap_oracle, run_with_series, trace_hash_json)
+                     idm_accel_reference, leader_gap_scan, performance_series,
+                     project_objects_scan, quads_overlap_oracle,
+                     run_with_series, trace_hash_json)
 
 
 def straight_net(length=2000.0, fwd=1, speed=13.89):
@@ -108,6 +109,33 @@ def test_idm_approach_is_monotone_in_gap():
     gaps = [5.0, 10.0, 20.0, 50.0, 200.0]
     accels = [simcore.idm_accel(p, 10.0, g, 2.0) for g in gaps]
     assert accels == sorted(accels)
+
+
+@settings(max_examples=500, deadline=None)
+# 2 sqrt(0.8 * 3.0) and 2 sqrt(0.8) sqrt(3.0) are different doubles
+@example(kind="Car", edge_speed=13.89, rates=(0.8, 3.0), speed=10.0,
+         gap=20.0, speed_delta=5.0)
+@given(kind=st.sampled_from(["Car", "Truck", "Bus"]),
+       edge_speed=st.floats(0.1, 40.0),
+       rates=st.none() | st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+       speed=st.floats(0.0, 1e3),
+       gap=st.one_of(st.sampled_from([math.inf, 0.0, 0.05, 0.1]),
+                     st.floats(max_value=0.0, exclude_max=True,
+                               allow_infinity=False),
+                     st.floats(allow_nan=False, allow_infinity=False)),
+       speed_delta=st.floats(-1e3, 1e3))
+def test_idm_matches_the_formula_bit_for_bit(kind, edge_speed, rates, speed,
+                                             gap, speed_delta):
+    """The braking term held by BehaviorParams and the clamps written as
+    comparisons give the formula's float, by repr: for Car and Truck/Bus
+    parameters, as built or with other max_accel and comfortable_decel, on
+    free road, at and below the 0.1 m gap floor, at negative gaps, and with
+    closing or opening leaders."""
+    p = simcore._default_params(kind, edge_speed)
+    if rates is not None:
+        p = replace(p, max_accel=rates[0], comfortable_decel=rates[1])
+    assert repr(simcore.idm_accel(p, speed, gap, speed_delta)) == \
+        repr(idm_accel_reference(p, speed, gap, speed_delta))
 
 
 def test_behavior_params_validation():
@@ -337,6 +365,25 @@ def test_run_builds_no_agent_state(monkeypatch):
     trace = simcore.run(bundle, duration=30.0, dt=0.1)
     assert sum(len(ids) for ids, _ in trace.steps) == 32 * 300
     assert built == 0
+
+
+def test_run_builds_behavior_params_once_per_vehicle(monkeypatch):
+    """32 cars for 300 steps build one BehaviorParams per vehicle and at most
+    one for the AV's policy. Building the policy's parameters every step
+    built 300 more."""
+    bundle = dense_bundle()
+    built = 0
+    init = simcore.BehaviorParams.__init__
+
+    def counted_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(simcore.BehaviorParams, "__init__", counted_init)
+    trace = simcore.run(bundle, duration=30.0, dt=0.1)
+    assert sum(len(ids) for ids, _ in trace.steps) == 32 * 300
+    assert built <= 32 + 1
 
 
 def test_trace_hash_is_deterministic():
