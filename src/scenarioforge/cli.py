@@ -83,7 +83,7 @@ def _run_stages(source, cfg: pipeline.PipelineConfig, stages):
 def cmd_run(args) -> int:
     cfg = _config(args)
     manifest = pipeline.run_pipeline(_load_input(args), cfg)
-    print(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
+    print(ir.canonical_json(manifest.to_dict()), end="")
     return 0 if manifest.ok else 1
 
 
@@ -100,7 +100,7 @@ def cmd_batch(args) -> int:
         raise pipeline.ConfigError("batch needs --fixtures or --text")
     aggregate = pipeline.run_batch(inputs, cfg)
     print(aggregate.get("diversity_table", ""))
-    print(json.dumps(aggregate["conformity"], indent=2, sort_keys=True))
+    print(ir.canonical_json(aggregate["conformity"]), end="")
     return 0 if aggregate["ok"] == aggregate["runs"] else 1
 
 
@@ -123,8 +123,7 @@ def cmd_compare(args) -> int:
 def cmd_eval(args) -> int:
     aggregate = json.loads(_read(args.aggregate))
     print(aggregate.get("diversity_table", ""))
-    print(json.dumps(aggregate.get("conformity", {}), indent=2,
-                     sort_keys=True))
+    print(ir.canonical_json(aggregate.get("conformity", {})), end="")
     return 0
 
 
@@ -144,10 +143,10 @@ def cmd_netgen(args) -> int:
         return 0 if not errors else 1
     if args.net_cmd == "stats":
         net = netgen.parse_sumo_xml(_read(args.nodes), _read(args.edges))
-        print(json.dumps({**dataclasses.asdict(netgen.network_stats(net)),
-                          "pairwise_junction_distance":
-                              netgen.junction_distance(net)},
-                         indent=2, sort_keys=True))
+        print(ir.canonical_json(
+            {**dataclasses.asdict(netgen.network_stats(net)),
+             "pairwise_junction_distance": netgen.junction_distance(net)}),
+            end="")
         return 0
     if args.net_cmd == "osm":
         cfg = pipeline.PipelineConfig(osm_fixture=args.extract,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import netgen
-from .ir import VRU_KINDS, ScenarioDescription, fold_sum
+from .ir import ScenarioDescription
 
 VEHICLE_DIMS = {
     "Car": (4.5, 1.8),
@@ -25,6 +25,10 @@ VEHICLE_DIMS = {
     "Cyclist": (1.8, 0.6),
     "Pedestrian": (0.5, 0.5),
 }
+
+OBJECT_FOOTPRINTS = {"Cone": (0.4, 0.4), "WarningSign": (0.5, 0.5),
+                     "Barrier": (2.0, 0.5), "Fence": (2.0, 0.2),
+                     "LaneMarking": (3.0, 0.15)}
 
 CONFLICT_KEYWORDS = ("cut-in", "cut in", "conflict", "rear-end", "rear end",
                      "collide", "collision", "merge into", "overtake",
@@ -59,16 +63,8 @@ class AgentState:
     width: float
     color: Optional[str] = None
 
-    # placement builds up to 300 x 40 candidates per agent: the frozen
-    # __init__ calls object.__setattr__ per field; __dict__ stores cost a third
-    def __init__(self, id, kind, role, edge_id, lane_index, s, speed, heading,
-                 x, y, length, width, color=None):
-        check_motion(speed, heading)
-        d = self.__dict__
-        d["id"], d["kind"], d["role"], d["edge_id"] = id, kind, role, edge_id
-        d["lane_index"], d["s"], d["speed"] = lane_index, s, speed
-        d["heading"], d["x"], d["y"] = heading, x, y
-        d["length"], d["width"], d["color"] = length, width, color
+    def __post_init__(self):
+        check_motion(self.speed, self.heading)
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,9 @@ def _make_state(agent_id, desc_agent, edge, lane_index,
                       length=length, width=width, color=desc_agent.color)
 
 
-def _min_pair_dist(states) -> float:
+def min_pair_distance(states) -> float:
+    """The shortest center distance between two of states (inf for fewer
+    than two)."""
     best = math.inf
     for i, a in enumerate(states):
         for b in states[i + 1:]:
@@ -233,7 +231,7 @@ def _even_spacing(agents, graph, gap) -> list[AgentState]:
         states.append(_make_state(f"agent{idx}", agent, edge, li, path,
                                   cursor))
         cursor += spacing
-    if _min_pair_dist(states) < gap / 2.0:
+    if min_pair_distance(states) < gap / 2.0:
         raise PlacementInfeasible("fallback violated the hard gap floor")
     return states
 
@@ -254,6 +252,7 @@ def generate_objects(desc: ScenarioDescription, net: netgen.RoadNetwork,
     taper_anchor = None
 
     for obj in desc.objects:
+        fp = OBJECT_FOOTPRINTS[obj.kind]
         if obj.kind == "Cone" and any(k in obj.placement_hint.lower()
                                       for k in ("taper", "closure")):
             path = graph.lanes[ranked[0][1:]]
@@ -272,8 +271,7 @@ def generate_objects(desc: ScenarioDescription, net: netgen.RoadNetwork,
                 x += math.sin(rad) * off
                 y += -math.cos(rad) * off
                 out.append(PlacedObject(kind="Cone", x=x, y=y,
-                                        yaw=_wrap_heading(hd),
-                                        footprint=(0.4, 0.4)))
+                                        yaw=_wrap_heading(hd), footprint=fp))
             taper_anchor = (path, s0)
         elif obj.kind == "WarningSign":
             if taper_anchor is not None:
@@ -285,15 +283,12 @@ def generate_objects(desc: ScenarioDescription, net: netgen.RoadNetwork,
             x, y, hd = path.point_at(s)
             for _ in range(obj.count):
                 out.append(PlacedObject(kind="WarningSign", x=x, y=y,
-                                        yaw=_wrap_heading(hd),
-                                        footprint=(0.5, 0.5)))
+                                        yaw=_wrap_heading(hd), footprint=fp))
         else:
             path = graph.lanes[ranked[rng.randrange(len(ranked))][1:]]
             L = path.length
             base = rng.uniform(0.1 * L, 0.6 * L)
             step = min(5.0, max(L - base, 1.0) / max(obj.count, 1))
-            fp = {"Cone": (0.4, 0.4), "Barrier": (2.0, 0.5),
-                  "Fence": (2.0, 0.2), "LaneMarking": (3.0, 0.15)}[obj.kind]
             for i in range(obj.count):
                 x, y, hd = path.point_at(min(base + i * step, L))
                 out.append(PlacedObject(kind=obj.kind, x=x, y=y,
@@ -322,31 +317,3 @@ def random_trip_placement(net: netgen.RoadNetwork, n_agents: int,
             speed=rng.uniform(0.0, edge.speed), heading=_wrap_heading(heading),
             x=x, y=y, length=length, width=width))
     return out
-
-
-def _mean_std(values) -> tuple[float, float]:
-    vals = [float(v) for v in values]
-    n = len(vals)
-    if n == 0:
-        return 0.0, 0.0
-    mean = fold_sum(vals) / n
-    if n == 1:
-        return mean, 0.0
-    var = fold_sum((v - mean) ** 2 for v in vals) / (n - 1)
-    return mean, math.sqrt(var)
-
-
-def placement_diversity(scenarios: list[list[AgentState]]) -> dict:
-    """Sample mean/std of agent count, shortest inter-agent distance, and
-    vehicle yaw over a set of placed scenarios."""
-    if not scenarios:
-        raise ValueError("need >= 1 scenario")
-    counts = [len(sc) for sc in scenarios]
-    shortest = [_min_pair_dist(sc) for sc in scenarios if len(sc) >= 2]
-    yaws = [a.heading for sc in scenarios for a in sc
-            if a.kind not in VRU_KINDS]
-    return {
-        "agent_count": _mean_std(counts),
-        "shortest_distance": _mean_std(shortest),
-        "vehicle_yaw": _mean_std(yaws),
-    }

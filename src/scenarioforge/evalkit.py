@@ -8,7 +8,6 @@ import re
 from dataclasses import dataclass, field
 
 from . import compgen, simcore
-from .compgen import _mean_std
 from .ir import (VRU_KINDS, AgentDescription, ObjectDescription,
                  RoadDescription, RoadSegment, ScenarioBundle,
                  ScenarioDescription, fold_sum, serialize_description)
@@ -240,6 +239,20 @@ def conformity(rows, outcomes=None) -> ConformityReport:
 # ---------------------------------------------------------------------------
 # diversity
 
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and sample standard deviation: (0, 0) for no values, and a
+    standard deviation of 0 for one."""
+    vals = [float(v) for v in values]
+    n = len(vals)
+    if n == 0:
+        return 0.0, 0.0
+    mean = fold_sum(vals) / n
+    if n == 1:
+        return mean, 0.0
+    var = fold_sum((v - mean) ** 2 for v in vals) / (n - 1)
+    return mean, math.sqrt(var)
+
+
 def format_pm(mean: float, std: float) -> str:
     return f"{mean:.2f} ± {std:.2f}"
 
@@ -253,20 +266,23 @@ def diversity(scenarios) -> dict:
 
     scenarios: list of dicts with keys lanes, edges, route_length, agents
     (AgentState sequence), objects (count). Returns metric -> (mean, std).
+    "Shortest" is over the scenarios with two or more agents; "Vehicle yaw"
+    pools the headings of every non-VRU agent of every scenario.
     """
     if not scenarios:
         raise ValueError("need >= 1 scenario")
-    table = {
+    placed = [s["agents"] for s in scenarios]
+    return {
         "#Lanes": _mean_std([s["lanes"] for s in scenarios]),
         "#Edges": _mean_std([s["edges"] for s in scenarios]),
         "Route Length": _mean_std([s["route_length"] for s in scenarios]),
-        "#Agents": _mean_std([len(s["agents"]) for s in scenarios]),
+        "#Agents": _mean_std([len(sc) for sc in placed]),
         "#Objects": _mean_std([s["objects"] for s in scenarios]),
+        "Shortest": _mean_std([compgen.min_pair_distance(sc) for sc in placed
+                               if len(sc) >= 2]),
+        "Vehicle yaw": _mean_std([a.heading for sc in placed for a in sc
+                                  if a.kind not in VRU_KINDS]),
     }
-    pd = compgen.placement_diversity([s["agents"] for s in scenarios])
-    table["Shortest"] = pd["shortest_distance"]
-    table["Vehicle yaw"] = pd["vehicle_yaw"]
-    return table
 
 
 def diversity_from_bundles(bundles) -> dict:

@@ -18,7 +18,7 @@ import re
 from dataclasses import asdict, replace
 from typing import Optional
 
-from . import ir
+from . import ir, netgen
 from .ir import (CrashReport, GpsBoundingBox, ImageDescriptor,
                  MultimodalInput, PromptKnowledgeBase, ScenarioDescription,
                  TextRequest, VideoDescriptor, fold_sum, parse_description,
@@ -90,8 +90,8 @@ def default_knowledge_base() -> PromptKnowledgeBase:
         "interpret_video": _template("interpret_video"),
         "netgen": _template("netgen").replace(
             "canonical usd-v1 JSON document",
-            "SUMO plain XML nodes document, then '=== EDGES ===', "
-            "then the edges document"),
+            "SUMO plain XML nodes document, then "
+            f"'{netgen.NET_RESPONSE_SEPARATOR}', then the edges document"),
     }
     return PromptKnowledgeBase(templates=templates, constraints=_CONSTRAINTS,
                                code_examples={"node_edge": _NODE_EDGE_EXAMPLE})
@@ -189,6 +189,11 @@ class LoggingProvider:
         return exchange["response"]
 
 
+# a detected kind, singular and lower case -> the description's kind
+_ROAD_USER_KINDS = {k.lower(): k for k in ir.AGENT_KINDS}
+_OBJECT_KINDS = {**{k.lower(): k for k in ir.OBJECT_KINDS},
+                 "warning sign": "WarningSign", "lane marking": "LaneMarking"}
+
 _NUMBER_WORDS = {"one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
                  "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10}
 
@@ -283,32 +288,26 @@ class MockProvider:
         base = synthesize_description(caption or "road scene", seed)
         agents, objects = [], []
         av_assigned = False
-        for kind, count in data.get("elements", []):
-            key = _singular(kind)
-            if key in ("car", "truck", "bus", "motorcycle"):
+        for detected, count in data.get("elements", []):
+            key = _singular(detected)
+            kind = _ROAD_USER_KINDS.get(key)
+            if key in _OBJECT_KINDS:
+                objects.append(ir.ObjectDescription(kind=_OBJECT_KINDS[key],
+                                                    count=count))
+            elif kind in ir.VRU_KINDS:
+                for _ in range(count):
+                    agents.append(ir.AgentDescription(
+                        kind=kind, role="VRU", intent="cross",
+                        approx_speed=1.5))
+            elif kind is not None:
                 for _ in range(count):
                     role = "AV" if not av_assigned else "BV"
                     av_assigned = True
                     agents.append(ir.AgentDescription(
-                        kind=key.capitalize(), role=role, intent="cruise",
+                        kind=kind, role=role, intent="cruise",
                         approx_speed=8.0))
-            elif key in ("cyclist", "pedestrian"):
-                for _ in range(count):
-                    agents.append(ir.AgentDescription(
-                        kind=key.capitalize(), role="VRU", intent="cross",
-                        approx_speed=1.5))
-            elif key in ("cone", "warning sign", "warningsign", "barrier",
-                         "fence", "lane marking", "lanemarking"):
-                mapping = {"cone": "Cone", "warning sign": "WarningSign",
-                           "warningsign": "WarningSign", "barrier": "Barrier",
-                           "fence": "Fence", "lane marking": "LaneMarking",
-                           "lanemarking": "LaneMarking"}
-                objects.append(ir.ObjectDescription(kind=mapping[key],
-                                                    count=count))
-        return ir.ScenarioDescription(
-            road=base.road, objects=tuple(objects), agents=tuple(agents),
-            weather=base.weather, narrative=caption,
-            scene_type=base.scene_type)
+        return replace(base, objects=tuple(objects), agents=tuple(agents),
+                       narrative=caption)
 
     def _from_video(self, data: dict, seed: int) -> ScenarioDescription:
         captions = data.get("captions", [])
@@ -316,21 +315,12 @@ class MockProvider:
         text = " ".join(captions)
         base = synthesize_description(text or "dashcam drive", seed)
         length = integrate_forward_distance(depths) if len(depths) >= 2 else 0.0
-        seg = base.road.segments[0]
-        road = ir.RoadDescription(
-            layout=base.road.layout,
-            segments=(ir.RoadSegment(length=max(length, 1.0),
-                                     lanes_forward=seg.lanes_forward,
-                                     lanes_backward=seg.lanes_backward,
-                                     speed_limit=seg.speed_limit),),
-            junction_notes=base.road.junction_notes)
-        return ir.ScenarioDescription(
-            road=road, objects=base.objects, agents=base.agents,
-            weather=base.weather, narrative=text, scene_type=base.scene_type)
+        seg = replace(base.road.segments[0], length=max(length, 1.0))
+        return replace(base, road=replace(base.road, segments=(seg,)),
+                       narrative=text)
 
     # -- network synthesis -----------------------------------------------------
     def _net_response(self, prompt: str, payload: str, seed: int) -> str:
-        from . import netgen
         data = json.loads(payload)
         road = ir.RoadDescription(
             layout=data["layout"],
@@ -546,9 +536,7 @@ def interpret(source: MultimodalInput, kb: PromptKnowledgeBase, provider,
                               "elements": [list(e) for e in source.elements]},
                              sort_keys=True)
         expected_agents = sum(n for k, n in source.elements
-                              if _singular(k) in
-                              ("car", "truck", "bus", "motorcycle", "cyclist",
-                               "pedestrian"))
+                              if _singular(k) in _ROAD_USER_KINDS)
 
         def postcheck(parsed: ScenarioDescription):
             if len(parsed.agents) != expected_agents:

@@ -278,6 +278,12 @@ class ScenarioBundle:
 # ---------------------------------------------------------------------------
 # canonical document serialization
 
+def canonical_json(data) -> str:
+    """The one JSON text of every document and artifact: sorted keys, two
+    spaces of indent, a final newline."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
 def description_to_dict(d: ScenarioDescription) -> dict:
     """The canonical document of a description as JSON-ready data."""
     return {"format": FORMAT_HEADER, **asdict(d)}
@@ -285,7 +291,7 @@ def description_to_dict(d: ScenarioDescription) -> dict:
 
 def serialize_description(d: ScenarioDescription) -> str:
     """Canonical, deterministic text document for a scenario description."""
-    return json.dumps(description_to_dict(d), sort_keys=True, indent=2) + "\n"
+    return canonical_json(description_to_dict(d))
 
 
 _ABSENT = object()

@@ -27,6 +27,7 @@ from .interpreter import (ABLATION_ROWS, HttpProvider, LoggingProvider,
                           default_knowledge_base, interpret, strip_knowledge)
 
 STAGES = ("interpret", "netgen", "compgen", "simulate", "evaluate")
+BEHAVIOR_MODEL = "parametric car-following substitute"
 
 
 class ConfigError(ValueError):
@@ -165,10 +166,6 @@ def _write(path: str, content) -> None:
             fh.write(content)
 
 
-def _json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
 def _build_network(rec: RunManifest, source, cfg: PipelineConfig, kb,
                    provider) -> netgen.RoadNetwork:
     if not isinstance(source, ir.GpsBoundingBox):
@@ -198,7 +195,7 @@ def _evaluate(bundle: ir.ScenarioBundle, trace: simcore.SimulationTrace
     dist = evalkit.objective_distance(bundle.description, bundle,
                                       evalkit.HashingEmbedder())
     return {
-        "behavior_model": "parametric car-following substitute",
+        "behavior_model": BEHAVIOR_MODEL,
         "objective_distance": round(dist, 6),
         "performance": dataclasses.asdict(perf),
         "scene_class": evalkit.classify_bundle(bundle),
@@ -282,17 +279,19 @@ def run_pipeline(source: ir.MultimodalInput, cfg: PipelineConfig,
         put("network_nodes", "network.nod.xml", xml_nodes)
         put("network_edges", "network.edg.xml", xml_edges)
     if rec.bundle is not None:
-        put("bundle", "bundle.json", _json(_bundle_to_dict(rec.bundle)))
+        put("bundle", "bundle.json",
+            ir.canonical_json(_bundle_to_dict(rec.bundle)))
     if rec.trace is not None:
         put("trace", "trace.jsonl",
             functools.partial(simcore.export_trace, rec.trace))
     if rec.report is not None:
-        put("report", "report.json", _json(rec.report))
+        put("report", "report.json", ir.canonical_json(rec.report))
     put("prompts", "prompts.jsonl",
         "".join(json.dumps(x, sort_keys=True) + "\n"
                 for x in provider.exchanges))
     # last, so its mtime marks the end of the run
-    _write(os.path.join(run_dir, "manifest.json"), _json(rec.to_dict()))
+    _write(os.path.join(run_dir, "manifest.json"),
+           ir.canonical_json(rec.to_dict()))
     # of what the stages produced, only the bundle stays in the returned
     # record; the trace and the report are on disk
     return dataclasses.replace(rec, description=None, network=None,
@@ -325,22 +324,17 @@ def run_batch(inputs, cfg: PipelineConfig) -> dict:
 
     conf = evalkit.conformity(rows, outcomes)
     aggregate = {
-        "behavior_model": "parametric car-following substitute",
+        "behavior_model": BEHAVIOR_MODEL,
         "runs": len(outcomes),
         "ok": sum(1 for o in outcomes if o["ok"]),
-        "conformity": {
-            "scene_type_acc": conf.scene_type_acc,
-            "vehicle_attr_acc": conf.vehicle_attr_acc,
-            "static_obj_attr_acc": conf.static_obj_attr_acc,
-            "success_rate": conf.success_rate,
-            "failure_taxonomy_counts": conf.failure_taxonomy_counts,
-        },
+        "conformity": dataclasses.asdict(conf),
     }
     if rows:
         table = evalkit.diversity(rows)
         aggregate["diversity"] = {k: list(v) for k, v in table.items()}
         aggregate["diversity_table"] = evalkit.format_diversity_table(table)
-    _write(os.path.join(cfg.output_dir, "aggregate.json"), _json(aggregate))
+    _write(os.path.join(cfg.output_dir, "aggregate.json"),
+           ir.canonical_json(aggregate))
     return aggregate
 
 
@@ -369,7 +363,8 @@ def ablate(cfg: PipelineConfig) -> dict:
             ok += 1 if m.ok else 0
         rates[row] = ok / len(_ABLATION_FIXTURES)
     result = {"rows": list(ABLATION_ROWS), "success_rate": rates}
-    _write(os.path.join(cfg.output_dir, "ablation.json"), _json(result))
+    _write(os.path.join(cfg.output_dir, "ablation.json"),
+           ir.canonical_json(result))
     return result
 
 
@@ -428,5 +423,6 @@ def run_comparison(cfg: PipelineConfig, n_networks: int = 5,
                  for row, (mean, std) in report[arm].items()} for arm in arms}
     out.update(rows=report["rows"], failures=report["failures"],
                table=evalkit.format_comparison(report))
-    _write(os.path.join(cfg.output_dir, "comparison.json"), _json(out))
+    _write(os.path.join(cfg.output_dir, "comparison.json"),
+           ir.canonical_json(out))
     return report

@@ -447,9 +447,9 @@ def _lane_options(world: World, lanes: _LaneIndex, veh: _Vehicle
         else:
             rear_gap = veh.s - follower.s - \
                 (veh.length + follower.length) / 2.0
-        options.append({"direction": direction, "lane_index": li,
-                        "gap": gap, "leader_speed": lead_v,
-                        "rear_gap": rear_gap, "follower": follower})
+        options.append({"direction": direction, "gap": gap,
+                        "leader_speed": lead_v, "rear_gap": rear_gap,
+                        "follower": follower})
     return options
 
 

@@ -2,7 +2,6 @@ import dataclasses
 import inspect
 import math
 import random
-import statistics
 
 import pytest
 
@@ -311,59 +310,3 @@ def test_random_trip_gives_no_gap_guarantee():
             violated = True
             break
     assert violated
-
-
-# ---------------------------------------------------------------------------
-# diversity metrics
-
-def _agent_at(x, y, heading=0.0, kind="Car", idx=0):
-    return compgen.AgentState(
-        id=f"a{idx}", kind=kind, role="AV" if idx == 0 else "BV",
-        edge_id="e", lane_index=0, s=x, speed=0.0, heading=heading,
-        x=x, y=y, length=4.5, width=1.8)
-
-
-def test_diversity_single_scenario():
-    sc = [_agent_at(0, 0, idx=0), _agent_at(5, 0, idx=1)]
-    div = compgen.placement_diversity([sc])
-    assert div["agent_count"] == (2.0, 0.0)
-    assert div["shortest_distance"] == pytest.approx((5.0, 0.0))
-
-
-def test_diversity_counts_mean_std():
-    scenarios = [[_agent_at(i * 10.0, 0, idx=i) for i in range(n)]
-                 for n in (3, 6, 9)]
-    div = compgen.placement_diversity(scenarios)
-    assert div["agent_count"][0] == pytest.approx(6.0)
-    assert div["agent_count"][1] == pytest.approx(statistics.stdev([3, 6, 9]))
-    assert div["agent_count"][1] == pytest.approx(3.0)
-
-
-def test_diversity_yaw_pools_vehicles_only():
-    sc = [_agent_at(0, 0, heading=90.0, idx=0),
-          _agent_at(10, 0, heading=-90.0, idx=1),
-          compgen.AgentState("p", "Pedestrian", "VRU", "e", 0, 0.0, 0.0,
-                             45.0, 20.0, 0.0, 0.5, 0.5)]
-    div = compgen.placement_diversity([sc])
-    mean, std = div["vehicle_yaw"]
-    assert mean == pytest.approx(0.0)
-    assert std == pytest.approx(statistics.stdev([90.0, -90.0]))
-    assert std == pytest.approx(127.27922061357856)
-
-
-def test_diversity_sample_std_matches_statistics_module():
-    rng = random.Random(4)
-    scenarios = []
-    for n in (2, 3, 4, 5):
-        scenarios.append([_agent_at(rng.uniform(0, 100), rng.uniform(0, 100),
-                                    heading=rng.uniform(-179, 180), idx=i)
-                          for i in range(n)])
-    div = compgen.placement_diversity(scenarios)
-    yaws = [a.heading for sc in scenarios for a in sc]
-    assert div["vehicle_yaw"][0] == pytest.approx(statistics.fmean(yaws))
-    assert div["vehicle_yaw"][1] == pytest.approx(statistics.stdev(yaws))
-
-
-def test_diversity_requires_scenarios():
-    with pytest.raises(ValueError):
-        compgen.placement_diversity([])

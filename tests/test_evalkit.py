@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import random
 import statistics
 
 import pytest
@@ -220,6 +222,72 @@ def test_diversity_two_pass_oracle():
                                               abs=1e-9)
         assert table[key][1] == pytest.approx(statistics.stdev(values),
                                               abs=1e-9)
+
+
+def placed_row(agents):
+    return {"lanes": 2, "edges": 1, "route_length": 100.0, "agents": agents,
+            "objects": 0}
+
+
+def test_diversity_of_one_scenario():
+    table = evalkit.diversity([placed_row([agent_state(0, x=0.0),
+                                           agent_state(1, x=5.0)])])
+    assert table["#Agents"] == (2.0, 0.0)
+    assert table["Shortest"] == pytest.approx((5.0, 0.0))
+
+
+def test_diversity_counts_every_agent():
+    rows = [placed_row([agent_state(i, x=i * 10.0) for i in range(n - 1)]
+                       + [agent_state(n, kind="Pedestrian", role="VRU",
+                                      x=-10.0)])
+            for n in (3, 6, 9)]
+    table = evalkit.diversity(rows)
+    assert table["#Agents"][0] == pytest.approx(6.0)
+    assert table["#Agents"][1] == pytest.approx(statistics.stdev([3, 6, 9]))
+    assert table["#Agents"][1] == pytest.approx(3.0)
+
+
+def test_diversity_yaw_pools_vehicles_only():
+    table = evalkit.diversity([placed_row([
+        agent_state(0, x=0.0, heading=90.0),
+        agent_state(1, x=10.0, heading=-90.0),
+        agent_state(2, kind="Pedestrian", role="VRU", x=20.0,
+                    heading=45.0)])])
+    mean, std = table["Vehicle yaw"]
+    assert mean == pytest.approx(0.0)
+    assert std == pytest.approx(statistics.stdev([90.0, -90.0]))
+    assert std == pytest.approx(127.27922061357856)
+
+
+def test_diversity_sample_std_matches_statistics_module():
+    rng = random.Random(4)
+    scenarios = [[agent_state(i, x=rng.uniform(0, 100), y=rng.uniform(0, 100),
+                              heading=rng.uniform(-179, 180))
+                  for i in range(n)] for n in (2, 3, 4, 5)]
+    table = evalkit.diversity([placed_row(sc) for sc in scenarios])
+    yaws = [a.heading for sc in scenarios for a in sc]
+    assert table["Vehicle yaw"][0] == pytest.approx(statistics.fmean(yaws))
+    assert table["Vehicle yaw"][1] == pytest.approx(statistics.stdev(yaws))
+    shortest = [min(math.dist((a.x, a.y), (b.x, b.y))
+                    for a, b in itertools.combinations(sc, 2))
+                for sc in scenarios]
+    assert table["Shortest"][0] == pytest.approx(statistics.fmean(shortest))
+    assert table["Shortest"][1] == pytest.approx(statistics.stdev(shortest))
+
+
+def test_diversity_shortest_skips_scenarios_with_one_agent():
+    table = evalkit.diversity([
+        placed_row([agent_state(0, x=0.0), agent_state(1, x=5.0)]),
+        placed_row([agent_state(0, x=0.0)]),
+        placed_row([agent_state(0, x=0.0), agent_state(1, y=9.0)])])
+    assert table["Shortest"] == pytest.approx(
+        (7.0, statistics.stdev([5.0, 9.0])))
+    assert table["#Agents"][0] == pytest.approx(5 / 3)
+
+
+def test_diversity_requires_scenarios():
+    with pytest.raises(ValueError):
+        evalkit.diversity([])
 
 
 def test_single_scenario_has_zero_std():

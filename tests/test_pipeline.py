@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import os
@@ -343,6 +344,40 @@ def test_non_finite_depth_fails_at_interpret(tmp_path, depths):
     assert m.stages == {"interpret": "error:RuntimeError"}
     assert m.failure == "RuntimeError"
     assert m.error == "depth samples must be positive and finite"
+
+
+@pytest.mark.parametrize("source, prompts_sha, description_sha", [
+    pytest.param(
+        ir.ImageDescriptor(
+            captions=("a pedestrian and a cyclist cross in front of queued "
+                      "cars at a roadwork taper",),
+            elements=(("cars", 3), ("pedestrian", 1), ("cyclist", 1),
+                      ("cones", 4), ("warning sign", 1))),
+        "f4042d172b53d5522caec0f7dfc2c05f9d67e5b13fbfcbf4bb34509d362284b4",
+        "35e4aed9fcf1cca62c60876a236f4cccd1da1bee03b4a0edc692b21ecfd39ec2",
+        id="image"),
+    pytest.param(
+        ir.VideoDescriptor(
+            frame_captions=("a truck ahead on the highway", "closing in",
+                            "overtaking"),
+            depth_samples=(60.0, 52.5, 41.0)),
+        "0a199d6b99b5dbca3e415b2b0765b48467d9c72564d0bdcb23540f017bc1da4f",
+        "2ba042440e97bca5c9b02e67cbc5ca302788856b03d891abde03f51416cbb3d5",
+        id="video"),
+])
+def test_mock_image_and_video_answers_keep_their_bytes(
+        tmp_path, source, prompts_sha, description_sha):
+    """The mock's image answer (one agent per detected road user, one object
+    per detected object kind) and its video answer (the road length from the
+    depths), pinned by the sha256 of the prompt log and description.json;
+    no CLI command sends an image or a video."""
+    m = pipeline.run_pipeline(source, make_cfg(tmp_path), seed=2,
+                              run_id="mock")
+    assert m.ok
+    for name, want in (("prompts", prompts_sha),
+                       ("description", description_sha)):
+        with open(m.artifacts[name], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == want, name
 
 
 def test_classify_failure():
