@@ -265,7 +265,7 @@ class MockProvider:
         payload = self._payload(prompt)
         seed = self._prompt_seed(prompt)
         if task == "netgen":
-            return self._net_response(prompt, payload, seed)
+            return self._net_response(prompt, payload)
         return self._description_response(task, payload, seed)
 
     # -- description synthesis ------------------------------------------------
@@ -320,7 +320,7 @@ class MockProvider:
                        narrative=text)
 
     # -- network synthesis -----------------------------------------------------
-    def _net_response(self, prompt: str, payload: str, seed: int) -> str:
+    def _net_response(self, prompt: str, payload: str) -> str:
         data = json.loads(payload)
         road = ir.RoadDescription(
             layout=data["layout"],

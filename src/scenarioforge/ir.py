@@ -218,6 +218,8 @@ class ImageDescriptor:
         object.__setattr__(self, "captions", tuple(self.captions))
         object.__setattr__(self, "elements",
                            tuple((k, int(n)) for k, n in self.elements))
+        if any(n < 1 for _, n in self.elements):
+            raise RangeViolation("image.elements", self.elements)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,11 @@ lookups bisect one lane instead of scanning every vehicle, and a broad phase
 on the boxes' closed-form axis-aligned extents runs before the exact overlap
 test, which alone builds the corners. A background vehicle weighs lane
 changes only when the free-road acceleration, the bound on any lane, beats
-the current lane by the threshold. BehaviorParams holds its IDM braking term;
-the AV's policy builds one per parameter set. All of this matches full scans
-and evaluations exactly, ties included; clamps compare as min and max do.
+the current lane by the threshold. The AV is controlled from its vehicle as a
+background vehicle is, and builds its lane options only when its gap rule
+reads them. BehaviorParams holds its IDM braking term. All of this matches
+full scans and evaluations exactly, ties included; clamps compare as min and
+max do.
 
 The trace file and hash spell each number as json.dumps(round(v, n)) does
 (n = 4 and 6) from one '%.nf' conversion: round makes the same correctly
@@ -371,19 +373,18 @@ def _project_objects(net: netgen.RoadNetwork, objects) -> list:
     return out
 
 
-def _leader_gap(world: World, lanes: _LaneIndex, veh: _Vehicle,
-                edge_id: str, lane_index: int, s: float
-                ) -> tuple[float, float]:
-    """(bumper gap, leader speed) ahead on the given lane, one edge lookahead.
+def _leader_gap(graph: netgen.LaneGraph, lanes: _LaneIndex, veh: _Vehicle,
+                lane_index: int) -> tuple[float, float]:
+    """(bumper gap, leader speed) ahead of veh on the given lane of its edge,
+    one edge lookahead.
 
     The smallest gap wins. Ties go to the first candidate in this order:
     vehicles in world order, then obstacles, on this edge, then the same on
     the next edge.
     """
-    graph = world.net.lane_graph
-    key = (edge_id, lane_index)
-    best_gap, best_speed = lanes.nearest(veh, key, s, -s)
-    remaining = graph.lanes[key].length - s
+    key = (veh.edge_id, lane_index)
+    best_gap, best_speed = lanes.nearest(veh, key, veh.s, -veh.s)
+    remaining = graph.lanes[key].length - veh.s
     if remaining >= LOOKAHEAD_HORIZON:
         return best_gap, best_speed
     nxt = _next_edge(graph, veh.route, veh.edge_id)
@@ -395,36 +396,32 @@ def _leader_gap(world: World, lanes: _LaneIndex, veh: _Vehicle,
     return best_gap, best_speed
 
 
-def av_policy(observation: dict) -> tuple[float, int]:
-    """Rule policy for the vehicle under test.
-
-    observation: speed, desired_speed, gap, leader_speed, max_accel,
-    comfortable_decel, min_gap, lane_options (list of lane-change candidates
-    with their gaps). Returns (accel, lane_change in {-1, 0, +1}).
-    """
-    v = observation["speed"]
-    v0 = observation["desired_speed"]
-    gap = observation["gap"]
-    lead_v = observation["leader_speed"]
-    a_max = observation["max_accel"]
-    b = observation["comfortable_decel"]
-    s0 = observation["min_gap"]
-
+def _av_control(graph: netgen.LaneGraph, lanes: _LaneIndex, veh: _Vehicle
+                ) -> tuple[float, int]:
+    """Rule policy for the vehicle under test: (accel, lane_change in
+    {-1, 0, +1}). The lane options are built only when the gap rule reads
+    them. The IDM term takes desired_speed, max_accel, comfortable_decel and
+    min_gap from veh.params and every other BehaviorParams field at its
+    default (so a Truck or Bus AV keeps a 1.5 s headway); followers still
+    read veh.params itself."""
+    p, v = veh.params, veh.speed
+    a_max, b, s0 = p.max_accel, p.comfortable_decel, p.min_gap
+    gap, lead_v = _leader_gap(graph, lanes, veh, veh.lane_index)
     closing = v - lead_v
     ttc = gap / closing if (closing > 0 and not math.isinf(gap)) else math.inf
 
     lane_change = 0
     if not math.isinf(gap) and gap < 3.0 * s0 + v * 2.0:
-        options = observation.get("lane_options", [])
-        prefer = [o for o in options if o["gap"] > gap + 2.0 * s0
-                  and o["rear_gap"] > s0]
+        prefer = [o for o in _lane_options(graph, lanes, veh)
+                  if o["gap"] > gap + 2.0 * s0 and o["rear_gap"] > s0]
         if prefer and (gap < 2.0 * s0 + v * 1.0 or ttc < TTC_BRAKE_THRESHOLD):
             prefer.sort(key=lambda o: -o["gap"])
             lane_change = prefer[0]["direction"]
 
     if ttc < TTC_BRAKE_THRESHOLD or (not math.isinf(gap) and gap < s0):
         return -b, lane_change
-    accel = idm_accel(_policy_params(v0, a_max, b, s0), v, gap, closing)
+    accel = idm_accel(_policy_params(p.desired_speed, a_max, b, s0), v, gap,
+                      closing)
     return max(-b, min(a_max, accel)), lane_change
 
 
@@ -432,15 +429,15 @@ def av_policy(observation: dict) -> tuple[float, int]:
 _policy_params = functools.lru_cache(maxsize=64)(BehaviorParams)
 
 
-def _lane_options(world: World, lanes: _LaneIndex, veh: _Vehicle
+def _lane_options(graph: netgen.LaneGraph, lanes: _LaneIndex, veh: _Vehicle
                   ) -> list[dict]:
-    edge = world.net.lane_graph.edges[veh.edge_id]
+    edge = graph.edges[veh.edge_id]
     options = []
     for direction in (-1, 1):
         li = veh.lane_index + direction
         if not (0 <= li < edge.num_lanes):
             continue
-        gap, lead_v = _leader_gap(world, lanes, veh, veh.edge_id, li, veh.s)
+        gap, lead_v = _leader_gap(graph, lanes, veh, li)
         follower = lanes.follower(veh.id, (veh.edge_id, li), veh.s)
         if follower is None:
             rear_gap = math.inf
@@ -453,11 +450,10 @@ def _lane_options(world: World, lanes: _LaneIndex, veh: _Vehicle
     return options
 
 
-def _bv_control(world: World, lanes: _LaneIndex, veh: _Vehicle
+def _bv_control(graph: netgen.LaneGraph, lanes: _LaneIndex, veh: _Vehicle
                 ) -> tuple[float, int]:
     p, speed = veh.params, veh.speed
-    gap, lead_v = _leader_gap(world, lanes, veh, veh.edge_id, veh.lane_index,
-                              veh.s)
+    gap, lead_v = _leader_gap(graph, lanes, veh, veh.lane_index)
     free = (speed / p.desired_speed) ** p.accel_exponent
     accel_here = _idm_accel(p, speed, gap, speed - lead_v, free)
     if veh.lane_change_cooldown > 0:
@@ -469,7 +465,7 @@ def _bv_control(world: World, lanes: _LaneIndex, veh: _Vehicle
             p.lane_change_threshold:
         return accel_here, 0
 
-    for opt in _lane_options(world, lanes, veh):
+    for opt in _lane_options(graph, lanes, veh):
         accel_there = _idm_accel(p, speed, opt["gap"],
                                  speed - opt["leader_speed"], free)
         if accel_there - accel_here < p.lane_change_threshold:
@@ -542,18 +538,9 @@ def step(world: World, dt: float) -> World:
         if veh.kind in VRU_KINDS:
             controls[vid] = None
         elif veh.role == "AV":
-            gap, lead_v = _leader_gap(world, lanes, veh, veh.edge_id,
-                                      veh.lane_index, veh.s)
-            obs = {"speed": veh.speed,
-                   "desired_speed": veh.params.desired_speed,
-                   "gap": gap, "leader_speed": lead_v,
-                   "max_accel": veh.params.max_accel,
-                   "comfortable_decel": veh.params.comfortable_decel,
-                   "min_gap": veh.params.min_gap,
-                   "lane_options": _lane_options(world, lanes, veh)}
-            controls[vid] = av_policy(obs)
+            controls[vid] = _av_control(graph, lanes, veh)
         else:
-            controls[vid] = _bv_control(world, lanes, veh)
+            controls[vid] = _bv_control(graph, lanes, veh)
 
     for vid, veh in world.vehicles.items():
         if not veh.active:

@@ -329,12 +329,12 @@ def bv_control_scan(world, lanes, veh):
     has its own oracles for them."""
     from scenarioforge import simcore
     me, p = veh, veh.params
-    gap, lead_v = simcore._leader_gap(world, lanes, veh, me.edge_id,
-                                      me.lane_index, me.s)
+    graph = world.net.lane_graph
+    gap, lead_v = simcore._leader_gap(graph, lanes, veh, me.lane_index)
     accel_here = simcore.idm_accel(p, me.speed, gap, me.speed - lead_v)
     if veh.lane_change_cooldown > 0:
         return accel_here, 0
-    for opt in simcore._lane_options(world, lanes, veh):
+    for opt in simcore._lane_options(graph, lanes, veh):
         accel_there = simcore.idm_accel(p, me.speed, opt["gap"],
                                         me.speed - opt["leader_speed"])
         if accel_there - accel_here < p.lane_change_threshold or \
@@ -692,8 +692,61 @@ def _advance_vru(veh, dt):
                            me.length, me.width, me.color)
 
 
+def av_policy(observation: dict) -> tuple[float, int]:
+    """Rule policy for the vehicle under test.
+
+    observation: speed, desired_speed, gap, leader_speed, max_accel,
+    comfortable_decel, min_gap, lane_options (list of lane-change candidates
+    with their gaps). Returns (accel, lane_change in {-1, 0, +1}).
+    """
+    from scenarioforge import simcore
+    v = observation["speed"]
+    v0 = observation["desired_speed"]
+    gap = observation["gap"]
+    lead_v = observation["leader_speed"]
+    a_max = observation["max_accel"]
+    b = observation["comfortable_decel"]
+    s0 = observation["min_gap"]
+
+    closing = v - lead_v
+    ttc = gap / closing if (closing > 0 and not math.isinf(gap)) else math.inf
+
+    lane_change = 0
+    if not math.isinf(gap) and gap < 3.0 * s0 + v * 2.0:
+        options = observation.get("lane_options", [])
+        prefer = [o for o in options if o["gap"] > gap + 2.0 * s0
+                  and o["rear_gap"] > s0]
+        if prefer and (gap < 2.0 * s0 + v * 1.0 or
+                       ttc < simcore.TTC_BRAKE_THRESHOLD):
+            prefer.sort(key=lambda o: -o["gap"])
+            lane_change = prefer[0]["direction"]
+
+    if ttc < simcore.TTC_BRAKE_THRESHOLD or (not math.isinf(gap) and gap < s0):
+        return -b, lane_change
+    accel = simcore.idm_accel(simcore._policy_params(v0, a_max, b, s0), v, gap,
+                              closing)
+    return max(-b, min(a_max, accel)), lane_change
+
+
+def av_control_eager(graph, lanes, veh):
+    """The AV's control as the simulator once computed it: an observation of
+    the vehicle's speed and four parameters, its leader and its lane options,
+    built every step, handed to av_policy."""
+    from scenarioforge import simcore
+    gap, lead_v = simcore._leader_gap(graph, lanes, veh, veh.lane_index)
+    return av_policy({"speed": veh.speed,
+                      "desired_speed": veh.params.desired_speed,
+                      "gap": gap, "leader_speed": lead_v,
+                      "max_accel": veh.params.max_accel,
+                      "comfortable_decel": veh.params.comfortable_decel,
+                      "min_gap": veh.params.min_gap,
+                      "lane_options": simcore._lane_options(graph, lanes,
+                                                            veh)})
+
+
 def step_reference(world, dt):
-    """simcore.step on a world of StateVehicles: the package's controls, then
+    """simcore.step on a world of StateVehicles: the package's background
+    vehicle control, the AV rule above on eagerly built lane options, then
     the AgentState integration above."""
     from scenarioforge import simcore
     lanes = simcore._LaneIndex(world)
@@ -705,17 +758,10 @@ def step_reference(world, dt):
         if me.kind in simcore.VRU_KINDS:
             controls[vid] = None
         elif me.role == "AV":
-            gap, lead_v = simcore._leader_gap(world, lanes, veh, me.edge_id,
-                                              me.lane_index, me.s)
-            obs = {"speed": me.speed, "desired_speed": veh.params.desired_speed,
-                   "gap": gap, "leader_speed": lead_v,
-                   "max_accel": veh.params.max_accel,
-                   "comfortable_decel": veh.params.comfortable_decel,
-                   "min_gap": veh.params.min_gap,
-                   "lane_options": simcore._lane_options(world, lanes, veh)}
-            controls[vid] = simcore.av_policy(obs)
+            controls[vid] = av_control_eager(world.net.lane_graph, lanes, veh)
         else:
-            controls[vid] = simcore._bv_control(world, lanes, veh)
+            controls[vid] = simcore._bv_control(world.net.lane_graph, lanes,
+                                                veh)
 
     for vid, veh in world.vehicles.items():
         if not veh.active:

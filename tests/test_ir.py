@@ -240,6 +240,15 @@ def test_gps_bbox_ordering():
     assert bb.max_lat > bb.min_lat
 
 
+def test_image_detection_counts_positive():
+    # a count below 1 is an input error before any provider call
+    for elements in ((("car", -2),), (("car", 2), ("cones", 0))):
+        with pytest.raises(ir.RangeViolation) as info:
+            ir.ImageDescriptor(captions=("roadwork ahead",),
+                               elements=elements)
+        assert info.value.field == "image.elements"
+
+
 def test_video_needs_two_frames():
     with pytest.raises(ir.RangeViolation):
         ir.VideoDescriptor(("one frame",), (10.0,))

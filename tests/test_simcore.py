@@ -17,11 +17,11 @@ import scenarioforge
 from scenarioforge import compgen, evalkit, ir, netgen, pipeline, simcore
 
 from conftest import street_grid_network
-from oracles import (all_pairs_collisions, bv_control_scan, export_series_json,
-                     export_trace_json, follower_scan, hand_trace,
-                     idm_accel_reference, leader_gap_scan, performance_series,
-                     project_objects_scan, quads_overlap_oracle,
-                     run_with_series, trace_hash_json)
+from oracles import (all_pairs_collisions, av_control_eager, bv_control_scan,
+                     export_series_json, export_trace_json, follower_scan,
+                     hand_trace, idm_accel_reference, leader_gap_scan,
+                     performance_series, project_objects_scan,
+                     quads_overlap_oracle, run_with_series, trace_hash_json)
 
 
 def straight_net(length=2000.0, fwd=1, speed=13.89):
@@ -257,33 +257,42 @@ def test_detect_collisions_keeps_touching_and_coincident_boxes():
 # ---------------------------------------------------------------------------
 # AV policy
 
-def _obs(**kw):
-    base = dict(speed=10.0, desired_speed=13.89, gap=math.inf,
-                leader_speed=0.0, max_accel=1.5, comfortable_decel=2.0,
-                min_gap=2.0, lane_options=[])
-    base.update(kw)
-    return base
+def _two_car_av_control(speed=10.0, gap=math.inf, leader_speed=0.0):
+    """simcore._av_control of a Car AV (desired speed 13.89, max accel 1.5,
+    comfortable decel 2.0, min gap 2.0) at s = 100 m on a straight one-lane
+    road, with a second car the given bumper gap ahead, or behind it when
+    the gap is infinite."""
+    net = straight_net()
+    world = simcore.World(net=net, vehicles={}, obstacles=[])
+    other_s = 50.0 if math.isinf(gap) else 104.5 + gap
+    for state in (place(net, "e0f", 0, 100.0, "av", role="AV"),
+                  place(net, "e0f", 0, other_s, "bv", speed=leader_speed)):
+        world.vehicles[state.id] = simcore._Vehicle(
+            state, simcore._default_params("Car", 13.89))
+    av = world.vehicles["av"]
+    av.speed = speed
+    return simcore._av_control(net.lane_graph, simcore._LaneIndex(world), av)
 
 
 def test_av_policy_free_road_accelerates():
-    accel, lc = simcore.av_policy(_obs())
+    accel, lc = _two_car_av_control()
     assert accel > 0
     assert lc == 0
 
 
 def test_av_policy_brakes_below_ttc_threshold():
     # closing at 10 m/s with 20 m gap: TTC 2 s < 3 s threshold
-    accel, _ = simcore.av_policy(_obs(gap=20.0, leader_speed=0.0))
-    assert accel == pytest.approx(-2.0)
+    accel, _ = _two_car_av_control(gap=20.0, leader_speed=0.0)
+    assert accel == -2.0
 
 
 def test_av_policy_never_exceeds_limits():
     rng = random.Random(3)
     for _ in range(200):
-        obs = _obs(speed=rng.uniform(0, 30),
-                   gap=rng.choice([math.inf, rng.uniform(0.5, 200)]),
-                   leader_speed=rng.uniform(0, 30))
-        accel, lc = simcore.av_policy(obs)
+        accel, lc = _two_car_av_control(
+            speed=rng.uniform(0, 30),
+            gap=rng.choice([math.inf, rng.uniform(0.5, 200)]),
+            leader_speed=rng.uniform(0, 30))
         assert -2.0 - 1e-9 <= accel <= 1.5 + 1e-9
         assert lc in (-1, 0, 1)
 
@@ -728,8 +737,7 @@ def test_indexed_leader_and_follower_match_linear_scans(lanes, vehicles,
     index = simcore._LaneIndex(world)
     for me in world.vehicles.values():
         for li in range(lanes[edge_ids.index(me.edge_id)]):
-            assert simcore._leader_gap(world, index, me, me.edge_id, li,
-                                       me.s) == \
+            assert simcore._leader_gap(net.lane_graph, index, me, li) == \
                 leader_gap_scan(world, me, me.edge_id, li, me.s)
             assert index.follower(me.id, (me.edge_id, li), me.s) is \
                 follower_scan(world, me.id, me.edge_id, li, me.s)
@@ -772,8 +780,52 @@ def test_bv_control_matches_full_option_scan(lanes, vehicles):
     index = simcore._LaneIndex(world)
     for veh in world.vehicles.values():
         # repr, so that NaN accelerations compare equal
-        assert repr(simcore._bv_control(world, index, veh)) == \
+        assert repr(simcore._bv_control(net.lane_graph, index, veh)) == \
             repr(bv_control_scan(world, index, veh))
+
+
+AV_VEHICLE = st.tuples(
+    st.integers(0, 1), st.integers(0, 2), LANE_S,
+    st.sampled_from(["Car", "Truck", "Bus"]), st.floats(0.0, 25.0),
+    st.sampled_from([0.0, 0.0, 0.05, 2.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(lanes=(1, 1), obstacles=[],  # a Truck AV closing on a leader
+         av=(0, 0, 10.0, "Truck", 10.0, 0.0),
+         vehicles=[(0, 0, 40.0, "Car", 8.0, 0.0)])
+@given(lanes=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       av=AV_VEHICLE, vehicles=st.lists(BACKGROUND_VEHICLE, max_size=12),
+       obstacles=st.lists(OBSTACLE, max_size=4))
+def test_av_control_matches_the_eager_policy(lanes, av, vehicles, obstacles):
+    """The AV's control, which builds lane options only when its gap rule
+    reads them, gives what the policy on an eagerly built observation gives,
+    for Car, Truck and Bus AVs, leaders on the next edge, obstacles and
+    cooldowns; its IDM term keeps the default headway."""
+    road = ir.RoadDescription(
+        layout="Straight",
+        segments=(ir.RoadSegment(60.0, lanes[0], 0, 13.89),
+                  ir.RoadSegment(60.0, lanes[1], 0, 13.89)))
+    net = netgen.build_network_blueprint(road)
+    edge_ids = ("e0f", "e1f")
+    world = simcore.World(net=net, vehicles={}, obstacles=[])
+    for i, (ei, li, s, kind, speed, cooldown) in enumerate([av] + vehicles):
+        role = "BV" if i else "AV"
+        state = place(net, edge_ids[ei], min(li, lanes[ei] - 1), s, f"v{i}",
+                      kind=kind, role=role)
+        veh = world.vehicles[state.id] = simcore._Vehicle(
+            state, simcore._default_params(kind, 13.89),
+            route=simcore.plan_route(net, edge_ids[ei]) if role == "AV"
+            else ())
+        veh.speed, veh.lane_change_cooldown = speed, cooldown
+    for ei, li, s, size in obstacles:
+        world.obstacles.append((edge_ids[ei], min(li, lanes[ei] - 1), s,
+                                compgen.PlacedObject("Cone", 0.0, 0.0, 0.0,
+                                                     (size, 0.4))))
+    index = simcore._LaneIndex(world)
+    for veh in world.vehicles.values():
+        assert repr(simcore._av_control(net.lane_graph, index, veh)) == \
+            repr(av_control_eager(net.lane_graph, index, veh))
 
 
 @settings(max_examples=100, deadline=None)

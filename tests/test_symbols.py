@@ -59,3 +59,28 @@ def test_every_top_level_name_is_referenced_elsewhere_in_src():
                            for m, line in reads.get(name, ())):
                     unused.add(f"{module}.{name}")
     assert unused == PATCHED_BY_THE_BENCH
+
+
+def test_every_parameter_is_read():
+    """Each parameter of each function and lambda of src, other than self
+    and cls, is read in its body."""
+    package = os.path.dirname(scenarioforge.__file__)
+    unread = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        module = os.path.basename(path)[:-3]
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + \
+                [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{module}.{name}({p.arg})" for p in params
+                       if p.arg not in ("self", "cls") and p.arg not in read]
+    assert unread == []
